@@ -58,17 +58,9 @@ fn bench(c: &mut Criterion) {
     group.bench_function("flat_10kx10k_nested_loop", |b| {
         b.iter(|| run(&big, &flat, JoinStrategy::NestedLoop))
     });
-    // for the flat shape the parameterized statement IS the index
-    // nested loop — identical execution, pinned here as its own case
-    group.bench_function("flat_10kx10k_index_nl", |b| {
-        b.iter(|| run(&big, &flat, JoinStrategy::IndexNl))
-    });
     // cost-based: statistics say hash; one bulk fetch, local probes
     group.bench_function("flat_10kx10k_auto", |b| {
         b.iter(|| run(&big, &flat, JoinStrategy::Auto))
-    });
-    group.bench_function("flat_10kx10k_merge", |b| {
-        b.iter(|| run(&big, &flat, JoinStrategy::Merge))
     });
 
     group.bench_function("flat_1kx1k_nested_loop", |b| {

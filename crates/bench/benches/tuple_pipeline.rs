@@ -15,8 +15,6 @@
 use aldsp::security::Principal;
 use aldsp::{ExecutionOptions, PushdownLevel};
 use aldsp_bench::fixtures::{build_world, build_world_tuned, run, run_parallel, WorldSize, PROLOG};
-use aldsp_runtime::{Env, NamedEnv};
-use aldsp_xdm::item::Item;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const ORDERS_PER_CUSTOMER: usize = 4;
@@ -30,71 +28,6 @@ fn grouped_query() -> String {
          group $oid as $ids by fn:substring($o/CID, 1, 4) as $k
          return <G>{{ $k, fn:count($ids) }}</G>"
     )
-}
-
-/// The two variable-resolution schemes head-to-head at tuple
-/// granularity, in the shape one pipeline row actually has: rebind the
-/// loop variable, then read several bindings — the `where` predicate,
-/// the `let` value, the group key, and the `return` body all resolve
-/// variables against the tuple. Each side pays what its evaluator paid:
-/// the name-based engine extended the list (an allocation), scanned it
-/// by string compare per read, and *cloned the sequence out* (`Var`
-/// evaluation returned an owned sequence); the slot engine copies the
-/// cell array once per rebind, then every read is an indexed borrow.
-fn bench_env_repr(c: &mut Criterion) {
-    const DEPTH: usize = 8;
-    const ROWS: i64 = 10_000;
-    // one read deep in the scope, one in the middle, two near the top —
-    // roughly a where + let + key + return's worth of resolutions
-    const READS: [usize; 4] = [0, 3, 6, 7];
-
-    let names: Vec<String> = (0..DEPTH).map(|i| format!("o__{i}#FIELD__{i}")).collect();
-
-    let mut group = c.benchmark_group("env_repr");
-    group.sample_size(20);
-
-    group.bench_function("named_list_10k", |b| {
-        let mut base = NamedEnv::empty();
-        for (i, n) in names.iter().enumerate() {
-            base = base.bind(n, vec![Item::int(i as i64)]);
-        }
-        b.iter(|| {
-            let mut seen = 0i64;
-            for row in 0..ROWS {
-                let e = base.bind("x__9", vec![Item::int(row)]);
-                for r in READS {
-                    // the seed evaluator's Var arm: look up, clone out
-                    if let Some(v) = black_box(&e).get(&names[r]) {
-                        seen += black_box(v.clone()).len() as i64;
-                    }
-                }
-            }
-            black_box(seen)
-        })
-    });
-
-    group.bench_function("slot_frame_10k", |b| {
-        let mut base = Env::with_width(DEPTH + 1);
-        for i in 0..DEPTH {
-            base = base.bind_one(i as u32, Item::int(i as i64));
-        }
-        let x_slot = DEPTH as u32;
-        b.iter(|| {
-            let mut seen = 0i64;
-            for row in 0..ROWS {
-                let e = base.bind_one(x_slot, Item::int(row));
-                for r in READS {
-                    // the slot evaluator's Var arm: an indexed borrow
-                    if let Some(v) = black_box(&e).get_slot(r as u32) {
-                        seen += black_box(v).len() as i64;
-                    }
-                }
-            }
-            black_box(seen)
-        })
-    });
-
-    group.finish();
 }
 
 fn bench(c: &mut Criterion) {
@@ -173,5 +106,5 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench, bench_env_repr);
+criterion_group!(benches, bench);
 criterion_main!(benches);

@@ -144,7 +144,7 @@ pub struct CompiledQuery {
     /// execution regions), keyed by FLWOR `node_id`. Shared so each
     /// execution references the analysis without re-deriving it.
     pub parallel: Arc<crate::parallel::ParallelPlan>,
-    /// Middleware join decisions (hash / sort-merge bulk fetches with
+    /// Middleware join decisions (hash-join bulk fetches with
     /// build-side choice), keyed by `(flwor node_id, clause index)`.
     /// Shared so each execution references the plan without copying the
     /// decorrelated bulk statements.

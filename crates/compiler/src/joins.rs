@@ -8,20 +8,16 @@
 //! equality parameter, the plan form a cross-source
 //! `for $a in src1(), $b in src2() where $a/K eq $b/K` lowers to —
 //! using catalog statistics ([`aldsp_metadata::Registry::table_stats`])
-//! and the per-source latency model:
+//! and the per-source latency model: a **symmetric hash join** fetches
+//! the inner side once with a *decorrelated* bulk statement (the
+//! correlating conjunct stripped, the key column appended to the select
+//! list), builds a hash table on the smaller side and probes with the
+//! larger.
 //!
-//! * **symmetric hash join** — fetch the inner side once with a
-//!   *decorrelated* bulk statement (the correlating conjunct stripped,
-//!   the key column appended to the select list), build a hash table on
-//!   the smaller side, probe with the larger;
-//! * **local sort-merge** — fetch once, sort the fetched rows on the
-//!   key, binary-search the equal-key run per probe (forced via
-//!   [`JoinStrategy::Merge`]; never chosen by cost).
-//!
-//! Either way the runtime emits exactly the rows the per-tuple nested
-//! loop would, in the same order, so every strategy stays byte-identical
-//! — the reorder decision is which side is *buffered* (`build_outer`),
-//! never the output order. The analysis runs once, post-`assign_node_ids`,
+//! The runtime emits exactly the rows the per-tuple nested loop would,
+//! in the same order, so every strategy stays byte-identical — the
+//! reorder decision is which side is *buffered* (`build_outer`), never
+//! the output order. The analysis runs once, post-`assign_node_ids`,
 //! and records its decisions in a [`JoinPlan`] side table keyed by
 //! `(flwor node_id, clause index)`; EXPLAIN renders it as a `-- join:`
 //! header and the runtime consults it instead of re-deriving shapes.
@@ -39,22 +35,16 @@ use std::fmt;
 pub enum JoinStrategy {
     /// Cost-based: hash-join a correlated scan when statistics say the
     /// bulk fetch beats per-tuple execution, otherwise leave the
-    /// syntactic plan (NL / index-NL / PP-k) alone.
+    /// syntactic plan (per-tuple probe / PP-k) alone.
     #[default]
     Auto,
-    /// Force per-tuple nested-loop execution (no bulk fetch at all).
+    /// Force per-tuple nested-loop execution (no bulk fetch at all; the
+    /// parameterized statement is an index nested loop on the source
+    /// side).
     NestedLoop,
-    /// Force the source-indexed per-tuple plan — the parameterized
-    /// statement *is* an index nested loop on the source side, so this
-    /// executes identically to [`JoinStrategy::NestedLoop`] for flat
-    /// joins; the distinct name mirrors the paper's method taxonomy.
-    IndexNl,
     /// Force the symmetric hash join on every eligible correlated scan,
     /// regardless of statistics.
     Hash,
-    /// Force the local sort-merge variant on every eligible correlated
-    /// scan, regardless of statistics.
-    Merge,
 }
 
 impl fmt::Display for JoinStrategy {
@@ -62,22 +52,18 @@ impl fmt::Display for JoinStrategy {
         f.write_str(match self {
             JoinStrategy::Auto => "auto",
             JoinStrategy::NestedLoop => "nested-loop",
-            JoinStrategy::IndexNl => "index-nl",
             JoinStrategy::Hash => "hash",
-            JoinStrategy::Merge => "merge",
         })
     }
 }
 
-/// One planned middleware join: how to fetch the inner side in bulk and
-/// which side to buffer.
+/// One planned middleware hash join: how to fetch the inner side in
+/// bulk and which side to buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinMark {
-    /// [`JoinStrategy::Hash`] or [`JoinStrategy::Merge`].
-    pub strategy: JoinStrategy,
     /// The decorrelated bulk statement: the original select with the
     /// `key = ?` conjunct removed and the key column appended to the
-    /// select list (so the runtime can hash/sort fetched rows without
+    /// select list (so the runtime can hash fetched rows without
     /// re-deriving the key).
     pub bulk: Box<Select>,
     /// Row index of the appended key column (= the original output
@@ -135,8 +121,8 @@ impl fmt::Display for JoinPlan {
             }
             write!(
                 f,
-                "#{id}.{idx} strategy={} est-build={} est-probe={} reordered={}",
-                m.strategy, m.build_rows, m.probe_rows, m.build_outer
+                "#{id}.{idx} strategy=hash est-build={} est-probe={} reordered={}",
+                m.build_rows, m.probe_rows, m.build_outer
             )?;
         }
         Ok(())
@@ -166,8 +152,8 @@ const AUTO_MIN_ROWS: u64 = 256;
 /// eligible correlated scan.
 pub fn analyze(ctx: &Context<'_>, plan: &CExpr) -> JoinPlan {
     let strategy = ctx.join_strategy;
-    if matches!(strategy, JoinStrategy::NestedLoop | JoinStrategy::IndexNl) {
-        // both force the existing per-tuple parameterized plan
+    if strategy == JoinStrategy::NestedLoop {
+        // forces the existing per-tuple parameterized plan
         return JoinPlan::default();
     }
     let mut marks = Vec::new();
@@ -225,21 +211,16 @@ fn analyze_flwor(
                 let inner_est = scan_estimate(ctx, connection, select);
                 let both = outer_est.zip(inner_est);
                 let build_outer = both.is_some_and(|(o, i)| o < i);
-                let picked = match strategy {
-                    JoinStrategy::Hash => Some(JoinStrategy::Hash),
-                    JoinStrategy::Merge => Some(JoinStrategy::Merge),
-                    JoinStrategy::Auto => both
-                        .filter(|&(o, i)| {
-                            o.min(i) >= AUTO_MIN_ROWS
-                                && hash_cost(ctx, connection, o, i) < nl_cost(ctx, connection, o, i)
-                        })
-                        .map(|_| JoinStrategy::Hash),
-                    JoinStrategy::NestedLoop | JoinStrategy::IndexNl => None,
+                let hash = match strategy {
+                    JoinStrategy::Hash => true,
+                    JoinStrategy::Auto => both.is_some_and(|(o, i)| {
+                        o.min(i) >= AUTO_MIN_ROWS
+                            && hash_cost(ctx, connection, o, i) < nl_cost(ctx, connection, o, i)
+                    }),
+                    JoinStrategy::NestedLoop => false,
                 };
                 let joined = join_estimate(ctx, connection, select, &cand, outer_est, inner_est);
-                if let Some(strategy) = picked {
-                    // merge buffers the fetched (inner) side by design
-                    let build_outer = build_outer && strategy == JoinStrategy::Hash;
+                if hash {
                     let (build_rows, probe_rows) = if build_outer {
                         (outer_est.unwrap_or(0), inner_est.unwrap_or(0))
                     } else {
@@ -248,7 +229,6 @@ fn analyze_flwor(
                     marks.push((
                         (flwor_id, idx),
                         JoinMark {
-                            strategy,
                             bulk: Box::new(cand.bulk),
                             key_row_index: cand.key_row_index,
                             build_rows,
@@ -461,7 +441,6 @@ mod tests {
         assert_eq!(marks.len(), 1, "plan: {:#?}", q.plan);
         let (_, idx, m) = marks[0];
         assert!(idx >= 1, "correlated scan cannot lead the clause list");
-        assert_eq!(m.strategy, JoinStrategy::Hash);
         assert!(!m.build_outer, "no statistics, no reorder");
         // bulk select: correlation stripped, key column appended
         assert!(m.bulk.where_.is_none(), "{:?}", m.bulk.where_);
@@ -507,7 +486,6 @@ mod tests {
         let marks: Vec<_> = q.joins.iter().collect();
         assert_eq!(marks.len(), 1, "{}", q.joins);
         let (_, _, m) = marks[0];
-        assert_eq!(m.strategy, JoinStrategy::Hash);
         // outer (10k customers) is smaller than inner (20k cards):
         // the reorder buffers the outer side
         assert!(m.build_outer);
@@ -531,11 +509,9 @@ mod tests {
 
     #[test]
     fn forced_nl_levels_never_mark() {
-        for s in [JoinStrategy::NestedLoop, JoinStrategy::IndexNl] {
-            let big: &[StatRow<'_>] = &[("db2", "CREDIT_CARD", 50_000, &[])];
-            let q = compile_with(s, big, FLAT_CROSS);
-            assert!(q.joins.is_empty(), "{s}: {}", q.joins);
-        }
+        let big: &[StatRow<'_>] = &[("db2", "CREDIT_CARD", 50_000, &[])];
+        let q = compile_with(JoinStrategy::NestedLoop, big, FLAT_CROSS);
+        assert!(q.joins.is_empty(), "{}", q.joins);
     }
 
     #[test]
@@ -543,9 +519,9 @@ mod tests {
         let q = compile(FLAT_CROSS);
         assert!(q.joins.is_empty());
         assert_eq!(q.joins.to_string(), "none");
-        let q = compile_with(JoinStrategy::Merge, &[], FLAT_CROSS);
+        let q = compile_with(JoinStrategy::Hash, &[], FLAT_CROSS);
         let s = q.joins.to_string();
-        assert!(s.contains("strategy=merge"), "{s}");
+        assert!(s.contains("strategy=hash"), "{s}");
         assert!(s.contains("reordered=false"), "{s}");
     }
 }

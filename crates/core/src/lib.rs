@@ -46,7 +46,7 @@ use aldsp_metadata::{
 };
 use aldsp_parser::Diagnostic;
 use aldsp_relational::{Catalog, RelationalServer};
-use aldsp_runtime::Runtime;
+use aldsp_runtime::{ExecRequest, Runtime};
 pub use aldsp_runtime::{NodeTrace, QueryTrace, StatsSnapshot, TraceKey, TraceLevel};
 use aldsp_security::{AccessDenied, AuditLog, Principal, SecurityPolicy};
 use aldsp_updates::{
@@ -798,11 +798,19 @@ impl<'a> QueryRequest<'a> {
     }
 
     /// Deliver result items incrementally to `sink` instead of
-    /// materializing them (§2.2). Security filtering still applies per
-    /// item; returning `false` stops execution early.
-    pub fn stream_to(mut self, sink: &'a mut dyn FnMut(Item) -> bool) -> Self {
-        self.sink = Some(sink);
-        self
+    /// materializing them (§2.2), replacing any earlier sink. Security
+    /// filtering still applies per item; returning `false` stops
+    /// execution early. The sink may live shorter than the request's
+    /// other borrows, so a wrapper can aim a caller's request at a
+    /// local sink.
+    pub fn stream_to<'b>(self, sink: &'b mut dyn FnMut(Item) -> bool) -> QueryRequest<'b>
+    where
+        'a: 'b,
+    {
+        QueryRequest {
+            sink: Some(sink),
+            ..self
+        }
     }
 }
 
@@ -1009,40 +1017,43 @@ impl AldspServer {
         let QueryRequest {
             target,
             principal,
-            bindings,
+            mut bindings,
             trace,
             explain_only,
             deadline,
             priority,
             memory_budget,
             execution,
-            mut sink,
+            sink,
         } = request;
+        // The request's shape depends on nothing but the request, so it
+        // is validated before anything with a side effect (audit
+        // entries, counters, admission slots, fill tickets) runs.
+        if sink.is_some()
+            && matches!(&target, RequestTarget::Call { criteria, .. } if !criteria.is_empty())
+        {
+            return Err(ServerError::Other(
+                "call criteria (filter/sort/limit) require materialized \
+                 execution; drop stream_to or the criteria"
+                    .into(),
+            ));
+        }
         let exec = execution.unwrap_or_else(|| self.execution.clone());
         let trace = trace.unwrap_or(exec.trace_level);
-        let (plan, call_args, criteria, call_fn) = match target {
-            RequestTarget::Query { source } => (
-                self.cached_plan(source, &exec)?,
-                None,
-                CallCriteria::default(),
-                None,
-            ),
+        if let RequestTarget::Call { function, .. } = &target {
+            // Function-level access is checked before anything runs
+            // (§7); element-level filtering happens on the results.
+            self.security
+                .check_function_access(&principal, function, &self.audit)?;
+        }
+        let plan = self.plan_for(&target, &exec)?;
+        let (call_fn, call_args, criteria) = match target {
+            RequestTarget::Query { .. } => (None, None, CallCriteria::default()),
             RequestTarget::Call {
                 function,
                 args,
                 criteria,
-            } => {
-                // Function-level access is checked before anything runs
-                // (§7); element-level filtering happens on the results.
-                self.security
-                    .check_function_access(&principal, &function, &self.audit)?;
-                (
-                    self.cached_call_plan(&function, &exec)?,
-                    Some(args),
-                    criteria,
-                    Some(function),
-                )
-            }
+            } => (Some(function), Some(args), criteria),
         };
         let mem_cap = memory_budget.or(self.default_memory_budget);
         let plan_explain = (explain_only || trace != TraceLevel::Off).then(|| {
@@ -1052,67 +1063,48 @@ impl AldspServer {
                 call_fn.as_ref().and_then(|f| self.matview_note(f)),
             )
         });
+        let mut out = Delivery {
+            server: self,
+            principal: &principal,
+            sink,
+            tee: None,
+            items: Vec::new(),
+            delivered: 0,
+            stopped: false,
+        };
         if explain_only {
-            return Ok(QueryResponse {
-                items: Vec::new(),
-                delivered: 0,
-                per_query_stats: StatsSnapshot::default(),
-                trace: None,
-                plan_explain,
-            });
+            return Ok(out.finish(&criteria, StatsSnapshot::default(), None, plan_explain));
         }
         // Materialized data services: a live cached answer (raw,
         // pre-security) bypasses execution and admission entirely —
         // element-level security and call criteria still apply per
-        // principal below, so cached entries stay shared across users.
-        let mut fill = None;
-        if let (Some(f), Some(args)) = (&call_fn, &call_args) {
-            if self.matviews.is_materialized(f) {
-                let key = MatViewRegistry::arg_key(args);
-                if let Some(raw) = self.matviews.get(f, &key) {
-                    let stats = &self.runtime.inner().stats;
-                    stats.inc(&stats.matview_hits);
-                    let mut pq = StatsSnapshot::default();
-                    pq.matview_hits = 1;
-                    let filtered = self.security.filter_result(&principal, raw, &self.audit);
-                    let items = apply_criteria(filtered, &criteria);
-                    if let Some(on_item) = sink.take() {
-                        if !criteria.is_empty() {
-                            return Err(ServerError::Other(
-                                "call criteria (filter/sort/limit) require materialized \
-                                 execution; drop stream_to or the criteria"
-                                    .into(),
-                            ));
-                        }
-                        let mut delivered = 0u64;
-                        for item in items {
-                            if !on_item(item) {
-                                break;
-                            }
-                            delivered += 1;
-                        }
-                        return Ok(QueryResponse {
-                            items: Vec::new(),
-                            delivered,
-                            per_query_stats: pq,
-                            trace: None,
-                            plan_explain,
-                        });
-                    }
-                    let delivered = items.len() as u64;
-                    return Ok(QueryResponse {
-                        items,
-                        delivered,
-                        per_query_stats: pq,
-                        trace: None,
-                        plan_explain,
-                    });
-                }
-                // miss: recompute below, then install the raw answer —
-                // unless an affecting write lands while we compute
-                fill = self.matviews.fill_ticket(f, &key);
-            }
+        // principal in the delivery, so cached entries stay shared
+        // across users.
+        let view = (call_fn.as_ref().zip(call_args.as_ref()))
+            .filter(|(f, _)| self.matviews.is_materialized(f))
+            .map(|(f, args)| (f, MatViewRegistry::arg_key(args)));
+        if let Some(raw) = view.as_ref().and_then(|(f, key)| self.matviews.get(f, key)) {
+            let stats = &self.runtime.inner().stats;
+            stats.inc(&stats.matview_hits);
+            let mut pq = StatsSnapshot::default();
+            pq.matview_hits = 1;
+            out.offer(raw);
+            return Ok(out.finish(&criteria, pq, None, plan_explain));
         }
+        // miss: recompute below, then install the raw answer — unless
+        // an affecting write lands while we compute
+        let fill =
+            view.and_then(|(f, key)| self.matviews.fill_ticket(f, &key).map(|ticket| (f, ticket)));
+        // Call arguments bind positionally to the plan's external
+        // variables; ad-hoc queries bind by name.
+        let bindings = match call_args {
+            Some(args) => (plan.external_vars.iter().map(String::as_str))
+                .zip(args)
+                .collect(),
+            None => (bindings.iter_mut())
+                .map(|(n, v)| (n.as_str(), std::mem::take(v)))
+                .collect(),
+        };
         // Workload governance: one budget shared by every thread of the
         // query (PP-k prefetch, async), created only when something is
         // actually governed. Admission may queue — or shed — the
@@ -1128,94 +1120,37 @@ impl AldspServer {
         self.sync_governor_stats();
         let _admission = admitted?;
         let admission_wait_ns = admit_t0.elapsed().as_nanos() as u64;
-        let owned: Vec<(String, Sequence)> = match call_args {
-            // Call arguments bind positionally to the plan's external
-            // variables; ad-hoc queries bind by name.
-            Some(args) => plan.external_vars.iter().cloned().zip(args).collect(),
-            None => bindings,
-        };
-        let borrowed: Vec<(&str, Sequence)> =
-            owned.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-        let tuning = aldsp_runtime::ExecTuning {
-            workers: exec.effective_workers(),
-            morsel_size: exec.morsel_size.max(1),
-        };
-        match sink.take() {
-            Some(on_item) => {
-                if !criteria.is_empty() {
-                    return Err(ServerError::Other(
-                        "call criteria (filter/sort/limit) require materialized \
-                         execution; drop stream_to or the criteria"
-                            .into(),
-                    ));
-                }
-                // Tee raw (pre-security) items for the matview fill; a
-                // consumer abort leaves the tee partial, so the fill is
-                // dropped rather than caching a truncated answer.
-                let mut raw_tee: Sequence = Vec::new();
-                let mut aborted = false;
-                let mut ex = self
-                    .runtime
-                    .execute_streaming_tuned(
-                        &plan,
-                        &borrowed,
-                        trace,
-                        budget.clone(),
-                        tuning,
-                        &mut |item| {
-                            if fill.is_some() {
-                                raw_tee.push(item.clone());
-                            }
-                            let filtered =
-                                self.security
-                                    .filter_result(&principal, vec![item], &self.audit);
-                            for f in filtered {
-                                if !on_item(f) {
-                                    aborted = true;
-                                    return false;
-                                }
-                            }
-                            true
-                        },
-                    )
-                    .map_err(map_rt_error)?;
-                ex.per_query_stats.admission_wait_ns = admission_wait_ns;
-                if let (Some(ticket), Some(f)) = (fill, &call_fn) {
-                    self.finish_fill(f, ticket, (!aborted).then_some(raw_tee));
-                    ex.per_query_stats.matview_recomputes += 1;
-                }
-                Ok(QueryResponse {
-                    items: Vec::new(),
-                    delivered: ex.delivered,
-                    per_query_stats: ex.per_query_stats,
-                    trace: ex.trace,
-                    plan_explain,
-                })
-            }
-            None => {
-                let mut ex = self
-                    .runtime
-                    .execute_tuned(&plan, &borrowed, trace, budget.clone(), tuning)
-                    .map_err(map_rt_error)?;
-                ex.per_query_stats.admission_wait_ns = admission_wait_ns;
-                if let (Some(ticket), Some(f)) = (fill, &call_fn) {
-                    self.finish_fill(f, ticket, Some(ex.items.clone()));
-                    ex.per_query_stats.matview_recomputes += 1;
-                }
-                let filtered = self
-                    .security
-                    .filter_result(&principal, ex.items, &self.audit);
-                let items = apply_criteria(filtered, &criteria);
-                let delivered = items.len() as u64;
-                Ok(QueryResponse {
-                    items,
-                    delivered,
-                    per_query_stats: ex.per_query_stats,
-                    trace: ex.trace,
-                    plan_explain,
-                })
-            }
+        // Tee raw (pre-security) items for the matview fill.
+        out.tee = fill.is_some().then(Vec::new);
+        let streaming = out.sink.is_some();
+        let mut on_raw = |item: Item| out.offer(vec![item]);
+        let ex = self
+            .runtime
+            .run(
+                &plan,
+                ExecRequest {
+                    bindings,
+                    trace,
+                    budget,
+                    workers: exec.effective_workers(),
+                    morsel_size: exec.morsel_size,
+                    sink: if streaming { Some(&mut on_raw) } else { None },
+                },
+            )
+            .map_err(map_rt_error)?;
+        let mut per_query_stats = ex.per_query_stats;
+        per_query_stats.admission_wait_ns = admission_wait_ns;
+        if !streaming {
+            out.offer(ex.items);
         }
+        if let Some((f, ticket)) = fill {
+            // A consumer abort leaves the tee partial, so the fill is
+            // dropped rather than caching a truncated answer.
+            let raw = out.tee.take().filter(|_| !out.stopped);
+            self.finish_fill(f, ticket, raw);
+            per_query_stats.matview_recomputes += 1;
+        }
+        Ok(out.finish(&criteria, per_query_stats, ex.trace, plan_explain))
     }
 
     /// Complete a materialized-view fill: derive the dependency record
@@ -1424,43 +1359,14 @@ impl AldspServer {
         request: QueryRequest<'_>,
         out: &mut dyn std::io::Write,
     ) -> Result<u64, ServerError> {
-        let QueryRequest {
-            target,
-            principal,
-            bindings,
-            trace,
-            explain_only,
-            deadline,
-            priority,
-            memory_budget,
-            execution,
-            sink: _,
-        } = request;
         let mut io_err: Option<std::io::Error> = None;
         let mut sink = |item: Item| {
             let text = aldsp_xdm::xml::serialize_sequence(&[item]);
-            match out.write_all(text.as_bytes()) {
-                Ok(()) => true,
-                Err(e) => {
-                    io_err = Some(e);
-                    false
-                }
-            }
+            out.write_all(text.as_bytes())
+                .map_err(|e| io_err = Some(e))
+                .is_ok()
         };
-        let delivered = self
-            .execute(QueryRequest {
-                target,
-                principal,
-                bindings,
-                trace,
-                explain_only,
-                deadline,
-                priority,
-                memory_budget,
-                execution,
-                sink: Some(&mut sink),
-            })?
-            .delivered;
+        let delivered = self.execute(request.stream_to(&mut sink))?.delivered;
         match io_err {
             Some(e) => Err(ServerError::Io(e)),
             None => Ok(delivered),
@@ -1486,7 +1392,7 @@ impl AldspServer {
     /// The workload governor's cumulative admission counters: queries
     /// admitted and shed, current running/queued, deepest the queue has
     /// been, and total admission wait. Monotonic for the life of the
-    /// server (unaffected by [`AldspServer::reset_stats`]).
+    /// server.
     pub fn governor_stats(&self) -> GovernorSnapshot {
         self.governor.snapshot()
     }
@@ -1535,14 +1441,6 @@ impl AldspServer {
         Some(parts.join(" "))
     }
 
-    /// Reset runtime statistics.
-    #[deprecated(
-        note = "racy under concurrency; use `QueryResponse::per_query_stats` for per-query deltas"
-    )]
-    pub fn reset_stats(&self) {
-        self.runtime.reset_stats()
-    }
-
     /// `(hits, misses)` of the query plan cache (§2.2).
     pub fn plan_cache_stats(&self) -> (u64, u64) {
         self.plan_cache.stats()
@@ -1573,71 +1471,46 @@ impl AldspServer {
         &self.adaptors
     }
 
-    /// When the request's [`ExecutionOptions`] override a
-    /// compile-affecting knob, plans compile under a compiler carrying
-    /// the override and cache under an options-qualified key —
-    /// `None` means the server's compiler (and bare cache keys) serve.
-    fn override_compiler(&self, exec: &ExecutionOptions) -> Option<(Compiler, String)> {
+    /// The compiled plan for a request target, from the plan cache when
+    /// it is there. When the request's [`ExecutionOptions`] override a
+    /// compile-affecting knob, the plan caches under an
+    /// options-qualified key and — on a miss only — compiles under a
+    /// compiler carrying the override.
+    fn plan_for(
+        &self,
+        target: &RequestTarget<'_>,
+        exec: &ExecutionOptions,
+    ) -> Result<Arc<CompiledQuery>, ServerError> {
         let base = self.compiler.options();
-        if exec.pushdown == base.pushdown
-            && exec.ppk_prefetch_depth == base.ppk_prefetch_depth
-            && exec.join_strategy == base.join_strategy
-        {
-            return None;
-        }
-        let mut options = base.clone();
-        options.pushdown = exec.pushdown;
-        options.ppk_prefetch_depth = exec.ppk_prefetch_depth;
-        options.join_strategy = exec.join_strategy;
-        let suffix = format!(
-            "\u{1}pushdown={};ppk-depth={};join={}",
-            exec.pushdown, exec.ppk_prefetch_depth, exec.join_strategy
-        );
-        Some((self.compiler.with_options(options), suffix))
-    }
-
-    fn cached_plan(
-        &self,
-        source: &str,
-        exec: &ExecutionOptions,
-    ) -> Result<Arc<CompiledQuery>, ServerError> {
-        let over = self.override_compiler(exec);
-        let key = match &over {
-            Some((_, suffix)) => format!("{source}{suffix}"),
-            None => source.to_string(),
+        let overridden = exec.pushdown != base.pushdown
+            || exec.ppk_prefetch_depth != base.ppk_prefetch_depth
+            || exec.join_strategy != base.join_strategy;
+        let mut key = match target {
+            RequestTarget::Query { source } => source.to_string(),
+            RequestTarget::Call { function, .. } => format!("call:{function}"),
         };
+        if overridden {
+            key.push_str(&format!(
+                "\u{1}pushdown={};ppk-depth={};join={}",
+                exec.pushdown, exec.ppk_prefetch_depth, exec.join_strategy
+            ));
+        }
         if let Some(p) = self.plan_cache.get(&key) {
             return Ok(p);
         }
-        let compiler = over.as_ref().map(|(c, _)| c).unwrap_or(&self.compiler);
-        let plan = Arc::new(
-            compiler
-                .compile_query(source)
-                .map_err(ServerError::Compile)?,
-        );
-        self.plan_cache.insert(key, plan.clone());
-        Ok(plan)
-    }
-
-    fn cached_call_plan(
-        &self,
-        function: &QName,
-        exec: &ExecutionOptions,
-    ) -> Result<Arc<CompiledQuery>, ServerError> {
-        let over = self.override_compiler(exec);
-        let key = match &over {
-            Some((_, suffix)) => format!("call:{function}{suffix}"),
-            None => format!("call:{function}"),
+        let over = overridden.then(|| {
+            let mut options = base.clone();
+            options.pushdown = exec.pushdown;
+            options.ppk_prefetch_depth = exec.ppk_prefetch_depth;
+            options.join_strategy = exec.join_strategy;
+            self.compiler.with_options(options)
+        });
+        let compiler = over.as_ref().unwrap_or(&self.compiler);
+        let plan = match target {
+            RequestTarget::Query { source } => compiler.compile_query(source),
+            RequestTarget::Call { function, .. } => compiler.compile_call(function),
         };
-        if let Some(p) = self.plan_cache.get(&key) {
-            return Ok(p);
-        }
-        let compiler = over.as_ref().map(|(c, _)| c).unwrap_or(&self.compiler);
-        let plan = Arc::new(
-            compiler
-                .compile_call(function)
-                .map_err(ServerError::Compile)?,
-        );
+        let plan = Arc::new(plan.map_err(ServerError::Compile)?);
         self.plan_cache.insert(key, plan.clone());
         Ok(plan)
     }
@@ -1665,6 +1538,70 @@ impl AldspServer {
             joins: Some(&plan.joins),
         };
         explain_plan(&plan.plan, &ctx)
+    }
+}
+
+/// The one place results leave [`AldspServer::execute`]: raw
+/// (pre-security) items — a materialized view's cached answer or the
+/// runtime's output — are security-filtered for the principal, then
+/// handed to the request's sink or collected.
+struct Delivery<'a, 's> {
+    server: &'a AldspServer,
+    principal: &'a Principal,
+    sink: Option<&'s mut dyn FnMut(Item) -> bool>,
+    /// Raw copy of everything offered, kept while a matview fill is
+    /// pending.
+    tee: Option<Sequence>,
+    items: Sequence,
+    delivered: u64,
+    /// The sink asked to stop.
+    stopped: bool,
+}
+
+impl Delivery<'_, '_> {
+    /// Deliver a batch of raw items; `false` once the sink has asked to
+    /// stop (the item it stopped on counts as delivered).
+    fn offer(&mut self, raw: Sequence) -> bool {
+        if let Some(tee) = &mut self.tee {
+            tee.extend_from_slice(&raw);
+        }
+        let filtered =
+            (self.server.security).filter_result(self.principal, raw, &self.server.audit);
+        let Some(on_item) = &mut self.sink else {
+            self.items.extend(filtered);
+            return true;
+        };
+        for item in filtered {
+            self.delivered += 1;
+            if !on_item(item) {
+                self.stopped = true;
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Apply the call criteria to what was collected (a sink admits
+    /// none) and build the response.
+    fn finish(
+        self,
+        criteria: &CallCriteria,
+        per_query_stats: StatsSnapshot,
+        trace: Option<QueryTrace>,
+        plan_explain: Option<String>,
+    ) -> QueryResponse {
+        let items = apply_criteria(self.items, criteria);
+        let delivered = match self.sink {
+            Some(_) => self.delivered,
+            None => items.len() as u64,
+        };
+        QueryResponse {
+            items,
+            delivered,
+            per_query_stats,
+            trace,
+            plan_explain,
+        }
     }
 }
 

@@ -133,18 +133,16 @@ pub mod pushdown {
     pub const FULL: u8 = 2;
 }
 
-/// Wire values for [`WireExec::join_strategy`].
+/// Wire values for [`WireExec::join_strategy`]. Codes 2 (index nested
+/// loop) and 4 (sort-merge) are retired and never reused; servers
+/// answer them, like any unknown code, with a typed `MALFORMED`.
 pub mod join {
     /// Cost-based selection (server default).
     pub const AUTO: u8 = 0;
     /// Force per-tuple nested loop.
     pub const NESTED_LOOP: u8 = 1;
-    /// Force index nested loop.
-    pub const INDEX_NL: u8 = 2;
     /// Force symmetric hash join.
     pub const HASH: u8 = 3;
-    /// Force local sort-merge.
-    pub const MERGE: u8 = 4;
 }
 
 /// Framing / decoding failures.

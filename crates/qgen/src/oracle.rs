@@ -50,11 +50,11 @@ pub struct CellSpec {
     pub join_strategy: JoinStrategy,
 }
 
-/// The default 11-cell matrix from the roadmap: pushdown {off, joins,
-/// full} × representative prefetch/streaming/budget/VM settings, plus
-/// the workers {1, 4} axis — multi-worker cells must be byte-identical
+/// The default 14-cell matrix from the roadmap: pushdown {off, joins,
+/// full} × representative prefetch/streaming/budget/VM settings, the
+/// workers {1, 4} axis — multi-worker cells must be byte-identical
 /// to the single-threaded reference, pinning the morsel merge's
-/// determinism. The multi-worker cells keep pushdown at joins/full:
+/// determinism — and the forced join-strategy axis. The multi-worker cells keep pushdown at joins/full:
 /// parallel regions anchor on a pushed SQL scan, so a pushdown-off
 /// plan never fans out (its scans are plain source calls). Cell 0 is the naive reference: no pushdown *and* no
 /// expression VM, so every other cell's bytecode programs are
@@ -160,24 +160,14 @@ pub fn default_matrix() -> Vec<CellSpec> {
             JoinStrategy::Hash,
         ),
         cell(
-            "joins+merge",
+            "joins+nl",
             PushdownLevel::Joins,
             0,
             false,
             None,
             true,
             1,
-            JoinStrategy::Merge,
-        ),
-        cell(
-            "joins+inl",
-            PushdownLevel::Joins,
-            0,
-            false,
-            None,
-            true,
-            1,
-            JoinStrategy::IndexNl,
+            JoinStrategy::NestedLoop,
         ),
         cell(
             "full+hash",

@@ -18,14 +18,15 @@
 use crate::cache::FunctionCache;
 use crate::env::Env;
 use crate::stats::ExecStats;
-use crate::trace::{NodeTrace, TraceCollector, TraceKey};
+use crate::trace::{NodeTrace, TraceCollector, TraceKey, TraceLevel};
 use crate::vm::{atomize_first_val, ExprVM, Val};
 use aldsp_adaptors::{AdaptorError, AdaptorRegistry};
 use aldsp_compiler::frames::FrameLayout;
 use aldsp_compiler::ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec};
-use aldsp_compiler::joins::{JoinMark, JoinPlan, JoinStrategy};
+use aldsp_compiler::joins::{JoinMark, JoinPlan};
 use aldsp_compiler::parallel::{ParTail, ParallelMark, ParallelPlan};
 use aldsp_compiler::program::{Program, ProgramSet};
+use aldsp_compiler::CompiledQuery;
 use aldsp_metadata::Registry;
 use aldsp_relational::{ppk_block_predicate, ResultSet, Select, SqlType, SqlValue};
 use aldsp_workload::{QueryBudget, WorkloadError};
@@ -149,68 +150,41 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// A fresh per-execution context over shared runtime state.
-    pub fn new(rt: Arc<RuntimeInner>, trace: Option<Arc<TraceCollector>>) -> ExecCtx {
-        ExecCtx {
-            rt,
-            local: Arc::new(ExecStats::default()),
-            trace,
-            budget: None,
-            frame: Arc::new(FrameLayout::default()),
-            programs: Arc::new(ProgramSet::default()),
-            parallel: Arc::new(ParallelPlan::default()),
-            joins: Arc::new(JoinPlan::default()),
-            workers: 1,
-            morsel_size: 1024,
-            tuple_mem: TUPLE_MEM_BYTES,
-        }
-    }
-
-    /// Attach the executing plan's parallel marks and this execution's
-    /// worker/morsel tuning. Zeros are normalized to the sequential
-    /// minimum so callers can pass knobs straight through.
-    pub fn with_parallel(
-        mut self,
-        parallel: Arc<ParallelPlan>,
-        workers: usize,
-        morsel_size: usize,
-    ) -> ExecCtx {
-        self.parallel = parallel;
-        self.workers = workers.max(1);
-        self.morsel_size = morsel_size.max(1);
-        self
-    }
-
-    /// Attach the executing plan's middleware-join decisions.
-    pub fn with_joins(mut self, joins: Arc<JoinPlan>) -> ExecCtx {
-        self.joins = joins;
-        self
-    }
-
-    /// Attach a workload budget to this execution.
-    pub fn with_budget(mut self, budget: Option<Arc<QueryBudget>>) -> ExecCtx {
-        self.budget = budget;
-        self
-    }
-
-    /// Attach the executing plan's frame layout.
-    pub fn with_frame(mut self, frame: Arc<FrameLayout>) -> ExecCtx {
-        self.tuple_mem = TUPLE_MEM_BYTES + 8 * u64::from(frame.width());
-        self.frame = frame;
-        self
-    }
-
-    /// Attach the executing plan's compiled programs. The plan's
+    /// The per-execution context for running `plan` under `req`: the
+    /// plan's frame layout, programs, parallel marks and join decisions,
+    /// plus the request's trace sink, budget and worker tuning (zeros
+    /// are normalized to the sequential minimum). The plan's
     /// fallback-subtree count is a static property, so it is recorded
     /// here once per execution rather than re-counted while running.
-    pub fn with_programs(self, programs: Arc<ProgramSet>) -> ExecCtx {
-        if programs.fallback_subtrees > 0 {
-            self.add(
+    pub fn for_plan(
+        rt: Arc<RuntimeInner>,
+        plan: &CompiledQuery,
+        req: &crate::ExecRequest<'_>,
+    ) -> ExecCtx {
+        let cx = ExecCtx {
+            rt,
+            local: Arc::new(ExecStats::default()),
+            trace: match req.trace {
+                TraceLevel::Off => None,
+                TraceLevel::Operators => Some(Arc::new(TraceCollector::default())),
+            },
+            budget: req.budget.clone(),
+            frame: Arc::clone(&plan.frame),
+            programs: Arc::clone(&plan.programs),
+            parallel: Arc::clone(&plan.parallel),
+            joins: Arc::clone(&plan.joins),
+            workers: req.workers.max(1),
+            morsel_size: req.morsel_size.max(1),
+            // a wider tuple frame holds more state per buffered row
+            tuple_mem: TUPLE_MEM_BYTES + 8 * u64::from(plan.frame.width()),
+        };
+        if plan.programs.fallback_subtrees > 0 {
+            cx.add(
                 |s| &s.vm_fallback_subtrees,
-                u64::from(programs.fallback_subtrees),
+                u64::from(plan.programs.fallback_subtrees),
             );
         }
-        ExecCtx { programs, ..self }
+        cx
     }
 
     /// Resolve a clause binder to its frame slot. Binders always have a
@@ -1982,14 +1956,10 @@ fn build_clause<'a>(
                     buffered_charge: 0,
                 }),
                 None => match cx.joins.mark(flwor_id, idx) {
-                    Some(mark)
-                        if matches!(mark.strategy, JoinStrategy::Hash | JoinStrategy::Merge) =>
-                    {
-                        Box::new(HashJoinIter::new(
-                            cx, tkey, connection, mark, params, bind_slots, input,
-                        ))
-                    }
-                    _ => sql_for_plain(
+                    Some(mark) => Box::new(HashJoinIter::new(
+                        cx, tkey, connection, mark, params, bind_slots, input,
+                    )),
+                    None => sql_for_plain(
                         cx,
                         tkey,
                         connection,
@@ -2743,7 +2713,7 @@ fn sql_for_plain<'a>(
     }))
 }
 
-// ---- middleware hash / merge join (cost-based join planning) ----------------------
+// ---- middleware hash join (cost-based join planning) ------------------------------
 
 /// A correlated `SqlFor` the join planner marked for middleware
 /// execution: instead of one parameterized roundtrip per outer tuple
@@ -2753,17 +2723,14 @@ fn sql_for_plain<'a>(
 ///
 /// Output order is exactly the nested-loop order — per outer tuple, in
 /// the bulk statement's scan order — so every strategy is byte-identical
-/// to the naive plan. Three physical shapes:
+/// to the naive plan. Two physical shapes:
 ///
 /// * build-inner hash (default): hash all bulk rows by join key, probe
 ///   per outer tuple;
 /// * build-outer hash (`mark.build_outer`, the planner's cardinality
 ///   reorder): buffer the estimated-smaller *outer* side instead, stream
 ///   the bulk scan against it keeping only matching rows, then emit
-///   outer-major;
-/// * sort-merge (forced via [`JoinStrategy::Merge`]): stable-sort the
-///   bulk rows by key and binary-search each probe — same output, a
-///   comparison-based local method for the differential harness.
+///   outer-major.
 ///
 /// Every buffered row — bulk rows, and buffered outers under reorder —
 /// is charged to the query's memory budget and released on drop, so a
@@ -2783,10 +2750,8 @@ struct HashJoinIter<'a> {
     /// Buffered rows (all bulk rows when building inner; matched bulk
     /// rows only when building outer).
     rows: Vec<Vec<SqlValue>>,
-    /// Hash: key literal → `rows` indices in scan order.
+    /// Key literal → `rows` indices in scan order.
     lookup: HashMap<String, Vec<usize>>,
-    /// Merge: `(key literal, rows index)` stably sorted.
-    sorted: Vec<(String, usize)>,
     /// Staged output (whole result under build-outer; the current outer
     /// tuple's matches otherwise).
     pending: std::collections::VecDeque<RtResult<Env>>,
@@ -2817,7 +2782,6 @@ impl<'a> HashJoinIter<'a> {
             failed: false,
             rows: Vec::new(),
             lookup: HashMap::new(),
-            sorted: Vec::new(),
             pending: std::collections::VecDeque::new(),
             charged: 0,
             key_buf: String::new(),
@@ -2861,30 +2825,19 @@ impl<'a> HashJoinIter<'a> {
         Some(buf.clone())
     }
 
-    /// Build-inner (and merge): fetch all bulk rows up front and index
-    /// them by key; probing streams the outer side.
+    /// Build-inner: fetch all bulk rows up front and index them by key;
+    /// probing streams the outer side.
     fn build_inner(&mut self) -> RtResult<()> {
-        let merge = self.mark.strategy == JoinStrategy::Merge;
-        if !merge {
-            self.cx.inc(|s| &s.hash_joins);
-        }
+        self.cx.inc(|s| &s.hash_joins);
         let rs = self.fetch_bulk()?;
         let k = self.mark.key_row_index;
         for row in rs.rows {
             self.charge_row()?;
             let i = self.rows.len();
             if let Some(key) = Self::row_key(&mut self.key_buf, &row, k) {
-                if merge {
-                    self.sorted.push((key, i));
-                } else {
-                    self.lookup.entry(key).or_default().push(i);
-                }
+                self.lookup.entry(key).or_default().push(i);
             }
             self.rows.push(row);
-        }
-        if merge {
-            // stable by construction: ties keep ascending scan order
-            self.sorted.sort();
         }
         let n = self.rows.len() as u64;
         self.cx.add(|s| &s.join_build_rows, n);
@@ -2999,15 +2952,7 @@ impl Iterator for HashJoinIter<'_> {
                 Ok(None) => continue,
                 Err(e) => return Some(Err(e)),
             };
-            if self.mark.strategy == JoinStrategy::Merge {
-                let start = self
-                    .sorted
-                    .partition_point(|(k, _)| k.as_str() < key.as_str());
-                for (_, ri) in self.sorted[start..].iter().take_while(|(k, _)| *k == key) {
-                    self.pending
-                        .push_back(Ok(bind_row(&env, &self.bind_slots, &self.rows[*ri])));
-                }
-            } else if let Some(idxs) = self.lookup.get(&key) {
+            if let Some(idxs) = self.lookup.get(&key) {
                 for &ri in idxs {
                     self.pending
                         .push_back(Ok(bind_row(&env, &self.bind_slots, &self.rows[ri])));

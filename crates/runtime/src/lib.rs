@@ -18,7 +18,7 @@ pub mod trace;
 pub mod vm;
 
 pub use cache::FunctionCache;
-pub use env::{Env, EnvWriter, NamedEnv};
+pub use env::{Env, EnvWriter};
 pub use eval::{ExecCtx, RtError, RtResult, RuntimeInner};
 pub use parallel::{morsel_ranges, MorselQueue, WorkerPool};
 pub use stats::{ExecStats, StatsSnapshot};
@@ -30,18 +30,18 @@ pub use aldsp_workload::{QueryBudget, WorkloadError};
 use aldsp_adaptors::AdaptorRegistry;
 use aldsp_compiler::CompiledQuery;
 use aldsp_metadata::Registry;
-use aldsp_xdm::item::Sequence;
+use aldsp_xdm::item::{Item, Sequence};
 use std::sync::Arc;
 
-/// The outcome of one (optionally traced) execution: the items (empty
-/// for streaming runs, which deliver through the sink instead), the
-/// number of items produced, this execution's exact stat deltas, and
-/// the per-operator trace when one was requested.
+/// The outcome of one execution: the items (empty when a sink took
+/// them), the number of items produced, this execution's exact stat
+/// deltas, and the per-operator trace when one was requested.
 #[derive(Debug)]
 pub struct Execution {
-    /// Materialized result items (empty for streaming executions).
+    /// Materialized result items (empty when the request had a sink).
     pub items: Sequence,
-    /// Items produced (= `items.len()` for materialized executions).
+    /// Items produced: collected, or handed to the sink (the item a
+    /// sink stops on counts).
     pub delivered: u64,
     /// This execution's stat deltas, unpolluted by concurrent queries.
     pub per_query_stats: StatsSnapshot,
@@ -49,24 +49,44 @@ pub struct Execution {
     pub trace: Option<QueryTrace>,
 }
 
-/// Per-execution tuning knobs the server threads down from its typed
-/// `ExecutionOptions` surface: how many workers a query may engage and
-/// how many scan rows form one morsel. The default is single-threaded
-/// execution — parallelism is strictly opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecTuning {
-    /// Workers a query may occupy, including the calling thread
-    /// (`1` = sequential; values are clamped to at least 1).
+/// Everything one execution of a compiled plan may vary. The default is
+/// an unbound, untraced, ungoverned, sequential, materialized run;
+/// streaming is a sink choice, not a second API.
+pub struct ExecRequest<'a> {
+    /// External-variable bindings by name (unbound externals default to
+    /// the empty sequence). Values move into the initial tuple frame.
+    pub bindings: Vec<(&'a str, Sequence)>,
+    /// [`TraceLevel::Operators`] collects a per-operator [`QueryTrace`]
+    /// keyed by the plan's node ids.
+    pub trace: TraceLevel,
+    /// Workload budget: the deadline is checked at tuple boundaries and
+    /// before source roundtrips, and blocking operators charge their
+    /// buffered state against the memory cap. A deadline hit mid-stream
+    /// ends the run with the typed error after whatever prefix the sink
+    /// already received.
+    pub budget: Option<Arc<QueryBudget>>,
+    /// Workers the query may occupy, including the calling thread;
+    /// above 1, plan regions the compiler marked partitionable run
+    /// morsel-parallel on the shared pool. Results are byte-identical
+    /// regardless.
     pub workers: usize,
-    /// Scan rows per morsel for parallel execution.
+    /// Scan rows per morsel for parallel regions.
     pub morsel_size: usize,
+    /// Hand result items to this sink as the tuple pipeline produces
+    /// them instead of collecting them (§2.2's incremental consumption);
+    /// returning `false` stops execution early.
+    pub sink: Option<&'a mut dyn FnMut(Item) -> bool>,
 }
 
-impl Default for ExecTuning {
-    fn default() -> ExecTuning {
-        ExecTuning {
+impl Default for ExecRequest<'_> {
+    fn default() -> Self {
+        ExecRequest {
+            bindings: Vec::new(),
+            trace: TraceLevel::Off,
+            budget: None,
             workers: 1,
             morsel_size: 1024,
+            sink: None,
         }
     }
 }
@@ -92,198 +112,63 @@ impl Runtime {
     }
 
     /// Execute a compiled plan with external-variable bindings
-    /// (unbound externals default to the empty sequence).
+    /// (unbound externals default to the empty sequence) — the
+    /// all-defaults convenience over [`Runtime::run`].
     pub fn execute(
         &self,
         query: &CompiledQuery,
         bindings: &[(&str, Sequence)],
     ) -> RtResult<Sequence> {
-        Ok(self.execute_traced(query, bindings, TraceLevel::Off)?.items)
+        let req = ExecRequest {
+            bindings: bindings.to_vec(),
+            ..Default::default()
+        };
+        Ok(self.run(query, req)?.items)
     }
 
-    /// Execute a compiled plan, collecting this execution's exact stat
-    /// deltas and — at [`TraceLevel::Operators`] — a per-operator
-    /// [`QueryTrace`] keyed by the plan's node ids.
-    pub fn execute_traced(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-    ) -> RtResult<Execution> {
-        self.execute_traced_budgeted(query, bindings, level, None)
-    }
-
-    /// [`Runtime::execute_traced`] under a workload budget: the deadline
-    /// is checked at tuple boundaries and before source roundtrips, and
-    /// blocking operators charge their buffered state against the
-    /// budget's memory cap. The budget's permit-wait and peak-memory
-    /// counters are folded into the returned stats.
-    pub fn execute_traced_budgeted(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        budget: Option<Arc<QueryBudget>>,
-    ) -> RtResult<Execution> {
-        self.execute_tuned(query, bindings, level, budget, ExecTuning::default())
-    }
-
-    /// [`Runtime::execute_traced_budgeted`] with explicit [`ExecTuning`]:
-    /// `workers > 1` lets plan regions the compiler marked partitionable
-    /// run morsel-parallel across the shared worker pool. Results are
-    /// byte-identical to sequential execution regardless of tuning.
-    pub fn execute_tuned(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        budget: Option<Arc<QueryBudget>>,
-        tuning: ExecTuning,
-    ) -> RtResult<Execution> {
-        let env = self.bind_env(query, bindings);
-        let (cx, collector) = self.exec_ctx(level);
-        let cx = cx
-            .with_frame(Arc::clone(&query.frame))
-            .with_programs(Arc::clone(&query.programs))
-            .with_joins(Arc::clone(&query.joins))
-            .with_parallel(
-                Arc::clone(&query.parallel),
-                tuning.workers,
-                tuning.morsel_size,
-            )
-            .with_budget(budget);
+    /// Run a compiled plan under `req` — the one execution path. Budget
+    /// counters are folded into the stats whether the run succeeds or
+    /// not; the root trace node's row count is the delivered item count,
+    /// so a trace always sums consistently with what was returned.
+    pub fn run(&self, query: &CompiledQuery, mut req: ExecRequest<'_>) -> RtResult<Execution> {
+        let env = bind_env(query, &mut req.bindings);
+        let cx = ExecCtx::for_plan(self.inner.clone(), query, &req);
         let t0 = std::time::Instant::now();
-        let result = eval::eval(&cx, &query.plan, &env);
-        merge_budget_counters(&cx);
-        let items = result?;
-        if let Some(c) = &collector {
-            // the plan root's row count = the result item count, so a
-            // trace always sums consistently with what was returned
-            c.record(
-                TraceKey::node(query.plan.node_id),
-                NodeTrace {
-                    rows_out: items.len() as u64,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                    ..Default::default()
-                },
-            );
-        }
-        let delivered = items.len() as u64;
-        Ok(Execution {
-            items,
-            delivered,
-            per_query_stats: cx.local.snapshot(),
-            trace: collector.map(|c| c.finish()),
-        })
-    }
-
-    /// Execute a plan *incrementally*: result items are handed to
-    /// `on_item` as the tuple pipeline produces them, without
-    /// materializing the full sequence first (§2.2's server-side
-    /// streaming consumption). Returning `false` from the sink stops
-    /// execution early. Returns the number of items delivered.
-    pub fn execute_streaming(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
-    ) -> RtResult<u64> {
-        Ok(self
-            .execute_streaming_traced(query, bindings, TraceLevel::Off, on_item)?
-            .delivered)
-    }
-
-    /// [`Runtime::execute_streaming`] with per-execution stats and an
-    /// optional operator trace (items go to the sink; `Execution::items`
-    /// stays empty).
-    pub fn execute_streaming_traced(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
-    ) -> RtResult<Execution> {
-        self.execute_streaming_traced_budgeted(query, bindings, level, None, on_item)
-    }
-
-    /// [`Runtime::execute_streaming_traced`] under a workload budget —
-    /// the streaming twin of [`Runtime::execute_traced_budgeted`]. A
-    /// deadline hit mid-stream ends the result stream with the typed
-    /// error after whatever prefix was already delivered.
-    pub fn execute_streaming_traced_budgeted(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        budget: Option<Arc<QueryBudget>>,
-        on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
-    ) -> RtResult<Execution> {
-        self.execute_streaming_tuned(
-            query,
-            bindings,
-            level,
-            budget,
-            ExecTuning::default(),
-            on_item,
-        )
-    }
-
-    /// [`Runtime::execute_streaming_traced_budgeted`] with explicit
-    /// [`ExecTuning`] — the streaming twin of [`Runtime::execute_tuned`].
-    /// The parallel region (when one engages) materializes its own
-    /// output, but clauses past it and the return expression still
-    /// stream to the sink tuple by tuple.
-    pub fn execute_streaming_tuned(
-        &self,
-        query: &CompiledQuery,
-        bindings: &[(&str, Sequence)],
-        level: TraceLevel,
-        budget: Option<Arc<QueryBudget>>,
-        tuning: ExecTuning,
-        on_item: &mut dyn FnMut(aldsp_xdm::item::Item) -> bool,
-    ) -> RtResult<Execution> {
-        let env = self.bind_env(query, bindings);
-        let (cx, collector) = self.exec_ctx(level);
-        let cx = cx
-            .with_frame(Arc::clone(&query.frame))
-            .with_programs(Arc::clone(&query.programs))
-            .with_joins(Arc::clone(&query.joins))
-            .with_parallel(
-                Arc::clone(&query.parallel),
-                tuning.workers,
-                tuning.morsel_size,
-            )
-            .with_budget(budget);
-        let t0 = std::time::Instant::now();
+        let mut items = Vec::new();
         let mut delivered = 0u64;
+        // `false` once the sink asked to stop
+        let mut emit = |batch: Sequence| match &mut req.sink {
+            Some(on_item) => batch.into_iter().all(|item| {
+                delivered += 1;
+                on_item(item)
+            }),
+            None => {
+                delivered += batch.len() as u64;
+                items.extend(batch);
+                true
+            }
+        };
         let result = (|| -> RtResult<()> {
             match &query.plan.kind {
+                // a FLWOR root streams tuple by tuple (a parallel region
+                // materializes its own output, but clauses past it and
+                // the return expression still stream)
                 aldsp_compiler::CKind::Flwor { clauses, ret } => {
-                    'outer: for tuple in eval::flwor_tuples(&cx, query.plan.node_id, clauses, &env)
-                    {
-                        let tenv = tuple?;
-                        for item in eval::eval(&cx, ret, &tenv)? {
-                            delivered += 1;
-                            if !on_item(item) {
-                                break 'outer;
-                            }
+                    for tuple in eval::flwor_tuples(&cx, query.plan.node_id, clauses, &env) {
+                        if !emit(eval::eval(&cx, ret, &tuple?)?) {
+                            break;
                         }
                     }
                 }
                 _ => {
-                    for item in eval::eval(&cx, &query.plan, &env)? {
-                        delivered += 1;
-                        if !on_item(item) {
-                            break;
-                        }
-                    }
+                    emit(eval::eval(&cx, &query.plan, &env)?);
                 }
             }
             Ok(())
         })();
         merge_budget_counters(&cx);
         result?;
-        if let Some(c) = &collector {
+        if let Some(c) = &cx.trace {
             c.record(
                 TraceKey::node(query.plan.node_id),
                 NodeTrace {
@@ -294,39 +179,11 @@ impl Runtime {
             );
         }
         Ok(Execution {
-            items: Vec::new(),
+            items,
             delivered,
             per_query_stats: cx.local.snapshot(),
-            trace: collector.map(|c| c.finish()),
+            trace: cx.trace.as_ref().map(|c| c.finish()),
         })
-    }
-
-    fn bind_env(&self, query: &CompiledQuery, bindings: &[(&str, Sequence)]) -> Env {
-        // the initial frame spans the whole plan; externals sit at the
-        // slots the layout pass assigned them (0..n in declaration order)
-        let mut w = Env::with_width(query.frame.width() as usize).writer();
-        for var in &query.external_vars {
-            let value = bindings
-                .iter()
-                .find(|(n, _)| n == var)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default();
-            if let Some(slot) = query.frame.slot(var) {
-                w.set(slot, value);
-            }
-        }
-        w.finish()
-    }
-
-    fn exec_ctx(&self, level: TraceLevel) -> (ExecCtx, Option<Arc<TraceCollector>>) {
-        let collector = match level {
-            TraceLevel::Off => None,
-            TraceLevel::Operators => Some(Arc::new(TraceCollector::default())),
-        };
-        (
-            ExecCtx::new(self.inner.clone(), collector.clone()),
-            collector,
-        )
     }
 
     /// The function cache (enable per-function TTLs here, §5.5).
@@ -339,15 +196,27 @@ impl Runtime {
         self.inner.stats.snapshot()
     }
 
-    /// Reset execution statistics.
-    pub fn reset_stats(&self) {
-        self.inner.stats.reset()
-    }
-
     /// The underlying shared state (for embedding).
     pub fn inner(&self) -> &Arc<RuntimeInner> {
         &self.inner
     }
+}
+
+/// The initial frame spans the whole plan; externals sit at the slots
+/// the layout pass assigned them (0..n in declaration order).
+fn bind_env(query: &CompiledQuery, bindings: &mut [(&str, Sequence)]) -> Env {
+    let mut w = Env::with_width(query.frame.width() as usize).writer();
+    for var in &query.external_vars {
+        let value = bindings
+            .iter_mut()
+            .find(|(n, _)| n == var)
+            .map(|(_, v)| std::mem::take(v))
+            .unwrap_or_default();
+        if let Some(slot) = query.frame.slot(var) {
+            w.set(slot, value);
+        }
+    }
+    w.finish()
 }
 
 /// Fold the budget's own counters (gate wait, peak held memory) into
@@ -982,14 +851,12 @@ mod tests {
             );
             let expect = as_xml(&w.runtime.execute(&q, &[]).unwrap());
             for workers in [2usize, 4] {
-                let tuning = ExecTuning {
+                let req = ExecRequest {
                     workers,
                     morsel_size: 1,
+                    ..Default::default()
                 };
-                let ex = w
-                    .runtime
-                    .execute_tuned(&q, &[], TraceLevel::Off, None, tuning)
-                    .unwrap();
+                let ex = w.runtime.run(&q, req).unwrap();
                 assert_eq!(as_xml(&ex.items), expect, "workers={workers}: {query}");
                 assert!(
                     ex.per_query_stats.morsels_executed > 0,

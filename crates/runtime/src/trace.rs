@@ -79,7 +79,7 @@ pub struct NodeTrace {
     /// plus operator-machinery time. Only measured when tracing is on.
     pub vm_ns: u64,
     /// Rows this operator buffered as a middleware join's build side
-    /// (zero for everything but hash/merge join clauses).
+    /// (zero for everything but hash-join clauses).
     pub join_build_rows: u64,
 }
 

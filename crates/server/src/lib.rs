@@ -674,9 +674,7 @@ fn decode_exec(e: &proto::WireExec) -> Result<ExecutionOptions, &'static str> {
     let join_strategy = match e.join_strategy {
         proto::join::AUTO => JoinStrategy::Auto,
         proto::join::NESTED_LOOP => JoinStrategy::NestedLoop,
-        proto::join::INDEX_NL => JoinStrategy::IndexNl,
         proto::join::HASH => JoinStrategy::Hash,
-        proto::join::MERGE => JoinStrategy::Merge,
         _ => return Err("unknown join strategy on the wire"),
     };
     Ok(ExecutionOptions::new()
@@ -729,7 +727,12 @@ mod tests {
         e.pushdown = 9;
         assert!(decode_exec(&e).is_err());
         e.pushdown = proto::pushdown::OFF;
-        e.join_strategy = 9;
-        assert!(decode_exec(&e).is_err());
+        // 2 and 4 are the retired index-NL / sort-merge codes
+        for code in [2, 4, 9] {
+            e.join_strategy = code;
+            assert!(decode_exec(&e).is_err(), "join code {code}");
+        }
+        e.join_strategy = proto::join::HASH;
+        assert!(decode_exec(&e).is_ok());
     }
 }

@@ -20,3 +20,6 @@ cargo bench --no-run
 # server smoke: a real aldspd process on an ephemeral port must answer
 # one query over the wire and shut down cleanly when stdin closes
 ./scripts/server_smoke.sh
+# informational: engine size by the one counter simplicity PRs use
+# (pass a base ref to loc.sh for the per-crate delta)
+./scripts/loc.sh

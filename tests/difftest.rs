@@ -442,14 +442,9 @@ fn explain_join_header_is_golden() {
         // auto leaves a 25×13 join on the per-tuple plan (< 256 rows)
         (JoinStrategy::Auto, "-- join: none"),
         (JoinStrategy::NestedLoop, "-- join: none"),
-        (JoinStrategy::IndexNl, "-- join: none"),
         (
             JoinStrategy::Hash,
             "-- join: #1.1 strategy=hash est-build=12 est-probe=25 reordered=false",
-        ),
-        (
-            JoinStrategy::Merge,
-            "-- join: #1.1 strategy=merge est-build=12 est-probe=25 reordered=false",
         ),
     ] {
         let server = world_tuned(WORLD_N, |b| {

@@ -8,6 +8,7 @@ mod common;
 
 use aldsp::security::{DenialAction, ElementResource, Principal, SecurityPolicy};
 use aldsp::updates::ConcurrencyPolicy;
+use aldsp::xdm::item::Item;
 use aldsp::xdm::value::AtomicValue;
 use aldsp::xdm::xml::serialize_sequence;
 use aldsp::xdm::QName;
@@ -234,6 +235,92 @@ fn invalidate_only_policy_never_patches() {
     let after = read(&w, &profile());
     assert_eq!(after.per_query_stats().matview_recomputes, 1);
     assert!(serialize_sequence(after.items()).contains("<LAST_NAME>Dropped</LAST_NAME>"));
+}
+
+/// `delivered()` counts items handed to the sink — the one the sink
+/// stops on included — whether the answer was recomputed or served
+/// from the view.
+#[test]
+fn early_stopping_sink_sees_the_same_prefix_cold_and_warm() {
+    let w = mat_world(12);
+    let stop_after_five = |w: &World| {
+        let mut seen = Vec::new();
+        let mut sink = |item: Item| {
+            seen.push(item.string_value());
+            seen.len() < 5
+        };
+        let resp = w
+            .server
+            .execute(
+                QueryRequest::call(profile())
+                    .principal(Principal::new("demo", &[]))
+                    .stream_to(&mut sink),
+            )
+            .expect("streams");
+        (resp, seen)
+    };
+    let (cold, cold_seen) = stop_after_five(&w);
+    assert_eq!(cold.per_query_stats().matview_recomputes, 1);
+    assert_eq!(cold.delivered(), 5);
+    // the aborted stream cached nothing; a full read warms the view
+    assert_eq!(read(&w, &profile()).per_query_stats().matview_recomputes, 1);
+    let (warm, warm_seen) = stop_after_five(&w);
+    assert_eq!(warm.per_query_stats().matview_hits, 1);
+    assert_eq!(warm.delivered(), cold.delivered());
+    assert_eq!(warm_seen, cold_seen);
+    assert_eq!(cold_seen.len(), 5);
+}
+
+/// `stream_to` + call criteria is an invalid request shape: it is
+/// refused before the function-access check, the view lookup, the
+/// security filter or admission leave any trace — cold and warm.
+#[test]
+fn streamed_criteria_request_is_rejected_before_any_side_effect() {
+    let mut policy = SecurityPolicy::new();
+    policy.add_resource(ElementResource {
+        path: vec![QName::local("LAST_NAME")],
+        allowed_roles: vec!["admin".into()],
+        denial: DenialAction::Replace(AtomicValue::str("###")),
+    });
+    let w = world_tuned(4, |b| {
+        b.materialize(profile(), MatViewPolicy::PatchOrInvalidate)
+            .security(policy)
+            .admission(4, 4)
+    });
+    w.server.deploy(PROFILE_MODULE).expect("deploys");
+    w.server.audit().set_enabled(true);
+    let side_effects = |w: &World| {
+        (
+            w.server.stats().matview_hits,
+            w.server.stats().matview_recomputes,
+            w.server.governor_stats().admitted,
+            w.server.audit().entries().len(),
+        )
+    };
+    let reject = |w: &World| {
+        let before = side_effects(w);
+        let mut sink = |_: Item| true;
+        let err = w
+            .server
+            .execute(
+                QueryRequest::call(profile())
+                    .principal(Principal::new("intern", &[]))
+                    .criteria(CallCriteria {
+                        limit: Some(1),
+                        ..Default::default()
+                    })
+                    .stream_to(&mut sink),
+            )
+            .expect_err("criteria cannot stream");
+        assert!(err.to_string().contains("require materialized"), "{err}");
+        assert_eq!(side_effects(w), before);
+    };
+    reject(&w); // cold
+    let warmed = read(&w, &profile());
+    assert_eq!(warmed.per_query_stats().matview_recomputes, 1);
+    assert!(!w.server.audit().entries().is_empty(), "the filter audits");
+    reject(&w); // warm
+    assert_eq!(read(&w, &profile()).per_query_stats().matview_hits, 1);
 }
 
 #[test]
