@@ -128,21 +128,11 @@ impl AdaptorRegistry {
     }
 
     /// Execute generated SQL on a named connection (one roundtrip on the
-    /// simulated server).
+    /// simulated server). With a budget the call runs under workload
+    /// governance: it acquires the source's gate permit (bounded by the
+    /// budget's deadline) and charges simulated latency against the
+    /// budget so cancellation interrupts the roundtrip.
     pub fn execute_sql(
-        &self,
-        connection: &str,
-        select: &Select,
-        params: &[SqlValue],
-    ) -> Result<ResultSet> {
-        self.execute_sql_governed(connection, select, params, None)
-    }
-
-    /// [`Self::execute_sql`] under workload governance: acquires the
-    /// source's gate permit (bounded by the budget's deadline) and charges
-    /// simulated latency against the budget so cancellation interrupts the
-    /// roundtrip.
-    pub fn execute_sql_governed(
         &self,
         connection: &str,
         select: &Select,
@@ -158,19 +148,9 @@ impl AdaptorRegistry {
 
     /// Dispatch a physical function call through the appropriate adaptor
     /// (the un-pushed access path: full-table reads, navigation calls
-    /// executed in the middleware, service calls, natives, files).
+    /// executed in the middleware, service calls, natives, files); a
+    /// budget governs it as in [`Self::execute_sql`].
     pub fn call_physical(
-        &self,
-        metadata: &Registry,
-        name: &QName,
-        args: &[Sequence],
-    ) -> Result<Sequence> {
-        self.call_physical_governed(metadata, name, args, None)
-    }
-
-    /// [`Self::call_physical`] under workload governance (per-source
-    /// permits, deadline-interruptible simulated latency).
-    pub fn call_physical_governed(
         &self,
         metadata: &Registry,
         name: &QName,
@@ -188,7 +168,7 @@ impl AdaptorRegistry {
                 ..
             } => {
                 let select = full_table_select(table, shape);
-                let rs = self.execute_sql_governed(connection, &select, &[], budget)?;
+                let rs = self.execute_sql(connection, &select, &[], budget)?;
                 Ok(rows_to_elements(shape, &rs))
             }
             SourceBinding::RelationalNavigation {
@@ -223,7 +203,7 @@ impl AdaptorRegistry {
                     });
                 }
                 select.where_ = pred;
-                let rs = self.execute_sql_governed(connection, &select, &params, budget)?;
+                let rs = self.execute_sql(connection, &select, &params, budget)?;
                 Ok(rows_to_elements(shape, &rs))
             }
             SourceBinding::WebService {
@@ -375,7 +355,7 @@ mod tests {
     fn table_read_function_yields_typed_rows() {
         let (adaptors, meta) = setup();
         let rows = adaptors
-            .call_physical(&meta, &QName::new("urn:custDS", "CUSTOMER"), &[])
+            .call_physical(&meta, &QName::new("urn:custDS", "CUSTOMER"), &[], None)
             .unwrap();
         assert_eq!(rows.len(), 2);
         let c1 = rows[0].as_node().unwrap();
@@ -396,13 +376,14 @@ mod tests {
     fn navigation_call_joins_by_key() {
         let (adaptors, meta) = setup();
         let customers = adaptors
-            .call_physical(&meta, &QName::new("urn:custDS", "CUSTOMER"), &[])
+            .call_physical(&meta, &QName::new("urn:custDS", "CUSTOMER"), &[], None)
             .unwrap();
         let orders = adaptors
             .call_physical(
                 &meta,
                 &QName::new("urn:custDS", "getORDER"),
                 &[vec![customers[0].clone()]],
+                None,
             )
             .unwrap();
         assert_eq!(orders.len(), 2);
@@ -411,12 +392,18 @@ mod tests {
                 &meta,
                 &QName::new("urn:custDS", "getORDER"),
                 &[vec![customers[1].clone()]],
+                None,
             )
             .unwrap();
         assert!(none.is_empty());
         // empty argument navigates to nothing
         let empty = adaptors
-            .call_physical(&meta, &QName::new("urn:custDS", "getORDER"), &[vec![]])
+            .call_physical(
+                &meta,
+                &QName::new("urn:custDS", "getORDER"),
+                &[vec![]],
+                None,
+            )
             .unwrap();
         assert!(empty.is_empty());
     }
@@ -431,15 +418,17 @@ mod tests {
             panic!()
         };
         let select = full_table_select("CUSTOMER", shape);
-        let rs = adaptors.execute_sql("db1", &select, &[]).unwrap();
+        let rs = adaptors.execute_sql("db1", &select, &[], None).unwrap();
         assert_eq!(rs.rows.len(), 2);
         adaptors.connection("db1").unwrap().set_available(false);
         assert!(matches!(
-            adaptors.execute_sql("db1", &select, &[]).unwrap_err(),
+            adaptors.execute_sql("db1", &select, &[], None).unwrap_err(),
             AdaptorError::Unavailable(_)
         ));
         assert!(matches!(
-            adaptors.execute_sql("nope", &select, &[]).unwrap_err(),
+            adaptors
+                .execute_sql("nope", &select, &[], None)
+                .unwrap_err(),
             AdaptorError::Unresolved(_)
         ));
     }
@@ -448,7 +437,7 @@ mod tests {
     fn unresolved_physical_function() {
         let (adaptors, meta) = setup();
         assert!(adaptors
-            .call_physical(&meta, &QName::new("urn:x", "NOPE"), &[])
+            .call_physical(&meta, &QName::new("urn:x", "NOPE"), &[], None)
             .is_err());
     }
 }

@@ -195,16 +195,8 @@ impl Compiler {
     }
 
     fn new_context(&self) -> Context<'_> {
-        let mut ctx = Context::new(&self.registry, self.options.mode);
-        ctx.dialects = self.options.dialects.clone();
+        let mut ctx = Context::new(&self.registry, &self.options);
         ctx.inverses = self.inverses.clone();
-        ctx.ppk_block_size = self.options.ppk_block_size;
-        ctx.ppk_local_method = self.options.ppk_local_method;
-        ctx.ppk_prefetch_depth = self.options.ppk_prefetch_depth;
-        ctx.pushdown = self.options.pushdown;
-        ctx.mutation = self.options.mutation;
-        ctx.vm = self.options.vm;
-        ctx.join_strategy = self.options.join_strategy;
         // seed with deployed (partially optimized) functions
         for (name, f) in self.views.lock().iter() {
             ctx.functions.insert(name.clone(), f.clone());
@@ -432,7 +424,7 @@ impl Compiler {
         // name-based and slot-agnostic
         let frame = frames::layout(plan, external_vars);
         let node_count = plan.assign_node_ids();
-        let programs = if ctx.vm {
+        let programs = if ctx.options.vm {
             crate::program::lower_plan(plan, node_count)
         } else {
             crate::program::ProgramSet::default()

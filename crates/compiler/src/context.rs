@@ -1,5 +1,6 @@
 //! Compilation context: namespaces, function environment, diagnostics.
 
+use crate::compile::Options;
 use crate::ir::CExpr;
 use aldsp_metadata::Registry;
 use aldsp_parser::ast::Span;
@@ -68,64 +69,37 @@ impl InverseRegistry {
 pub struct Context<'r> {
     /// Source metadata (physical functions, schemas).
     pub registry: &'r Registry,
-    /// Compilation mode.
-    pub mode: Mode,
+    /// The compiler's knobs (mode, dialects, PP-k, pushdown level, VM,
+    /// join strategy): declared and defaulted once, in [`Options`].
+    pub options: &'r Options,
     /// Collected diagnostics.
     pub diags: Vec<Diagnostic>,
     /// Translated user functions by name.
     pub functions: HashMap<QName, UserFunction>,
     /// Inverse-function registrations.
     pub inverses: InverseRegistry,
-    /// Per-connection SQL dialects (§4.3: "SQL syntax generation during
-    /// pushdown is done in a vendor/version-dependent manner").
-    /// Connections not listed default to the conservative base SQL92
-    /// platform.
-    pub dialects: HashMap<String, Dialect>,
-    /// PP-k block size used when generating dependent joins (§4.2).
-    pub ppk_block_size: usize,
-    /// PP-k local join method (§5.2).
-    pub ppk_local_method: crate::ir::LocalJoinMethod,
-    /// PP-k block prefetch depth (0 = synchronous fetches).
-    pub ppk_prefetch_depth: usize,
-    /// How much of the plan SQL pushdown may claim (differential-testing
-    /// knob, [`crate::compile::PushdownLevel::Full`] in production).
-    pub pushdown: crate::compile::PushdownLevel,
-    /// Deliberately planted rewrite bug (mutation smoke test only).
-    pub mutation: Option<crate::compile::Mutation>,
-    /// Lower scalar subtrees to expression-VM bytecode after frame
-    /// layout (differential-testing knob, on in production).
-    pub vm: bool,
-    /// Middleware join-method selection for the join-planning pass
-    /// (cost-based by default; forced levels for the differential
-    /// harness).
-    pub join_strategy: crate::joins::JoinStrategy,
     var_counter: u32,
 }
 
 impl<'r> Context<'r> {
     /// A fresh context over the given metadata registry.
-    pub fn new(registry: &'r Registry, mode: Mode) -> Context<'r> {
+    pub fn new(registry: &'r Registry, options: &'r Options) -> Context<'r> {
         Context {
             registry,
-            mode,
+            options,
             diags: Vec::new(),
             functions: HashMap::new(),
             inverses: InverseRegistry::default(),
-            dialects: HashMap::new(),
-            ppk_block_size: 20,
-            ppk_local_method: crate::ir::LocalJoinMethod::IndexNestedLoop,
-            ppk_prefetch_depth: 1,
-            pushdown: crate::compile::PushdownLevel::default(),
-            mutation: None,
-            vm: true,
-            join_strategy: crate::joins::JoinStrategy::default(),
             var_counter: 0,
         }
     }
 
-    /// The SQL dialect of a connection (base SQL92 when unregistered).
+    /// The SQL dialect of a connection (§4.3: "SQL syntax generation
+    /// during pushdown is done in a vendor/version-dependent manner");
+    /// unregistered connections get the conservative base SQL92.
     pub fn dialect_of(&self, connection: &str) -> Dialect {
-        self.dialects
+        self.options
+            .dialects
             .get(connection)
             .copied()
             .unwrap_or(Dialect::Sql92)

@@ -151,7 +151,7 @@ const AUTO_MIN_ROWS: u64 = 256;
 /// Analyze a plan (node ids assigned) and decide a strategy for every
 /// eligible correlated scan.
 pub fn analyze(ctx: &Context<'_>, plan: &CExpr) -> JoinPlan {
-    let strategy = ctx.join_strategy;
+    let strategy = ctx.options.join_strategy;
     if strategy == JoinStrategy::NestedLoop {
         // forces the existing per-tuple parameterized plan
         return JoinPlan::default();

@@ -195,7 +195,7 @@ pub fn lower_plan(plan: &CExpr, node_count: u32) -> ProgramSet {
 /// fallback and recurse so interior scalar fragments still compile.
 fn attempt(e: &CExpr, set: &mut ProgramSet) {
     // A bare constant or variable read is already a single non-recursive
-    // lookup in the walker (`eval_operand`); a program would only add
+    // lookup in the walker's `eval`; a program would only add
     // dispatch. Not compiled, and not a fallback either.
     if matches!(e.kind, CKind::Const(_) | CKind::Var { .. }) {
         return;

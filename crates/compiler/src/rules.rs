@@ -1256,7 +1256,8 @@ mod predicate_placement_tests {
     #[test]
     fn place_predicates_is_idempotent_on_mixed_filters() {
         let reg = aldsp_metadata::Registry::new();
-        let mut ctx = Context::new(&reg, crate::context::Mode::FailFast);
+        let opts = crate::Options::default();
+        let mut ctx = Context::new(&reg, &opts);
         let clauses = vec![
             Clause::Where(eq_const("x", AtomicValue::Integer(1))),
             Clause::Where(eq_const("x", AtomicValue::Integer(1))),

@@ -83,10 +83,10 @@ pub const TID_TYPE: AtomicType = AtomicType::Integer;
 /// default) pushes everything.
 pub fn push_down(ctx: &mut Context<'_>, e: &mut CExpr) {
     use crate::compile::PushdownLevel;
-    if ctx.pushdown == PushdownLevel::Off {
+    if ctx.options.pushdown == PushdownLevel::Off {
         return;
     }
-    let full = ctx.pushdown == PushdownLevel::Full;
+    let full = ctx.options.pushdown == PushdownLevel::Full;
     e.for_each_child_mut(&mut |c| push_down(ctx, c));
     if let CKind::Flwor { clauses, ret } = &mut e.kind {
         form_regions(ctx, clauses, ret);
@@ -323,7 +323,9 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
                             // mutation smoke test: consume the conjunct
                             // without attaching it, so the pushed plan
                             // returns extra rows the naive plan filters
-                            if ctx.mutation != Some(crate::compile::Mutation::DropPushedPredicate) {
+                            if ctx.options.mutation
+                                != Some(crate::compile::Mutation::DropPushedPredicate)
+                            {
                                 attach_condition(&mut region, sql);
                             }
                             consumed.push(j);
@@ -769,13 +771,13 @@ fn build_sql_for(
             bind_key_indices.push(pos);
         }
         Some(PpkSpec {
-            k: ctx.ppk_block_size, // default 20, the paper's empirically-good value (§4.2)
+            k: ctx.options.ppk_block_size, // default 20, the paper's empirically-good value (§4.2)
             outer_keys,
             key_columns,
             bind_key_indices,
-            local_method: ctx.ppk_local_method,
+            local_method: ctx.options.ppk_local_method,
             outer_join: false,
-            prefetch_depth: ctx.ppk_prefetch_depth,
+            prefetch_depth: ctx.options.ppk_prefetch_depth,
         })
     };
     Some((

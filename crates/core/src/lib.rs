@@ -329,8 +329,8 @@ impl ServerBuilder {
             inverses: Vec::new(),
             mode: Mode::FailFast,
             mutation: None,
-            ppk_block_size: 20,
-            ppk_local_method: aldsp_compiler::LocalJoinMethod::IndexNestedLoop,
+            ppk_block_size: Options::default().ppk_block_size,
+            ppk_local_method: Options::default().ppk_local_method,
             execution: ExecutionOptions::default(),
             admission: GovernorConfig::default(),
             default_memory_budget: None,

@@ -14,6 +14,7 @@
 //! inline with **zero** heap allocation; only genuine multi-item
 //! sequences go behind an `Arc`.
 
+use crate::vm::Val;
 use aldsp_xdm::item::{Item, Sequence};
 use std::sync::Arc;
 
@@ -50,15 +51,17 @@ impl Cell {
     }
 }
 
-/// A slot's value read out for sharing rather than borrowing: the
-/// expression VM keeps whole sequences alive across stack pushes
-/// without copying items, so `Many` hands back the `Arc` (one refcount
-/// bump) and only the singleton clones its inline item.
-#[derive(Clone, Debug)]
-pub enum SlotValue {
-    Empty,
-    One(Item),
-    Many(Arc<Sequence>),
+impl From<Val> for Cell {
+    /// A shared sequence lands in the cell as the same `Arc` — no item
+    /// is copied.
+    fn from(value: Val) -> Cell {
+        match value {
+            Val::Empty => Cell::Empty,
+            Val::One(item) => Cell::One(item),
+            Val::Shared(s) => Cell::Many(s),
+            Val::Owned(s) => Cell::of(s),
+        }
+    }
 }
 
 /// A fixed-width copy-on-write tuple frame. Rebinding copies the cell
@@ -94,15 +97,16 @@ impl Env {
         self.slots.get(slot as usize)?.as_slice()
     }
 
-    /// Read a slot as a shareable value (see [`SlotValue`]); `None`
-    /// when unbound or out of range.
+    /// Read a slot as a shareable [`Val`]: `Many` hands back the `Arc`
+    /// (one refcount bump, no item copy) and only the singleton clones
+    /// its inline item. `None` when unbound or out of range.
     #[inline]
-    pub fn slot_value(&self, slot: u32) -> Option<SlotValue> {
+    pub fn slot_value(&self, slot: u32) -> Option<Val> {
         match self.slots.get(slot as usize)? {
             Cell::Unbound => None,
-            Cell::Empty => Some(SlotValue::Empty),
-            Cell::One(item) => Some(SlotValue::One(item.clone())),
-            Cell::Many(s) => Some(SlotValue::Many(Arc::clone(s))),
+            Cell::Empty => Some(Val::Empty),
+            Cell::One(item) => Some(Val::One(item.clone())),
+            Cell::Many(s) => Some(Val::Shared(Arc::clone(s))),
         }
     }
 
@@ -122,34 +126,21 @@ impl Env {
         }
     }
 
-    /// Bind one slot to a sequence, copy-on-write: shares every other
-    /// cell with `self`. Grows the frame if `slot` is beyond the
-    /// current width.
-    pub fn bind_slot(&self, slot: u32, value: Sequence) -> Env {
-        if slot as usize >= self.slots.len() {
-            let mut w = self.writer();
-            w.set(slot, value);
-            return w.finish();
-        }
-        let mut cell = Some(Cell::of(value));
-        self.rebind_with(|j| {
-            if j == slot as usize {
-                Some(cell.take().expect("slot visited once"))
-            } else {
-                None
-            }
-        })
+    /// Bind one slot, copy-on-write: shares every other cell with
+    /// `self`. Grows the frame if `slot` is beyond the current width.
+    /// A singleton value allocates nothing but the cell array — the hot
+    /// path of per-item `for` iteration.
+    pub fn bind_slot(&self, slot: u32, value: Val) -> Env {
+        self.with_cell(slot, value.into())
     }
 
-    /// Bind one slot to a singleton — the zero-allocation hot path of
-    /// per-item `for` iteration.
-    pub fn bind_one(&self, slot: u32, item: Item) -> Env {
+    fn with_cell(&self, slot: u32, cell: Cell) -> Env {
         if slot as usize >= self.slots.len() {
             let mut w = self.writer();
-            w.set_item(slot, item);
+            *w.cell(slot) = cell;
             return w.finish();
         }
-        let mut cell = Some(Cell::One(item));
+        let mut cell = Some(cell);
         self.rebind_with(|j| {
             if j == slot as usize {
                 Some(cell.take().expect("slot visited once"))
@@ -165,57 +156,13 @@ impl Env {
     /// extended frame exists), the write happens in place with no
     /// allocation. A shared frame falls back to the copy-on-write
     /// rebind, so observable semantics are identical.
-    pub fn bind_val_owned(mut self, slot: u32, value: crate::vm::Val) -> Env {
-        use crate::vm::Val;
-        if slot as usize >= self.slots.len() {
-            return self.bind_slot(slot, value.into_sequence());
-        }
-        let cell = match value {
-            Val::Empty => Cell::Empty,
-            Val::One(item) => Cell::One(item),
-            Val::Shared(s) => Cell::Many(s),
-            Val::Owned(s) => Cell::of(s),
-        };
+    pub fn bind_val_owned(mut self, slot: u32, value: Val) -> Env {
         match Arc::get_mut(&mut self.slots) {
-            Some(cells) => {
-                cells[slot as usize] = cell;
+            Some(cells) if (slot as usize) < cells.len() => {
+                cells[slot as usize] = value.into();
                 self
             }
-            None => {
-                let mut cell = Some(cell);
-                self.rebind_with(|j| {
-                    if j == slot as usize {
-                        Some(cell.take().expect("slot visited once"))
-                    } else {
-                        None
-                    }
-                })
-            }
-        }
-    }
-
-    /// [`Env::bind_val_owned`] for an already-materialized sequence —
-    /// the walker's `let` fallback.
-    pub fn bind_seq_owned(mut self, slot: u32, value: Sequence) -> Env {
-        if slot as usize >= self.slots.len() {
-            return self.bind_slot(slot, value);
-        }
-        let cell = Cell::of(value);
-        match Arc::get_mut(&mut self.slots) {
-            Some(cells) => {
-                cells[slot as usize] = cell;
-                self
-            }
-            None => {
-                let mut cell = Some(cell);
-                self.rebind_with(|j| {
-                    if j == slot as usize {
-                        Some(cell.take().expect("slot visited once"))
-                    } else {
-                        None
-                    }
-                })
-            }
+            _ => self.with_cell(slot, value.into()),
         }
     }
 
@@ -328,8 +275,8 @@ mod tests {
     fn slot_bind_lookup() {
         let e = Env::with_width(3);
         assert!(e.get_slot(0).is_none());
-        let e1 = e.bind_slot(0, vec![Item::int(1)]);
-        let e2 = e1.bind_slot(2, vec![Item::int(2)]);
+        let e1 = e.bind_slot(0, Val::One(Item::int(1)));
+        let e2 = e1.bind_slot(2, Val::One(Item::int(2)));
         assert_eq!(e1.get_slot(0), Some(&[Item::int(1)][..]));
         assert_eq!(e2.get_slot(0), Some(&[Item::int(1)][..]));
         assert_eq!(e2.get_slot(2), Some(&[Item::int(2)][..]));
@@ -340,9 +287,9 @@ mod tests {
 
     #[test]
     fn rebind_is_copy_on_write() {
-        let base = Env::with_width(2).bind_slot(0, vec![Item::int(1)]);
-        let b1 = base.bind_one(1, Item::int(2));
-        let b2 = base.bind_one(1, Item::int(3));
+        let base = Env::with_width(2).bind_slot(0, Val::One(Item::int(1)));
+        let b1 = base.bind_slot(1, Val::One(Item::int(2)));
+        let b2 = base.bind_slot(1, Val::One(Item::int(3)));
         assert_eq!(b1.get_slot(1), Some(&[Item::int(2)][..]));
         assert_eq!(b2.get_slot(1), Some(&[Item::int(3)][..]));
         assert_eq!(b1.get_slot(0), b2.get_slot(0));
@@ -350,7 +297,7 @@ mod tests {
 
     #[test]
     fn empty_binding_is_bound_not_unbound() {
-        let e = Env::with_width(2).bind_slot(0, vec![]);
+        let e = Env::with_width(2).bind_slot(0, Val::Empty);
         assert_eq!(e.get_slot(0), Some(&[][..]));
         assert!(e.get_slot(1).is_none());
         assert_eq!(e.depth(), 1);
@@ -361,7 +308,7 @@ mod tests {
         let e = Env::empty();
         assert!(e.get_slot(5).is_none());
         assert!(e.get_slot(u32::MAX).is_none());
-        let e1 = e.bind_slot(2, vec![Item::int(9)]);
+        let e1 = e.bind_slot(2, Val::One(Item::int(9)));
         assert_eq!(e1.width(), 3);
         assert_eq!(e1.get_slot(2), Some(&[Item::int(9)][..]));
     }
@@ -376,5 +323,33 @@ mod tests {
         assert_eq!(e.get_slot(0), Some(&[Item::int(1), Item::int(7)][..]));
         assert_eq!(e.get_slot(1), Some(&[Item::int(2)][..]));
         assert_eq!(e.get_slot(2), Some(&[][..]));
+    }
+
+    #[test]
+    fn owned_bind_writes_in_place_only_when_unshared() {
+        let cells = |e: &Env| e.slots.as_ptr();
+        // sole owner: same cell array before and after
+        let e = Env::with_width(2).bind_slot(0, Val::One(Item::int(1)));
+        let before = cells(&e);
+        let e = e.bind_val_owned(1, Val::One(Item::int(2)));
+        assert_eq!(cells(&e), before);
+        assert_eq!(e.get_slot(1), Some(&[Item::int(2)][..]));
+        // shared: the write goes to a copy and the parent keeps its value
+        let parent = e.clone();
+        let child = e.bind_val_owned(1, Val::One(Item::int(3)));
+        assert_ne!(cells(&child), cells(&parent));
+        assert_eq!(parent.get_slot(1), Some(&[Item::int(2)][..]));
+        assert_eq!(child.get_slot(1), Some(&[Item::int(3)][..]));
+        assert_eq!(child.get_slot(0), parent.get_slot(0));
+        // a shared sequence lands in the cell as the same allocation
+        let seq = Arc::new(vec![Item::int(7), Item::int(8)]);
+        let e = Env::with_width(1).bind_val_owned(0, Val::Shared(Arc::clone(&seq)));
+        match e.slot_value(0) {
+            Some(Val::Shared(got)) => assert!(Arc::ptr_eq(&got, &seq)),
+            other => panic!("expected the shared sequence, got {other:?}"),
+        }
+        // beyond the width, the owned bind grows like the borrowed one
+        let e = Env::empty().bind_val_owned(2, Val::Empty);
+        assert_eq!((e.width(), e.get_slot(2)), (3, Some(&[][..])));
     }
 }

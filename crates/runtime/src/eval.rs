@@ -19,7 +19,7 @@ use crate::cache::FunctionCache;
 use crate::env::Env;
 use crate::stats::ExecStats;
 use crate::trace::{NodeTrace, TraceCollector, TraceKey, TraceLevel};
-use crate::vm::{atomize_first_val, ExprVM, Val};
+use crate::vm::{atomize_first_val, single_integer_val, ExprVM, Val};
 use aldsp_adaptors::{AdaptorError, AdaptorRegistry};
 use aldsp_compiler::frames::FrameLayout;
 use aldsp_compiler::ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec};
@@ -258,38 +258,10 @@ impl ExecCtx {
 
 type TupleIter<'a> = Box<dyn Iterator<Item = RtResult<Env>> + 'a>;
 
-/// A comparison/arithmetic operand that avoids materializing a fresh
-/// `Vec` when the expression is a variable (borrow the frame's
-/// sequence) or a constant (a stack-held singleton).
-enum Operand<'a> {
-    Borrowed(&'a [Item]),
-    One([Item; 1]),
-    Owned(Sequence),
-}
-
-impl Operand<'_> {
-    #[inline]
-    fn as_slice(&self) -> &[Item] {
-        match self {
-            Operand::Borrowed(s) => s,
-            Operand::One(one) => one,
-            Operand::Owned(v) => v,
-        }
-    }
-}
-
-/// Evaluate an operand position without allocating for the two
-/// hot-path kinds: `Const` never touches the heap, `Var` borrows the
-/// bound sequence straight out of the tuple frame.
-fn eval_operand<'a>(cx: &ExecCtx, e: &'a CExpr, env: &'a Env) -> RtResult<Operand<'a>> {
-    match &e.kind {
-        CKind::Const(v) => Ok(Operand::One([Item::Atomic(v.clone())])),
-        CKind::Var { name, slot } => env
-            .get_slot(*slot)
-            .map(Operand::Borrowed)
-            .ok_or_else(|| RtError::Plan(format!("unbound variable ${name}"))),
-        _ => eval(cx, e, env).map(Operand::Owned),
-    }
+/// The one spelling of the unbound-variable plan error, for the
+/// walker's `Var` arm and the VM's `var` op alike.
+pub(crate) fn unbound_variable(name: &str) -> RtError {
+    RtError::Plan(format!("unbound variable ${name}"))
 }
 
 /// `fn:data` is idempotent, so `data(data(x))` ≡ `data(x)`: helpers that
@@ -300,19 +272,6 @@ fn skip_data(mut e: &CExpr) -> &CExpr {
         e = inner;
     }
     e
-}
-
-/// [`eval_operand`], atomized to its first value — the common shape of
-/// order-by / group-by / PP-k key extraction.
-fn atomize_first(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Option<AtomicValue>> {
-    let v = eval_operand(cx, skip_data(e), env)?;
-    let s = v.as_slice();
-    match s {
-        [] => Ok(None),
-        [Item::Atomic(v)] => Ok(Some(v.clone())),
-        [Item::Node(n)] => Ok(n.typed_value()),
-        _ => Ok(atomize(s).into_iter().next()),
-    }
 }
 
 std::thread_local! {
@@ -335,31 +294,42 @@ fn run_probe(cx: &ExecCtx, prog: &Program, env: &Env) -> RtResult<Val> {
     })
 }
 
-/// A hot call site's VM handle: owns the reusable stack, accumulates
-/// the executed-op count and (only when traced) VM wall time, and
-/// flushes both once on drop — never per tuple. The untraced path pays
-/// a single `tkey.is_some()` branch per run.
-struct VmState<'a> {
+/// One scalar expression a clause evaluates per tuple — a `let` value,
+/// a `where` condition, an order or group key: the expression, its
+/// compiled program when lowering covered it, and the clause-owned VM
+/// (reusable stack, executed-op count and, only when traced, VM wall
+/// time — both flushed once on drop, never per tuple). [`Self::eval`]
+/// is the only place a clause chooses between VM and walker.
+struct ScalarSite<'a> {
     cx: &'a ExecCtx,
     tkey: Option<TraceKey>,
+    expr: &'a CExpr,
+    prog: Option<Arc<Program>>,
     vm: ExprVM,
     ops: u64,
     ns: u64,
 }
 
-impl<'a> VmState<'a> {
-    fn new(cx: &'a ExecCtx, tkey: Option<TraceKey>) -> VmState<'a> {
-        VmState {
+impl<'a> ScalarSite<'a> {
+    fn new(cx: &'a ExecCtx, tkey: Option<TraceKey>, expr: &'a CExpr) -> ScalarSite<'a> {
+        ScalarSite {
             cx,
             tkey,
+            expr,
+            prog: cx.programs.lookup(expr.node_id).cloned(),
             vm: ExprVM::new(),
             ops: 0,
             ns: 0,
         }
     }
 
+    /// The untraced compiled path pays a single `tkey.is_some()` branch
+    /// per run.
     #[inline]
-    fn run(&mut self, prog: &Program, env: &Env) -> RtResult<Val> {
+    fn eval(&mut self, env: &Env) -> RtResult<Val> {
+        let Some(prog) = &self.prog else {
+            return eval(self.cx, self.expr, env);
+        };
         if self.tkey.is_some() {
             let t0 = std::time::Instant::now();
             let r = self.vm.run(prog, env, &mut self.ops);
@@ -371,7 +341,7 @@ impl<'a> VmState<'a> {
     }
 }
 
-impl Drop for VmState<'_> {
+impl Drop for ScalarSite<'_> {
     fn drop(&mut self) {
         if self.ops > 0 {
             self.cx.add(|s| &s.vm_ops_executed, self.ops);
@@ -388,29 +358,6 @@ impl Drop for VmState<'_> {
     }
 }
 
-/// The compiled program (if any) behind a key-position expression.
-/// Keys run through atomizing helpers that skip `Data` wrappers; a
-/// compiled program includes the `Data` op, which is idempotent under
-/// first-value atomization, so running the full program is equivalent.
-fn key_prog(cx: &ExecCtx, e: &CExpr) -> Option<Arc<Program>> {
-    cx.programs.lookup(e.node_id).cloned()
-}
-
-/// `atomize_first` through the VM when the key compiled, else the
-/// walker.
-fn key_first(
-    cx: &ExecCtx,
-    vm: &mut VmState<'_>,
-    prog: &Option<Arc<Program>>,
-    kexpr: &CExpr,
-    env: &Env,
-) -> RtResult<Option<AtomicValue>> {
-    match prog {
-        Some(p) => vm.run(p, env).map(|v| atomize_first_val(&v)),
-        None => atomize_first(cx, kexpr, env),
-    }
-}
-
 /// A constant positional predicate (`$x[3]`) is a direct index: item
 /// `n` (1-based) or nothing. Shared by the tree-walker's `Filter` arm
 /// and the VM's `PickConst` op, so both paths are one code path.
@@ -422,39 +369,34 @@ pub(crate) fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
         .cloned()
 }
 
-/// Evaluate an expression to a sequence.
-pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
+/// Evaluate an expression to a sequence value.
+pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
     // the compile-once/execute-many fast path: subtrees the program
     // lowering covered run on the VM, everything else walks the tree
     if let Some(prog) = cx.programs.lookup(e.node_id) {
-        return run_probe(cx, prog, env).map(Val::into_sequence);
+        return run_probe(cx, prog, env);
     }
     match &e.kind {
-        CKind::Const(v) => Ok(vec![Item::Atomic(v.clone())]),
-        CKind::Var { name, slot } => env
-            .get_slot(*slot)
-            .map(<[Item]>::to_vec)
-            .ok_or_else(|| RtError::Plan(format!("unbound variable ${name}"))),
+        CKind::Const(v) => Ok(Val::One(Item::Atomic(v.clone()))),
+        CKind::Var { name, slot } => env.slot_value(*slot).ok_or_else(|| unbound_variable(name)),
         CKind::Seq(parts) => eval_sequence(cx, parts, env),
         CKind::Range(a, b) => {
-            let lo = single_integer(cx, a, env)?;
-            let hi = single_integer(cx, b, env)?;
+            let lo = single_integer_val(&eval(cx, a, env)?)?;
+            let hi = single_integer_val(&eval(cx, b, env)?)?;
             match (lo, hi) {
-                (Some(lo), Some(hi)) if lo <= hi => Ok((lo..=hi).map(Item::int).collect()),
-                _ => Ok(vec![]),
+                (Some(lo), Some(hi)) if lo <= hi => Ok(Val::of((lo..=hi).map(Item::int).collect())),
+                _ => Ok(Val::Empty),
             }
         }
         CKind::Flwor { clauses, ret } => {
             let mut out = Vec::new();
             for tuple in flwor_tuples(cx, e.node_id, clauses, env) {
-                let tenv = tuple?;
-                out.extend(eval(cx, ret, &tenv)?);
+                eval(cx, ret, &tuple?)?.append_to(&mut out);
             }
-            Ok(out)
+            Ok(Val::of(out))
         }
         CKind::If { cond, then, els } => {
-            let c = eval_operand(cx, cond, env)?;
-            if effective_boolean_value(c.as_slice())? {
+            if effective_boolean_value(eval(cx, cond, env)?.as_slice())? {
                 eval(cx, then, env)
             } else {
                 eval(cx, els, env)
@@ -468,17 +410,15 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
         } => {
             let domain = eval(cx, source, env)?;
             let slot = cx.slot_of(var)?;
-            for item in domain {
-                let benv = env.bind_one(slot, item);
-                let holds = effective_boolean_value(&eval(cx, satisfies, &benv)?)?;
-                if *every && !holds {
-                    return Ok(vec![Item::Atomic(AtomicValue::Boolean(false))]);
-                }
-                if !*every && holds {
-                    return Ok(vec![Item::Atomic(AtomicValue::Boolean(true))]);
+            for item in domain.as_slice() {
+                let benv = env.bind_slot(slot, Val::One(item.clone()));
+                let holds = effective_boolean_value(eval(cx, satisfies, &benv)?.as_slice())?;
+                // `every` ends on the first false, `some` on the first true
+                if holds != *every {
+                    return Ok(Val::bool(holds));
                 }
             }
-            Ok(vec![Item::Atomic(AtomicValue::Boolean(*every))])
+            Ok(Val::bool(*every))
         }
         CKind::Typeswitch {
             operand,
@@ -486,71 +426,53 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
             default,
         } => {
             let value = eval(cx, operand, env)?;
-            for (ty, var, body) in cases {
-                if ty.matches(&value) {
-                    let benv = env.bind_slot(cx.slot_of(var)?, value);
-                    return eval(cx, body, &benv);
-                }
-            }
-            let benv = env.bind_slot(cx.slot_of(&default.0)?, value);
-            eval(cx, &default.1, &benv)
+            let (var, body) = cases
+                .iter()
+                .find(|(ty, _, _)| ty.matches(value.as_slice()))
+                .map_or((&default.0, &default.1), |(_, var, body)| (var, body));
+            eval(cx, body, &env.bind_slot(cx.slot_of(var)?, value))
         }
-        CKind::And(a, b) => {
-            let la = effective_boolean_value(&eval(cx, a, env)?)?;
-            if !la {
-                return Ok(vec![Item::Atomic(AtomicValue::Boolean(false))]);
-            }
-            let lb = effective_boolean_value(&eval(cx, b, env)?)?;
-            Ok(vec![Item::Atomic(AtomicValue::Boolean(lb))])
-        }
-        CKind::Or(a, b) => {
-            let la = effective_boolean_value(&eval(cx, a, env)?)?;
-            if la {
-                return Ok(vec![Item::Atomic(AtomicValue::Boolean(true))]);
-            }
-            let lb = effective_boolean_value(&eval(cx, b, env)?)?;
-            Ok(vec![Item::Atomic(AtomicValue::Boolean(lb))])
-        }
+        CKind::And(a, b) => Ok(Val::bool(
+            effective_boolean_value(eval(cx, a, env)?.as_slice())?
+                && effective_boolean_value(eval(cx, b, env)?.as_slice())?,
+        )),
+        CKind::Or(a, b) => Ok(Val::bool(
+            effective_boolean_value(eval(cx, a, env)?.as_slice())?
+                || effective_boolean_value(eval(cx, b, env)?.as_slice())?,
+        )),
         CKind::Compare {
             op,
             general,
             lhs,
             rhs,
         } => {
-            let l = eval_operand(cx, lhs, env)?;
-            let r = eval_operand(cx, rhs, env)?;
+            let l = eval(cx, lhs, env)?;
+            let r = eval(cx, rhs, env)?;
             if *general {
-                Ok(vec![Item::Atomic(AtomicValue::Boolean(general_compare(
-                    l.as_slice(),
-                    *op,
-                    r.as_slice(),
-                )?))])
+                Ok(Val::bool(general_compare(l.as_slice(), *op, r.as_slice())?))
             } else {
-                Ok(match value_compare(l.as_slice(), *op, r.as_slice())? {
-                    Some(b) => vec![Item::Atomic(AtomicValue::Boolean(b))],
-                    None => vec![],
-                })
+                Ok(value_compare(l.as_slice(), *op, r.as_slice())?.map_or(Val::Empty, Val::bool))
             }
         }
         CKind::Arith { op, lhs, rhs } => {
-            let l = eval_operand(cx, lhs, env)?;
-            let r = eval_operand(cx, rhs, env)?;
-            Ok(match arithmetic(l.as_slice(), *op, r.as_slice())? {
-                Some(v) => vec![Item::Atomic(v)],
-                None => vec![],
-            })
+            let l = eval(cx, lhs, env)?;
+            let r = eval(cx, rhs, env)?;
+            Ok(arithmetic(l.as_slice(), *op, r.as_slice())?
+                .map_or(Val::Empty, |v| Val::One(Item::Atomic(v))))
         }
         CKind::Data(inner) => {
-            let v = eval_operand(cx, inner, env)?;
-            Ok(atomize(v.as_slice())
-                .into_iter()
-                .map(Item::Atomic)
-                .collect())
+            let v = eval(cx, inner, env)?;
+            Ok(Val::of(
+                atomize(v.as_slice())
+                    .into_iter()
+                    .map(Item::Atomic)
+                    .collect(),
+            ))
         }
         CKind::ChildStep { input, name } => {
             let v = eval(cx, input, env)?;
             let mut out = Vec::new();
-            for item in &v {
+            for item in v.as_slice() {
                 if let Item::Node(n) = item {
                     match name {
                         Some(q) => out.extend(n.child_elements(q).cloned().map(Item::Node)),
@@ -558,12 +480,12 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
                     }
                 }
             }
-            Ok(out)
+            Ok(Val::of(out))
         }
         CKind::AttrStep { input, name } => {
             let v = eval(cx, input, env)?;
             let mut out = Vec::new();
-            for item in &v {
+            for item in v.as_slice() {
                 if let Item::Node(n) = item {
                     match name {
                         Some(q) => {
@@ -575,17 +497,17 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
                     }
                 }
             }
-            Ok(out)
+            Ok(Val::of(out))
         }
         CKind::DescendantStep { input } => {
             let v = eval(cx, input, env)?;
             let mut out = Vec::new();
-            for item in &v {
+            for item in v.as_slice() {
                 if let Item::Node(n) = item {
                     descend(n, &mut out);
                 }
             }
-            Ok(out)
+            Ok(Val::of(out))
         }
         CKind::Filter {
             input,
@@ -600,17 +522,19 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
             if *positional {
                 if let CKind::Const(c) = &predicate.kind {
                     if let Ok(AtomicValue::Integer(n)) = c.cast_to(AtomicType::Integer) {
-                        return Ok(pick_const_positional(&v, n).into_iter().collect());
+                        return Ok(
+                            pick_const_positional(v.as_slice(), n).map_or(Val::Empty, Val::One)
+                        );
                     }
                 }
             }
             let mut out = Vec::new();
             let slot = cx.slot_of(ctx_var)?;
-            for (i, item) in v.iter().enumerate() {
-                let benv = env.bind_one(slot, item.clone());
+            for (i, item) in v.as_slice().iter().enumerate() {
+                let benv = env.bind_slot(slot, Val::One(item.clone()));
                 let p = eval(cx, predicate, &benv)?;
                 if *positional {
-                    let pos = atomize(&p);
+                    let pos = atomize(p.as_slice());
                     if let Some(v) = pos.first() {
                         if let Ok(AtomicValue::Integer(n)) = v.cast_to(AtomicType::Integer) {
                             if n == (i + 1) as i64 {
@@ -618,11 +542,11 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
                             }
                         }
                     }
-                } else if effective_boolean_value(&p)? {
+                } else if effective_boolean_value(p.as_slice())? {
                     out.push(item.clone());
                 }
             }
-            Ok(out)
+            Ok(Val::of(out))
         }
         CKind::ElementCtor {
             name,
@@ -632,9 +556,10 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
         } => construct_element(cx, name, *conditional, attributes, content, env),
         CKind::Builtin { op, args } => eval_builtin(cx, *op, args, env),
         CKind::PhysicalCall { name, args } => {
+            // adaptors and the function cache take plain sequences
             let mut arg_vals = Vec::with_capacity(args.len());
             for a in args {
-                arg_vals.push(eval(cx, a, env)?);
+                arg_vals.push(eval(cx, a, env)?.into_sequence());
             }
             call_physical(cx, name, &arg_vals, e.node_id)
         }
@@ -643,12 +568,12 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
         ))),
         CKind::TypeMatch { input, ty } => {
             let v = eval(cx, input, env)?;
-            if ty.matches(&v) {
+            if ty.matches(v.as_slice()) {
                 Ok(v)
             } else {
                 Err(XdmError::TypeMatch {
                     expected: ty.to_string(),
-                    actual: format!("a sequence of {} item(s)", v.len()),
+                    actual: format!("a sequence of {} item(s)", v.as_slice().len()),
                 }
                 .into())
             }
@@ -658,30 +583,28 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
             target,
             optional,
         } => {
-            let v = atomize(&eval(cx, input, env)?);
+            let v = atomize(eval(cx, input, env)?.as_slice());
             match v.as_slice() {
-                [] if *optional => Ok(vec![]),
+                [] if *optional => Ok(Val::Empty),
                 [] => Err(XdmError::Cast {
                     value: "()".into(),
                     target: *target,
                 }
                 .into()),
-                [one] => Ok(vec![Item::Atomic(one.cast_to(*target)?)]),
+                [one] => Ok(Val::One(Item::Atomic(one.cast_to(*target)?))),
                 _ => Err(XdmError::NotSingleton(v.len()).into()),
             }
         }
         CKind::Castable { input, target } => {
-            let v = atomize(&eval(cx, input, env)?);
-            let ok = match v.as_slice() {
+            let v = atomize(eval(cx, input, env)?.as_slice());
+            Ok(Val::bool(match v.as_slice() {
                 [] => true,
                 [one] => one.cast_to(*target).is_ok(),
                 _ => false,
-            };
-            Ok(vec![Item::Atomic(AtomicValue::Boolean(ok))])
+            }))
         }
         CKind::InstanceOf { input, ty } => {
-            let v = eval(cx, input, env)?;
-            Ok(vec![Item::Atomic(AtomicValue::Boolean(ty.matches(&v)))])
+            Ok(Val::bool(ty.matches(eval(cx, input, env)?.as_slice())))
         }
         CKind::Error(_) => Err(RtError::Plan(
             "the query contains compile-time errors and cannot be executed".into(),
@@ -691,8 +614,8 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Sequence> {
 
 /// Evaluate a sequence of parts; immediate `fn-bea:async(...)` parts run
 /// concurrently on scoped threads (§5.4), overlapping their latencies.
-fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Sequence> {
-    let any_async = parts.iter().any(|p| {
+fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Val> {
+    let is_async = |p: &CExpr| {
         matches!(
             &p.kind,
             CKind::Builtin {
@@ -700,15 +623,15 @@ fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Sequence>
                 ..
             }
         )
-    });
-    if !any_async {
-        let mut out = Vec::new();
+    };
+    let mut out = Vec::new();
+    if !parts.iter().any(is_async) {
         for p in parts {
-            out.extend(eval(cx, p, env)?);
+            eval(cx, p, env)?.append_to(&mut out);
         }
-        return Ok(out);
+        return Ok(Val::of(out));
     }
-    let mut slots: Vec<Option<RtResult<Sequence>>> = (0..parts.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<RtResult<Val>>> = (0..parts.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (i, p) in parts.iter().enumerate() {
@@ -725,13 +648,7 @@ fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Sequence>
             }
         }
         for (i, p) in parts.iter().enumerate() {
-            if !matches!(
-                &p.kind,
-                CKind::Builtin {
-                    op: Builtin::Async,
-                    ..
-                }
-            ) {
+            if !is_async(p) {
                 slots[i] = Some(eval(cx, p, env));
             }
         }
@@ -742,11 +659,10 @@ fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Sequence>
                 }));
         }
     });
-    let mut out = Vec::new();
     for s in slots {
-        out.extend(s.expect("every slot filled")?);
+        s.expect("every slot filled")?.append_to(&mut out);
     }
-    Ok(out)
+    Ok(Val::of(out))
 }
 
 pub(crate) fn descend(n: &NodeRef, out: &mut Vec<Item>) {
@@ -755,18 +671,6 @@ pub(crate) fn descend(n: &NodeRef, out: &mut Vec<Item>) {
             out.push(Item::Node(c.clone()));
             descend(c, out);
         }
-    }
-}
-
-fn single_integer(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Option<i64>> {
-    let v = atomize(&eval(cx, e, env)?);
-    match v.as_slice() {
-        [] => Ok(None),
-        [one] => match one.cast_to(AtomicType::Integer)? {
-            AtomicValue::Integer(i) => Ok(Some(i)),
-            _ => unreachable!("cast to integer"),
-        },
-        _ => Err(XdmError::NotSingleton(v.len()).into()),
     }
 }
 
@@ -779,7 +683,7 @@ fn construct_element(
     attributes: &[(QName, bool, CExpr)],
     content: &CExpr,
     env: &Env,
-) -> RtResult<Sequence> {
+) -> RtResult<Val> {
     let mut attr_nodes: Vec<NodeRef> = Vec::new();
     for (aname, acond, value) in attributes {
         match attr_string(cx, value, env)? {
@@ -788,11 +692,11 @@ fn construct_element(
             None => attr_nodes.push(Node::attribute(aname.clone(), AtomicValue::str(""))),
         }
     }
-    let items = eval_operand(cx, content, env)?;
+    let items = eval(cx, content, env)?;
     let items = items.as_slice();
     if conditional && items.is_empty() {
         // <E?> with empty content constructs nothing (§3.1)
-        return Ok(vec![]);
+        return Ok(Val::Empty);
     }
     let mut children: Vec<NodeRef> = Vec::new();
     let mut prev_atomic = false;
@@ -832,11 +736,11 @@ fn construct_element(
             }
         }
     }
-    Ok(vec![Item::Node(Node::element(
+    Ok(Val::One(Item::Node(Node::element(
         name.clone(),
         attr_nodes,
         children,
-    ))])
+    ))))
 }
 
 /// Evaluate an attribute-value template; `None` when every dynamic part
@@ -856,7 +760,7 @@ fn attr_string(cx: &ExecCtx, value: &CExpr, env: &Env) -> RtResult<Option<String
                 any = true;
             }
             _ => {
-                let items = atomize(&eval(cx, p, env)?);
+                let items = atomize(eval(cx, p, env)?.as_slice());
                 if !items.is_empty() {
                     any = true;
                 }
@@ -874,7 +778,7 @@ fn attr_string(cx: &ExecCtx, value: &CExpr, env: &Env) -> RtResult<Option<String
 
 // ---- builtins -------------------------------------------------------------------
 
-fn eval_builtin(cx: &ExecCtx, op: Builtin, args: &[CExpr], env: &Env) -> RtResult<Sequence> {
+fn eval_builtin(cx: &ExecCtx, op: Builtin, args: &[CExpr], env: &Env) -> RtResult<Val> {
     use Builtin as B;
     match op {
         // a lone async (not in sequence position) evaluates inline — the
@@ -888,7 +792,8 @@ fn eval_builtin(cx: &ExecCtx, op: Builtin, args: &[CExpr], env: &Env) -> RtResul
             }
         },
         B::Timeout => {
-            let millis = single_number(cx, &args[1], env)?.unwrap_or(0.0) as u64;
+            let millis =
+                single_number_arg(&eval(cx, skip_data(&args[1]), env)?)?.unwrap_or(0.0) as u64;
             let (tx, rx) = std::sync::mpsc::channel();
             let prim = args[0].clone();
             let env2 = env.clone();
@@ -914,23 +819,23 @@ fn eval_builtin(cx: &ExecCtx, op: Builtin, args: &[CExpr], env: &Env) -> RtResul
             if args.len() <= 4 {
                 let mut buf = [Val::Empty, Val::Empty, Val::Empty, Val::Empty];
                 for (slot, a) in buf.iter_mut().zip(args) {
-                    *slot = eval_val(cx, a, env)?;
+                    *slot = eval(cx, a, env)?;
                 }
-                apply_builtin(op, &buf[..args.len()]).map(Val::into_sequence)
+                apply_builtin(op, &buf[..args.len()])
             } else {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(eval_val(cx, a, env)?);
+                    vals.push(eval(cx, a, env)?);
                 }
-                apply_builtin(op, &vals).map(Val::into_sequence)
+                apply_builtin(op, &vals)
             }
         }
     }
 }
 
-fn aggregate(op: Builtin, vals: &[AtomicValue]) -> RtResult<Sequence> {
+fn aggregate(op: Builtin, vals: &[AtomicValue]) -> RtResult<Val> {
     if vals.is_empty() {
-        return Ok(vec![]);
+        return Ok(Val::Empty);
     }
     match op {
         Builtin::Min | Builtin::Max => {
@@ -945,7 +850,7 @@ fn aggregate(op: Builtin, vals: &[AtomicValue]) -> RtResult<Sequence> {
                     best = v;
                 }
             }
-            Ok(vec![Item::Atomic(best.clone())])
+            Ok(Val::One(Item::Atomic(best.clone())))
         }
         Builtin::Sum | Builtin::Avg => {
             let mut acc = AtomicValue::Integer(0);
@@ -958,23 +863,9 @@ fn aggregate(op: Builtin, vals: &[AtomicValue]) -> RtResult<Sequence> {
                     &AtomicValue::Integer(vals.len() as i64),
                 )?;
             }
-            Ok(vec![Item::Atomic(acc)])
+            Ok(Val::One(Item::Atomic(acc)))
         }
         _ => unreachable!("aggregate() called with non-aggregate builtin"),
-    }
-}
-
-/// Evaluate one builtin argument into a [`Val`], with the same cheap
-/// paths [`eval_operand`] gives the walker: constants and variable
-/// reads never materialise a fresh sequence.
-fn eval_val(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
-    match &e.kind {
-        CKind::Const(v) => Ok(Val::One(Item::Atomic(v.clone()))),
-        CKind::Var { name, slot } => env
-            .slot_value(*slot)
-            .map(Val::from)
-            .ok_or_else(|| RtError::Plan(format!("unbound variable ${name}"))),
-        _ => eval(cx, e, env).map(Val::of),
     }
 }
 
@@ -991,24 +882,14 @@ pub(crate) fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
         B::Count => Val::One(Item::int(args[0].as_slice().len() as i64)),
         B::Sum | B::Avg | B::Min | B::Max => {
             let vals = atomize(args[0].as_slice());
-            return aggregate(op, &vals).map(Val::of);
+            return aggregate(op, &vals);
         }
-        B::Exists => Val::One(Item::Atomic(AtomicValue::Boolean(
-            !args[0].as_slice().is_empty(),
-        ))),
-        B::Empty => Val::One(Item::Atomic(AtomicValue::Boolean(
-            args[0].as_slice().is_empty(),
-        ))),
-        B::Not => {
-            let v = effective_boolean_value(args[0].as_slice())?;
-            Val::One(Item::Atomic(AtomicValue::Boolean(!v)))
-        }
-        B::Boolean => {
-            let v = effective_boolean_value(args[0].as_slice())?;
-            Val::One(Item::Atomic(AtomicValue::Boolean(v)))
-        }
-        B::True => Val::One(Item::Atomic(AtomicValue::Boolean(true))),
-        B::False => Val::One(Item::Atomic(AtomicValue::Boolean(false))),
+        B::Exists => Val::bool(!args[0].as_slice().is_empty()),
+        B::Empty => Val::bool(args[0].as_slice().is_empty()),
+        B::Not => Val::bool(!effective_boolean_value(args[0].as_slice())?),
+        B::Boolean => Val::bool(effective_boolean_value(args[0].as_slice())?),
+        B::True => Val::bool(true),
+        B::False => Val::bool(false),
         B::String => match args[0].as_slice() {
             [] => Val::One(Item::str("")),
             // xs:string of a string is identity: reuse the Arc payload
@@ -1075,12 +956,12 @@ pub(crate) fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
         B::Contains => {
             let a = str_arg(&args[0])?;
             let b = str_arg(&args[1])?;
-            Val::One(Item::Atomic(AtomicValue::Boolean(a.contains(&*b))))
+            Val::bool(a.contains(&*b))
         }
         B::StartsWith => {
             let a = str_arg(&args[0])?;
             let b = str_arg(&args[1])?;
-            Val::One(Item::Atomic(AtomicValue::Boolean(a.starts_with(&*b))))
+            Val::bool(a.starts_with(&*b))
         }
         B::Subsequence => {
             let start = single_number_arg(&args[1])?.unwrap_or(f64::NAN);
@@ -1226,34 +1107,9 @@ fn single_number_arg(v: &Val) -> RtResult<Option<f64>> {
     }
 }
 
-fn single_number(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Option<f64>> {
-    let v = eval_operand(cx, skip_data(e), env)?;
-    let one = match v.as_slice() {
-        [] => return Ok(None),
-        // singleton fast path: no atomized intermediate vector
-        [Item::Atomic(a)] => a.clone(),
-        [Item::Node(n)] => match n.typed_value() {
-            Some(a) => a,
-            None => return Ok(None),
-        },
-        s => {
-            let all = atomize(s);
-            match all.len() {
-                0 => return Ok(None),
-                1 => all.into_iter().next().expect("len 1"),
-                n => return Err(XdmError::NotSingleton(n).into()),
-            }
-        }
-    };
-    match one.cast_to(AtomicType::Double)? {
-        AtomicValue::Double(d) => Ok(Some(d)),
-        _ => unreachable!("cast to double"),
-    }
-}
-
 // ---- physical calls with the function cache (§5.5) ---------------------------
 
-fn call_physical(cx: &ExecCtx, name: &QName, args: &[Sequence], node: u32) -> RtResult<Sequence> {
+fn call_physical(cx: &ExecCtx, name: &QName, args: &[Sequence], node: u32) -> RtResult<Val> {
     let t0 = cx.trace.as_ref().map(|_| std::time::Instant::now());
     let record = |cx: &ExecCtx, rows: u64, roundtrips: u64| {
         cx.trace_record(
@@ -1270,16 +1126,16 @@ fn call_physical(cx: &ExecCtx, name: &QName, args: &[Sequence], node: u32) -> Rt
         if let Some(hit) = cx.rt.cache.get(name, args) {
             cx.inc(|s| &s.cache_hits);
             record(cx, hit.len() as u64, 0);
-            return Ok(hit);
+            return Ok(Val::of(hit));
         }
         cx.inc(|s| &s.cache_misses);
     }
     cx.check_budget()?;
     cx.inc(|s| &s.source_calls);
-    let call =
-        cx.rt
-            .adaptors
-            .call_physical_governed(&cx.rt.metadata, name, args, cx.budget.as_deref());
+    let call = cx
+        .rt
+        .adaptors
+        .call_physical(&cx.rt.metadata, name, args, cx.budget.as_deref());
     let result = match call {
         Ok(r) => r,
         Err(e) => {
@@ -1291,74 +1147,42 @@ fn call_physical(cx: &ExecCtx, name: &QName, args: &[Sequence], node: u32) -> Rt
     };
     cx.rt.cache.put(name, args, result.clone());
     record(cx, result.len() as u64, 1);
-    Ok(result)
+    Ok(Val::of(result))
 }
 
 // ---- the FLWOR tuple pipeline -------------------------------------------------
 
 /// Run a clause list as a streaming tuple pipeline rooted at `base`.
 ///
-/// When the clause list contains two or more *independent* source scans
-/// — `SqlFor` clauses with no correlation parameters and no PP-k spec,
-/// whose statements therefore don't depend on any outer tuple — their
-/// first executions are issued concurrently here instead of strictly
-/// left-to-right, so the scans' source latencies overlap. Each scan's
-/// prefetched result seeds its first execution; any re-execution for
-/// later outer tuples takes the normal lazy path.
+/// Morsel-driven path: when the compiler marked this FLWOR's leading
+/// clauses as a partitionable region (`compiler::parallel`) and the
+/// execution asked for more than one worker, the region runs first —
+/// the scan executes once, its rows split into fixed-size morsels that
+/// workers claim from a shared queue and push through their own copy of
+/// the map pipeline, with the tail operator run per partition and
+/// merged deterministically. Every merge reproduces what the sequential
+/// operator would have produced over the concatenated input, so results
+/// are byte-identical to single-threaded execution; clauses after the
+/// region, and the FLWOR's return expression, run sequentially
+/// downstream as always. Tracing forces the sequential path — its
+/// per-clause row/wall accounting is defined over one stream.
 pub fn flwor_tuples<'a>(
     cx: &'a ExecCtx,
     flwor_id: u32,
     clauses: &'a [Clause],
     base: &Env,
 ) -> TupleIter<'a> {
-    // Morsel-driven path: the compiler marked this FLWOR's leading
-    // clauses as a partitionable region and the execution asked for
-    // more than one worker. Tracing forces the sequential path — its
-    // per-clause row/wall accounting is defined over one stream.
-    if cx.workers > 1 && cx.trace.is_none() {
-        if let Some(mark) = cx.parallel.mark(flwor_id) {
-            return flwor_parallel(cx, flwor_id, clauses, mark, base);
-        }
-    }
-    let mut prefetched: HashMap<usize, RtResult<ResultSet>> = HashMap::new();
-    let independent: Vec<usize> = clauses
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            matches!(c, Clause::SqlFor { params, ppk, .. }
-                if params.is_empty() && ppk.is_none())
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if independent.len() >= 2 {
-        cx.inc(|s| &s.parallel_scans);
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = independent
-                .iter()
-                .map(|&i| {
-                    let Clause::SqlFor {
-                        connection, select, ..
-                    } = &clauses[i]
-                    else {
-                        unreachable!("filtered to SqlFor above")
-                    };
-                    s.spawn(move || exec_sql(cx, connection, select, &[]))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        });
-        for (&i, res) in independent.iter().zip(results) {
-            // a panicked scan thread falls back to lazy re-execution
-            if let Ok(r) = res {
-                // the prefetch issued this clause's first roundtrip
-                cx.trace_roundtrip(cx.trace.as_ref().map(|_| TraceKey::clause(flwor_id, i)));
-                prefetched.insert(i, r);
-            }
-        }
-    }
-    let mut it: TupleIter<'a> = Box::new(std::iter::once(Ok(base.clone())));
-    for (i, c) in clauses.iter().enumerate() {
-        it = apply_clause(cx, flwor_id, i, c, it, base.clone(), prefetched.remove(&i));
+    let mark = if cx.workers > 1 && cx.trace.is_none() {
+        cx.parallel.mark(flwor_id)
+    } else {
+        None
+    };
+    let (mut it, done): (TupleIter<'a>, usize) = match mark {
+        Some(mark) => (parallel_region(cx, clauses, mark, base), mark.clauses),
+        None => (Box::new(std::iter::once(Ok(base.clone()))), 0),
+    };
+    for (i, c) in clauses.iter().enumerate().skip(done) {
+        it = apply_clause(cx, flwor_id, i, c, it, base.clone());
     }
     if cx.budget.is_some() {
         // Cooperative deadline check at every tuple boundary, so a
@@ -1372,39 +1196,6 @@ pub fn flwor_tuples<'a>(
 }
 
 // ---- morsel-driven parallel execution ---------------------------------------------
-//
-// The compiler marked a leading region of this FLWOR — an uncorrelated
-// scan, per-tuple maps, and optionally a sorting group-by or order-by —
-// as partitionable (`compiler::parallel`). The scan executes once; its
-// rows split into fixed-size morsels that workers claim from a shared
-// queue and push through their own copy of the map pipeline, with the
-// tail operator run per partition and merged deterministically. Every
-// merge reproduces what the sequential operator would have produced
-// over the concatenated input, so results are byte-identical to
-// single-threaded execution; clauses after the region, and the FLWOR's
-// return expression, run sequentially downstream as always.
-
-/// Run a marked FLWOR: parallel region, then the remaining clauses
-/// sequentially, then the usual per-tuple budget check.
-fn flwor_parallel<'a>(
-    cx: &'a ExecCtx,
-    flwor_id: u32,
-    clauses: &'a [Clause],
-    mark: ParallelMark,
-    base: &Env,
-) -> TupleIter<'a> {
-    let mut it = parallel_region(cx, clauses, mark, base);
-    for (i, c) in clauses.iter().enumerate().skip(mark.clauses) {
-        it = apply_clause(cx, flwor_id, i, c, it, base.clone(), None);
-    }
-    if cx.budget.is_some() {
-        it = Box::new(it.map(move |t| {
-            cx.check_budget()?;
-            t
-        }));
-    }
-    it
-}
 
 fn parallel_region<'a>(
     cx: &'a ExecCtx,
@@ -1454,7 +1245,7 @@ fn parallel_region<'a>(
         for c in maps {
             // morsel pipelines address no real (flwor, clause) key: no
             // trace key, and join marks never target parallel map clauses
-            it = build_clause(cx, 0, 0, None, c, it, base.clone(), None);
+            it = build_clause(cx, 0, 0, None, c, it, base.clone());
         }
         it
     };
@@ -1464,16 +1255,9 @@ fn parallel_region<'a>(
         let it = pipeline(0..ranges.last().map(|r| r.end).unwrap_or(0));
         return match mark.tail {
             ParTail::Map => it,
-            ParTail::Group | ParTail::Sort => build_clause(
-                cx,
-                0,
-                0,
-                None,
-                &clauses[mark.clauses - 1],
-                it,
-                base.clone(),
-                None,
-            ),
+            ParTail::Group | ParTail::Sort => {
+                build_clause(cx, 0, 0, None, &clauses[mark.clauses - 1], it, base.clone())
+            }
         };
     }
     match mark.tail {
@@ -1768,7 +1552,6 @@ fn apply_clause<'a>(
     clause: &'a Clause,
     input: TupleIter<'a>,
     flwor_base: Env,
-    scan_seed: Option<RtResult<ResultSet>>,
 ) -> TupleIter<'a> {
     // Tracing wraps the clause between two counting iterators: rows in
     // below, rows out + wall time above. Eager operators (order by,
@@ -1785,9 +1568,7 @@ fn apply_clause<'a>(
         _ => input,
     };
     let t0 = tkey.map(|_| std::time::Instant::now());
-    let out = build_clause(
-        cx, flwor_id, idx, tkey, clause, input, flwor_base, scan_seed,
-    );
+    let out = build_clause(cx, flwor_id, idx, tkey, clause, input, flwor_base);
     match (&cx.trace, tkey) {
         (Some(sink), Some(key)) => Box::new(CountOut {
             inner: out,
@@ -1800,7 +1581,6 @@ fn apply_clause<'a>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_clause<'a>(
     cx: &'a ExecCtx,
     flwor_id: u32,
@@ -1809,7 +1589,6 @@ fn build_clause<'a>(
     clause: &'a Clause,
     input: TupleIter<'a>,
     flwor_base: Env,
-    scan_seed: Option<RtResult<ResultSet>>,
 ) -> TupleIter<'a> {
     match clause {
         Clause::For { var, pos, source } => {
@@ -1825,17 +1604,19 @@ fn build_clause<'a>(
                     Err(e) => return one_err(e),
                 };
                 match eval(cx, source, &env) {
-                    Ok(seq) => Box::new(seq.into_iter().enumerate().map(move |(i, item)| {
-                        Ok(match pos_slot {
-                            None => env.bind_one(var_slot, item),
-                            Some(p) => {
-                                let mut w = env.writer();
-                                w.set_item(var_slot, item);
-                                w.set_item(p, Item::int((i + 1) as i64));
-                                w.finish()
-                            }
-                        })
-                    })) as TupleIter<'a>,
+                    Ok(seq) => Box::new(seq.into_sequence().into_iter().enumerate().map(
+                        move |(i, item)| {
+                            Ok(match pos_slot {
+                                None => env.bind_slot(var_slot, Val::One(item)),
+                                Some(p) => {
+                                    let mut w = env.writer();
+                                    w.set_item(var_slot, item);
+                                    w.set_item(p, Item::int((i + 1) as i64));
+                                    w.finish()
+                                }
+                            })
+                        },
+                    )) as TupleIter<'a>,
                     Err(e) => one_err(e),
                 }
             }))
@@ -1845,54 +1626,23 @@ fn build_clause<'a>(
                 Ok(s) => s,
                 Err(e) => return one_err(e),
             };
-            // compiled let values run on a clause-owned VM: no probe
-            // lookup per tuple, stats flushed once on drop
-            match cx.programs.lookup(value.node_id) {
-                Some(prog) => {
-                    let prog = Arc::clone(prog);
-                    let mut vm = VmState::new(cx, tkey);
-                    Box::new(input.map(move |tuple| {
-                        let env = tuple?;
-                        let v = vm.run(&prog, &env)?;
-                        Ok(env.bind_val_owned(slot, v))
-                    }))
-                }
-                None => Box::new(input.map(move |tuple| {
-                    let env = tuple?;
-                    let v = eval(cx, value, &env)?;
-                    Ok(env.bind_seq_owned(slot, v))
-                })),
-            }
+            let mut value = ScalarSite::new(cx, tkey, value);
+            Box::new(input.map(move |tuple| {
+                let env = tuple?;
+                let v = value.eval(&env)?;
+                Ok(env.bind_val_owned(slot, v))
+            }))
         }
         Clause::Where(cond) => {
-            match cx.programs.lookup(cond.node_id) {
-                Some(prog) => {
-                    let prog = Arc::clone(prog);
-                    let mut vm = VmState::new(cx, tkey);
-                    Box::new(input.filter_map(move |tuple| match tuple {
-                        Err(e) => Some(Err(e)),
-                        Ok(env) => match vm.run(&prog, &env).and_then(|v| {
-                            effective_boolean_value(v.as_slice()).map_err(RtError::from)
-                        }) {
-                            Ok(true) => Some(Ok(env)),
-                            Ok(false) => None,
-                            Err(e) => Some(Err(e)),
-                        },
-                    }))
-                }
-                None => {
-                    Box::new(input.filter_map(move |tuple| match tuple {
-                        Err(e) => Some(Err(e)),
-                        Ok(env) => match eval_operand(cx, cond, &env).and_then(|v| {
-                            effective_boolean_value(v.as_slice()).map_err(RtError::from)
-                        }) {
-                            Ok(true) => Some(Ok(env)),
-                            Ok(false) => None,
-                            Err(e) => Some(Err(e)),
-                        },
-                    }))
-                }
-            }
+            let mut cond = ScalarSite::new(cx, tkey, cond);
+            Box::new(input.filter_map(move |tuple| {
+                tuple
+                    .and_then(|env| {
+                        let keep = effective_boolean_value(cond.eval(&env)?.as_slice())?;
+                        Ok(keep.then_some(env))
+                    })
+                    .transpose()
+            }))
         }
         Clause::OrderBy(specs) => order_by(cx, tkey, specs, input),
         Clause::GroupBy {
@@ -1909,9 +1659,8 @@ fn build_clause<'a>(
                 cx.inc(|s| &s.streaming_groups);
                 Box::new(StreamingGroups {
                     cx,
-                    vm: VmState::new(cx, tkey),
+                    keys: key_sites(cx, tkey, keys),
                     input,
-                    keys,
                     slots,
                     base: flwor_base,
                     current: None,
@@ -1967,7 +1716,6 @@ fn build_clause<'a>(
                         params,
                         bind_slots.into(),
                         input,
-                        scan_seed,
                     ),
                 },
             }
@@ -2044,9 +1792,10 @@ fn sort_partition(
     specs: &[OrderSpec],
     input: TupleIter<'_>,
 ) -> RtResult<SortedPart> {
-    // compiled sort keys run on one partition-owned VM across all rows
-    let progs: Vec<Option<Arc<Program>>> = specs.iter().map(|s| key_prog(cx, &s.expr)).collect();
-    let mut vm = VmState::new(cx, tkey);
+    let mut keys: Vec<ScalarSite<'_>> = specs
+        .iter()
+        .map(|s| ScalarSite::new(cx, tkey, &s.expr))
+        .collect();
     let mut rows: Vec<(Vec<Option<AtomicValue>>, Env)> = Vec::new();
     let mut charged = 0u64;
     let fail = |cx: &ExecCtx, charged: u64, e: RtError| {
@@ -2064,9 +1813,9 @@ fn sort_partition(
         }
         charged += cx.tuple_mem;
         let mut key = Vec::with_capacity(specs.len());
-        for (s, prog) in specs.iter().zip(&progs) {
-            match key_first(cx, &mut vm, prog, &s.expr, &env) {
-                Ok(k) => key.push(k),
+        for k in &mut keys {
+            match k.eval(&env) {
+                Ok(v) => key.push(atomize_first_val(&v)),
                 Err(e) => return fail(cx, charged, e),
             }
         }
@@ -2153,9 +1902,6 @@ struct GroupSlots {
     /// (source slot, destination slot) per carried binding.
     carry_from: Vec<u32>,
     carry_to: Vec<u32>,
-    /// Compiled programs behind the key expressions (parallel to
-    /// `aliases`); `None` falls back to the tree-walker per key.
-    key_progs: Vec<Option<Arc<Program>>>,
 }
 
 impl GroupSlots {
@@ -2184,9 +1930,20 @@ impl GroupSlots {
                 .iter()
                 .map(|(_, t)| slot(t))
                 .collect::<RtResult<_>>()?,
-            key_progs: keys.iter().map(|(k, _)| key_prog(cx, k)).collect(),
         })
     }
+}
+
+/// One scalar site per grouping key, owned by the operator (or the
+/// partition) that evaluates them.
+fn key_sites<'a>(
+    cx: &'a ExecCtx,
+    tkey: Option<TraceKey>,
+    keys: &'a [(CExpr, String)],
+) -> Vec<ScalarSite<'a>> {
+    keys.iter()
+        .map(|(k, _)| ScalarSite::new(cx, tkey, k))
+        .collect()
 }
 
 /// The streaming group operator: "relies on input that is pre-clustered
@@ -2195,9 +1952,8 @@ impl GroupSlots {
 /// Memory is bounded by the largest single group.
 struct StreamingGroups<'a> {
     cx: &'a ExecCtx,
-    vm: VmState<'a>,
     input: TupleIter<'a>,
-    keys: &'a [(CExpr, String)],
+    keys: Vec<ScalarSite<'a>>,
     slots: GroupSlots,
     base: Env,
     current: Option<GroupAccum>,
@@ -2248,9 +2004,9 @@ impl Iterator for StreamingGroups<'_> {
                 Some(Ok(env)) => {
                     // evaluate the grouping keys on this tuple
                     let mut key = Vec::with_capacity(self.keys.len());
-                    for ((kexpr, _), prog) in self.keys.iter().zip(&self.slots.key_progs) {
-                        match key_first(self.cx, &mut self.vm, prog, kexpr, &env) {
-                            Ok(k) => key.push(k),
+                    for k in &mut self.keys {
+                        match k.eval(&env) {
+                            Ok(v) => key.push(atomize_first_val(&v)),
                             Err(e) => {
                                 self.done = true;
                                 return Some(Err(e));
@@ -2504,7 +2260,7 @@ fn group_partition(
     keys: &[(CExpr, String)],
     input: TupleIter<'_>,
 ) -> RtResult<GroupedPart> {
-    let mut vm = VmState::new(cx, tkey);
+    let mut keys = key_sites(cx, tkey, keys);
     // Incremental grouping instead of buffer-sort-scan: each row's key
     // is compared against the previous row's key first (clustered
     // inputs — the common shape from an ordered scan — group in O(1)
@@ -2545,9 +2301,9 @@ fn group_partition(
         rows += 1;
         // stage this row's key after the kept group keys…
         let staged = flat_keys.len() / nk;
-        for ((kexpr, _), prog) in keys.iter().zip(&slots.key_progs) {
-            match key_first(cx, &mut vm, prog, kexpr, &env) {
-                Ok(k) => flat_keys.push(k),
+        for k in &mut keys {
+            match k.eval(&env) {
+                Ok(v) => flat_keys.push(atomize_first_val(&v)),
                 Err(e) => return fail(cx, charged, e),
             }
         }
@@ -2624,7 +2380,7 @@ fn group_partition(
 fn eval_sql_params(cx: &ExecCtx, params: &[CExpr], env: &Env) -> RtResult<Vec<SqlValue>> {
     let mut out = Vec::with_capacity(params.len());
     for p in params {
-        let v = atomize(&eval(cx, p, env)?);
+        let v = atomize(eval(cx, p, env)?.as_slice());
         let first = v.first();
         let ty = first
             .and_then(|f| SqlType::from_xml_type(f.type_of()))
@@ -2648,7 +2404,7 @@ fn exec_sql(
     let r = cx
         .rt
         .adaptors
-        .execute_sql_governed(connection, select, params, cx.budget.as_deref());
+        .execute_sql(connection, select, params, cx.budget.as_deref());
     match r {
         Ok(rs) => Ok(rs),
         Err(e) => {
@@ -2668,7 +2424,6 @@ fn bind_row(env: &Env, slots: &[u32], row: &[SqlValue]) -> Env {
 
 /// A `SqlFor` without PP-k: uncorrelated statements execute once;
 /// correlated ones execute per outer tuple (block size 1).
-#[allow(clippy::too_many_arguments)]
 fn sql_for_plain<'a>(
     cx: &'a ExecCtx,
     tkey: Option<TraceKey>,
@@ -2677,7 +2432,6 @@ fn sql_for_plain<'a>(
     params: &'a [CExpr],
     bind_slots: Arc<[u32]>,
     input: TupleIter<'a>,
-    mut scan_seed: Option<RtResult<ResultSet>>,
 ) -> TupleIter<'a> {
     Box::new(input.flat_map(move |tuple| {
         let env = match tuple {
@@ -2685,18 +2439,6 @@ fn sql_for_plain<'a>(
             Err(e) => return one_err(e),
         };
         let slots = Arc::clone(&bind_slots);
-        // an independent scan prefetched by flwor_tuples seeds the
-        // first execution (statement + roundtrip already counted there)
-        if let Some(pre) = scan_seed.take() {
-            return match pre {
-                Ok(rs) => Box::new(
-                    rs.rows
-                        .into_iter()
-                        .map(move |row| Ok(bind_row(&env, &slots, &row))),
-                ) as TupleIter<'a>,
-                Err(e) => one_err(e),
-            };
-        }
         let param_vals = match eval_sql_params(cx, params, &env) {
             Ok(v) => v,
             Err(e) => return one_err(e),
@@ -3048,8 +2790,10 @@ impl PpkIter<'_> {
                 Some(Ok(env)) => {
                     let mut keys = Vec::with_capacity(self.spec.outer_keys.len());
                     for kexpr in &self.spec.outer_keys {
-                        match atomize_first(self.cx, kexpr, &env) {
-                            Ok(k) => keys.push(k),
+                        // atomized below, so the `data` wrapper is skipped
+                        // and the inner expression goes through `eval`
+                        match eval(self.cx, skip_data(kexpr), &env) {
+                            Ok(v) => keys.push(atomize_first_val(&v)),
                             Err(e) => {
                                 self.staging_err = Some(e);
                                 self.input_done = true;

@@ -57,9 +57,6 @@ counters! {
     /// Nanoseconds the PP-k consumer spent blocked waiting for an
     /// in-flight prefetched block to arrive.
     ppk_prefetch_wait_ns,
-    /// FLWOR pipelines whose independent source scans were kicked off
-    /// in parallel rather than strictly left-to-right.
-    parallel_scans,
     /// Group operator invocations that ran in streaming (pre-clustered)
     /// mode.
     streaming_groups,

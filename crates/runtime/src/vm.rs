@@ -17,8 +17,8 @@
 //! fallback are byte-identical by construction — the property the
 //! differential oracle's `vm {on,off}` axis checks.
 
-use crate::env::{Env, SlotValue};
-use crate::eval::{apply_builtin, descend, pick_const_positional, RtError, RtResult};
+use crate::env::Env;
+use crate::eval::{apply_builtin, descend, pick_const_positional, unbound_variable, RtResult};
 use aldsp_compiler::program::{Op, Program};
 use aldsp_xdm::item::{
     arithmetic, atomize, effective_boolean_value, general_compare, value_compare, Item, Sequence,
@@ -27,8 +27,12 @@ use aldsp_xdm::value::{AtomicType, AtomicValue};
 use aldsp_xdm::XdmError;
 use std::sync::Arc;
 
-/// A VM operand: a sequence that is empty, a single inline item, a
-/// slot's sequence shared by refcount, or owned by this stack entry.
+/// The runtime's one transient sequence value — what the walker's
+/// `eval` returns, what the VM stack holds and what a frame slot reads
+/// out as: empty, a single inline item, a slot's sequence shared by
+/// refcount, or an owned vector. It becomes a plain `Sequence` only
+/// where items leave the evaluator (the result sink, adaptor and
+/// function-cache arguments).
 #[derive(Clone, Debug)]
 pub enum Val {
     Empty,
@@ -63,6 +67,16 @@ impl Val {
         }
     }
 
+    /// Append the items to `out`, moving the ones this value owns.
+    pub(crate) fn append_to(self, out: &mut Sequence) {
+        match self {
+            Val::Empty => {}
+            Val::One(item) => out.push(item),
+            Val::Shared(a) => out.extend_from_slice(&a),
+            Val::Owned(s) => out.extend(s),
+        }
+    }
+
     /// Convert to an owned sequence; shared values clone their items
     /// only when another reference is still alive.
     pub fn into_sequence(self) -> Sequence {
@@ -75,18 +89,7 @@ impl Val {
     }
 }
 
-impl From<SlotValue> for Val {
-    fn from(s: SlotValue) -> Val {
-        match s {
-            SlotValue::Empty => Val::Empty,
-            SlotValue::One(item) => Val::One(item),
-            SlotValue::Many(a) => Val::Shared(a),
-        }
-    }
-}
-
-/// [`crate::eval`]'s `atomize_first` on an already-computed value — the
-/// order-by / group-by key shape.
+/// The first atomized value — the order-by / group-by / PP-k key shape.
 pub(crate) fn atomize_first_val(v: &Val) -> Option<AtomicValue> {
     match v.as_slice() {
         [] => None,
@@ -96,8 +99,8 @@ pub(crate) fn atomize_first_val(v: &Val) -> Option<AtomicValue> {
     }
 }
 
-/// `single_integer` on an already-computed value (the `Range` bounds).
-fn single_integer_val(v: &Val) -> RtResult<Option<i64>> {
+/// A `Range` bound: the value's single atomized item cast to integer.
+pub(crate) fn single_integer_val(v: &Val) -> RtResult<Option<i64>> {
     let a = atomize(v.as_slice());
     match a.as_slice() {
         [] => Ok(None),
@@ -140,25 +143,15 @@ impl ExprVM {
                     .stack
                     .push(Val::One(Item::Atomic(prog.consts[i as usize].clone()))),
                 Op::Var { slot, name } => match env.slot_value(slot) {
-                    Some(v) => self.stack.push(Val::from(v)),
-                    None => {
-                        break Err(RtError::Plan(format!(
-                            "unbound variable ${}",
-                            prog.names[name as usize]
-                        )))
-                    }
+                    Some(v) => self.stack.push(v),
+                    None => break Err(unbound_variable(&prog.names[name as usize])),
                 },
                 Op::Seq(n) => {
                     let start = self.stack.len() - n as usize;
                     let total: usize = self.stack[start..].iter().map(|v| v.as_slice().len()).sum();
                     let mut out: Sequence = Vec::with_capacity(total);
                     for v in self.stack.drain(start..) {
-                        match v {
-                            Val::Empty => {}
-                            Val::One(item) => out.push(item),
-                            Val::Shared(a) => out.extend_from_slice(&a),
-                            Val::Owned(s) => out.extend(s),
-                        }
+                        v.append_to(&mut out);
                     }
                     self.stack.push(Val::of(out));
                 }

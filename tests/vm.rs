@@ -67,6 +67,36 @@ const CORPUS: &[&str] = &[
     r#"for $c in c:CUSTOMER()
        where fn:contains($c/LAST_NAME, "e") and fn:starts-with($c/CID, "C0")
        return $c/LAST_NAME"#,
+    // a multi-item let read by a where, an order key and the return
+    r#"for $c in c:CUSTOMER()
+       let $os := for $o in c:ORDER() where $o/CID eq $c/CID return $o/OID
+       where fn:count($os) ge 1
+       order by fn:count($os) descending, $c/CID
+       return <C>{ $c/CID, $os }</C>"#,
+    // if with a node branch and an empty branch
+    r#"for $c in c:CUSTOMER()
+       return if ($c/FIRST_NAME) then $c/FIRST_NAME else ()"#,
+    // typeswitch binding its operand in the chosen branch
+    r#"for $x in (1, "a", <e>7</e>, 2.5)
+       return typeswitch ($x)
+              case $i as xs:integer return $i + 1
+              case $e as element() return fn:data($e)
+              default $d return fn:string($d)"#,
+    // some / every over a let-bound sequence, empty domains included
+    r#"for $c in c:CUSTOMER()
+       let $os := for $o in c:ORDER() where $o/CID eq $c/CID return $o
+       where every $o in $os satisfies $o/AMOUNT ge 0.00
+       return <Q>{ $c/CID, some $o in $os satisfies $o/OID mod 2 eq 0 }</Q>"#,
+    // general filter predicates: boolean over the context item, and a
+    // positional one that is not a constant
+    r#"for $c in c:CUSTOMER()
+       return <F>{ c:ORDER()[CID eq $c/CID]/OID }</F>"#,
+    r#"let $s := (10, 20, 30)
+       for $i in (3, 1, 4)
+       return $s[$i]"#,
+    // conditional element whose content is sometimes empty
+    r#"for $c in c:CUSTOMER()
+       return <C>{ $c/CID }<F?>{ fn:data($c/FIRST_NAME) }</F></C>"#,
 ];
 
 fn vm_world(n: usize, vm: bool) -> common::World {
@@ -97,6 +127,37 @@ fn vm_matches_walker_bytes() {
         // the on server really compiled: programs ran
         assert!(on.server.stats().vm_ops_executed > 0);
     }
+}
+
+/// Reading a slot nothing bound is the same plan error, by name, from
+/// the VM's `var` op and from the walker's `Var` arm. Query text cannot
+/// reach it (the translator rejects undeclared variables), so the
+/// binding clause is cut out of a compiled plan.
+#[test]
+fn unbound_variable_error_is_the_same_text_on_both_paths() {
+    let q = format!(
+        "{PROLOG}
+         for $o in c:ORDER()
+         where $o/AMOUNT ge 20.00
+         return $o/OID"
+    );
+    let errors = [true, false].map(|vm| {
+        let w = vm_world(3, vm);
+        let mut plan = w.server.compiler().compile_query(&q).expect("compiles");
+        assert_eq!(plan.programs.is_empty(), !vm);
+        let aldsp::compiler::CKind::Flwor { clauses, .. } = &mut plan.plan.kind else {
+            panic!("expected a FLWOR root");
+        };
+        clauses.remove(0);
+        let err = w.server.runtime().execute(&plan, &[]).expect_err("unbound");
+        err.to_string()
+    });
+    assert!(
+        errors[0].starts_with("plan error: unbound variable $o"),
+        "{}",
+        errors[0]
+    );
+    assert_eq!(errors[0], errors[1]);
 }
 
 /// EXPLAIN pins the compiled program: the `-- vm:` header counts
