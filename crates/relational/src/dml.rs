@@ -7,7 +7,7 @@
 //! those statements plus their executor and dialect rendering.
 
 use crate::dialect::Dialect;
-use crate::exec::ResultSet;
+use crate::exec::{Exec, TableEval};
 use crate::sql::{ScalarExpr, Select, TableRef};
 use crate::store::{Database, Row};
 use crate::types::SqlValue;
@@ -73,143 +73,109 @@ impl Database {
     /// An optimistic-concurrency conflict shows up as 0 affected rows on
     /// an UPDATE/DELETE the caller expected to hit.
     pub fn execute_dml(&mut self, stmt: &Dml, params: &[SqlValue]) -> Result<usize, String> {
-        match stmt {
-            Dml::Insert(ins) => {
-                let row = self.eval_insert_row(ins, params)?;
-                self.insert(&ins.table, row)?;
-                Ok(1)
-            }
-            Dml::Update(upd) => {
-                let hits =
-                    self.matching_rows(&upd.table, &upd.alias, upd.where_.as_ref(), params)?;
-                let schema = self
-                    .table(&upd.table)
-                    .expect("matching_rows validated")
-                    .schema()
-                    .clone();
-                let mut set_idx = Vec::with_capacity(upd.set.len());
-                for (c, e) in &upd.set {
-                    let i = schema
-                        .column_index(c)
-                        .ok_or_else(|| format!("no column '{c}' in '{}'", upd.table))?;
-                    set_idx.push((i, e));
+        self.dml_examining(stmt, params).0
+    }
+
+    /// [`Database::execute_dml`], also reporting how many stored rows
+    /// the statement evaluated its WHERE predicate on.
+    pub(crate) fn dml_examining(
+        &mut self,
+        stmt: &Dml,
+        params: &[SqlValue],
+    ) -> (Result<usize, String>, u64) {
+        let cx = Exec::new(self, params);
+        let planned = plan_dml(&cx, stmt);
+        let examined = cx.examined();
+        (
+            planned.and_then(|change| self.apply(stmt.table(), change)),
+            examined,
+        )
+    }
+
+    fn apply(&mut self, table: &str, change: Change) -> Result<usize, String> {
+        match change {
+            Change::Insert(row) => self.insert(table, row).map(|()| 1),
+            // a statement that hits nothing must not touch the table:
+            // `table_mut` copies one a snapshot still shares
+            Change::Replace(rows) if rows.is_empty() => Ok(0),
+            Change::Delete(hits) if hits.is_empty() => Ok(0),
+            Change::Replace(rows) => {
+                let t = self.table_mut(table).expect("planned against it");
+                let n = rows.len();
+                for (i, new) in rows {
+                    t.replace_row(i, new)?;
                 }
-                for &ri in &hits {
-                    let old = self.table(&upd.table).expect("validated").rows()[ri].clone();
-                    let mut new = old.clone();
-                    for (i, e) in &set_idx {
-                        new[*i] = eval_standalone(self, e, &upd.alias, &schema, &old, params)?;
-                    }
-                    self.table_mut(&upd.table)
-                        .expect("validated")
-                        .replace_row(ri, new)?;
-                }
-                Ok(hits.len())
+                Ok(n)
             }
-            Dml::Delete(del) => {
-                let mut hits =
-                    self.matching_rows(&del.table, &del.alias, del.where_.as_ref(), params)?;
-                hits.sort_unstable();
-                self.table_mut(&del.table)
-                    .expect("matching_rows validated")
+            Change::Delete(hits) => {
+                self.table_mut(table)
+                    .expect("planned against it")
                     .delete_rows(&hits);
                 Ok(hits.len())
             }
         }
     }
-
-    fn eval_insert_row(&self, ins: &Insert, params: &[SqlValue]) -> Result<Row, String> {
-        let mut row = Vec::with_capacity(ins.values.len());
-        for e in &ins.values {
-            row.push(match e {
-                ScalarExpr::Literal(v) => v.clone(),
-                ScalarExpr::Param(i) => params
-                    .get(*i)
-                    .cloned()
-                    .ok_or_else(|| format!("missing parameter ?{i}"))?,
-                other => {
-                    return Err(format!(
-                        "INSERT values must be literals or parameters, found {other:?}"
-                    ))
-                }
-            });
-        }
-        Ok(row)
-    }
-
-    /// Indices of the rows the predicate selects, via a probe SELECT over
-    /// a synthesized row-number column.
-    fn matching_rows(
-        &self,
-        table: &str,
-        alias: &str,
-        where_: Option<&ScalarExpr>,
-        params: &[SqlValue],
-    ) -> Result<Vec<usize>, String> {
-        let t = self
-            .table(table)
-            .ok_or_else(|| format!("no table '{table}'"))?;
-        let schema = t.schema().clone();
-        let rows = t.rows().to_vec();
-        let mut out = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let keep = match where_ {
-                None => true,
-                Some(w) => {
-                    let v = eval_standalone(self, w, alias, &schema, row, params)?;
-                    matches!(v, SqlValue::Bool(true))
-                }
-            };
-            if keep {
-                out.push(i);
-            }
-        }
-        Ok(out)
-    }
 }
 
-/// Evaluate a scalar expression against a single row of one table by
-/// synthesizing a one-row SELECT (reuses the full executor semantics,
-/// including 3VL, without duplicating the evaluator).
-fn eval_standalone(
-    db: &Database,
-    e: &ScalarExpr,
-    alias: &str,
-    schema: &crate::catalog::TableSchema,
-    row: &Row,
-    params: &[SqlValue],
-) -> Result<SqlValue, String> {
-    // bind the row's columns as parameters appended after the caller's
-    let mut q = Select::new(TableRef::table(&schema.name, alias)).column(e.clone(), "v");
-    // narrow to exactly this row by PK (or full-row match when no PK)
-    let mut pred: Option<ScalarExpr> = None;
-    let key_cols: Vec<usize> = if schema.primary_key.is_empty() {
-        (0..schema.columns.len()).collect()
-    } else {
-        schema.pk_indices()
-    };
-    let mut all_params = params.to_vec();
-    for &i in &key_cols {
-        let term = if row[i].is_null() {
-            ScalarExpr::IsNull(Box::new(ScalarExpr::col(alias, &schema.columns[i].name)))
-        } else {
-            all_params.push(row[i].clone());
-            ScalarExpr::col(alias, &schema.columns[i].name)
-                .eq(ScalarExpr::Param(all_params.len() - 1))
-        };
-        pred = Some(match pred {
-            Some(p) => p.and(term),
-            None => term,
-        });
+/// What a statement will do to its table, worked out against the
+/// unmodified database: every predicate and SET expression sees the
+/// rows as they were when the statement began.
+enum Change {
+    Insert(Row),
+    /// `(row index, new row)`, in storage order.
+    Replace(Vec<(usize, Row)>),
+    /// Row indices, ascending.
+    Delete(Vec<usize>),
+}
+
+fn plan_dml(cx: &Exec<'_>, stmt: &Dml) -> Result<Change, String> {
+    match stmt {
+        Dml::Insert(ins) => {
+            let mut row = Vec::with_capacity(ins.values.len());
+            for e in &ins.values {
+                row.push(match e {
+                    ScalarExpr::Literal(v) => v.clone(),
+                    ScalarExpr::Param(i) => cx
+                        .params
+                        .get(*i)
+                        .cloned()
+                        .ok_or_else(|| format!("missing parameter ?{i}"))?,
+                    other => {
+                        return Err(format!(
+                            "INSERT values must be literals or parameters, found {other:?}"
+                        ))
+                    }
+                });
+            }
+            Ok(Change::Insert(row))
+        }
+        Dml::Update(upd) => {
+            let rows_of = TableEval::new(cx, &upd.table, &upd.alias)?;
+            let t = rows_of.table();
+            let hits = rows_of.matching(upd.where_.as_ref())?;
+            let mut set_idx = Vec::with_capacity(upd.set.len());
+            for (c, e) in &upd.set {
+                let i = t
+                    .schema()
+                    .column_index(c)
+                    .ok_or_else(|| format!("no column '{c}' in '{}'", upd.table))?;
+                set_idx.push((i, e));
+            }
+            let mut rows = Vec::with_capacity(hits.len());
+            for ri in hits {
+                let mut new = t.rows()[ri].clone();
+                for (i, e) in &set_idx {
+                    new[*i] = rows_of.eval(e, ri)?;
+                }
+                rows.push((ri, new));
+            }
+            Ok(Change::Replace(rows))
+        }
+        Dml::Delete(del) => {
+            let rows_of = TableEval::new(cx, &del.table, &del.alias)?;
+            rows_of.matching(del.where_.as_ref()).map(Change::Delete)
+        }
     }
-    q.where_ = pred;
-    let rs: ResultSet = db
-        .execute_select(&q, &all_params)
-        .map_err(|e| e.to_string())?;
-    rs.rows
-        .first()
-        .map(|r| r[0].clone())
-        .ok_or_else(|| "row vanished during DML evaluation".to_string())
 }
 
 /// Render a DML statement as SQL text in the given dialect.

@@ -8,11 +8,13 @@
 //! "backend" that stands in for the paper's Oracle/DB2/SQL Server/Sybase
 //! installations.
 
+use crate::access;
 use crate::error::SourceError;
 use crate::sql::{AggFunc, JoinKind, OrderBy, ScalarExpr, Select, TableRef};
-use crate::store::{Database, Row};
+use crate::store::{Database, Row, Table};
 use crate::types::{SqlValue, Truth};
 use aldsp_xdm::value::{ArithOp, Decimal};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 /// A query result: output column names plus rows.
@@ -32,6 +34,20 @@ struct Layout {
 }
 
 impl Layout {
+    fn of_table(alias: &str, table: &Table) -> Layout {
+        let mut layout = Layout::default();
+        layout.push(
+            alias.to_string(),
+            table
+                .schema()
+                .columns
+                .iter()
+                .map(|c| c.name.clone())
+                .collect(),
+        );
+        layout
+    }
+
     fn push(&mut self, alias: String, columns: Vec<String>) {
         let offset = self.width;
         self.width += columns.len();
@@ -82,6 +98,32 @@ struct Scope<'a> {
     parent: Option<&'a Scope<'a>>,
 }
 
+/// What one statement executes against: the database, its positional
+/// parameters, and the count of rows a WHERE predicate was evaluated on.
+pub(crate) struct Exec<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) params: &'a [SqlValue],
+    examined: Cell<u64>,
+}
+
+impl<'a> Exec<'a> {
+    pub(crate) fn new(db: &'a Database, params: &'a [SqlValue]) -> Exec<'a> {
+        Exec {
+            db,
+            params,
+            examined: Cell::new(0),
+        }
+    }
+
+    pub(crate) fn examined(&self) -> u64 {
+        self.examined.get()
+    }
+
+    fn examine(&self) {
+        self.examined.set(self.examined.get() + 1);
+    }
+}
+
 impl Database {
     /// Execute a `SELECT` with positional parameters.
     ///
@@ -92,28 +134,92 @@ impl Database {
         q: &Select,
         params: &[SqlValue],
     ) -> Result<ResultSet, SourceError> {
-        exec_select(self, q, params, None).map_err(SourceError::Sql)
+        self.select_examining(q, params).0
+    }
+
+    /// [`Database::execute_select`], also reporting how many rows the
+    /// statement evaluated a WHERE predicate on.
+    pub(crate) fn select_examining(
+        &self,
+        q: &Select,
+        params: &[SqlValue],
+    ) -> (Result<ResultSet, SourceError>, u64) {
+        let cx = Exec::new(self, params);
+        let rs = exec_select(&cx, q, None).map_err(SourceError::Sql);
+        (rs, cx.examined())
     }
 }
 
-fn exec_select(
-    db: &Database,
-    q: &Select,
-    params: &[SqlValue],
-    outer: Option<&Scope<'_>>,
-) -> Result<ResultSet, String> {
-    let (layout, from_rows) = eval_from(db, &q.from, params, outer)?;
+/// One table as an UPDATE or DELETE sees it: its rows under the
+/// statement's correlation alias.
+pub(crate) struct TableEval<'a> {
+    cx: &'a Exec<'a>,
+    table: &'a Table,
+    alias: &'a str,
+    layout: Layout,
+}
+
+impl<'a> TableEval<'a> {
+    pub(crate) fn new(
+        cx: &'a Exec<'a>,
+        table: &str,
+        alias: &'a str,
+    ) -> Result<TableEval<'a>, String> {
+        let table = cx
+            .db
+            .table(table)
+            .ok_or_else(|| format!("no table '{table}'"))?;
+        Ok(TableEval {
+            cx,
+            table,
+            alias,
+            layout: Layout::of_table(alias, table),
+        })
+    }
+
+    pub(crate) fn table(&self) -> &'a Table {
+        self.table
+    }
+
+    /// Indices, in storage order, of the rows `where_` selects. As the
+    /// DML executor always has, only a predicate that evaluates to TRUE
+    /// selects; any other value, boolean or not, does not.
+    pub(crate) fn matching(&self, where_: Option<&ScalarExpr>) -> Result<Vec<usize>, String> {
+        let all = 0..self.table.len();
+        let Some(w) = where_ else {
+            return Ok(all.collect());
+        };
+        let picked = access::candidates(self.table, self.alias, w, self.cx.params);
+        let mut hits = Vec::new();
+        for i in picked.unwrap_or_else(|| all.collect()) {
+            self.cx.examine();
+            if self.eval(w, i)? == SqlValue::Bool(true) {
+                hits.push(i);
+            }
+        }
+        Ok(hits)
+    }
+
+    /// Evaluate `e` against stored row `i`.
+    pub(crate) fn eval(&self, e: &ScalarExpr, i: usize) -> Result<SqlValue, String> {
+        let row = Ctx::Row(&self.table.rows()[i]);
+        eval(self.cx, e, &self.layout, &row, None)
+    }
+}
+
+fn exec_select(cx: &Exec<'_>, q: &Select, outer: Option<&Scope<'_>>) -> Result<ResultSet, String> {
+    let (layout, from_rows) = eval_from(cx, &q.from, q.where_.as_ref(), outer)?;
     let columns: Vec<String> = q.columns.iter().map(|c| c.alias.clone()).collect();
     // Each output row is paired with its sort keys.
     let mut out: Vec<(Row, Vec<SqlValue>)> = Vec::new();
-    let project = |db: &Database, ctx: &Ctx<'_>| -> Result<(Row, Vec<SqlValue>), String> {
+    let project = |ctx: &Ctx<'_>| -> Result<(Row, Vec<SqlValue>), String> {
         let mut r = Vec::with_capacity(q.columns.len());
         for c in &q.columns {
-            r.push(eval(db, &c.expr, &layout, ctx, params, outer)?);
+            r.push(eval(cx, &c.expr, &layout, ctx, outer)?);
         }
         let mut keys = Vec::with_capacity(q.order_by.len());
         for OrderBy { expr, .. } in &q.order_by {
-            keys.push(eval(db, expr, &layout, ctx, params, outer)?);
+            keys.push(eval(cx, expr, &layout, ctx, outer)?);
         }
         Ok((r, keys))
     };
@@ -122,7 +228,8 @@ fn exec_select(
         if let Some(w) = &q.where_ {
             let mut kept = Vec::with_capacity(rows.len());
             for row in rows {
-                if truth_of(db, w, &layout, &Ctx::Row(&row), params, outer)?.is_true() {
+                cx.examine();
+                if truth_of(cx, w, &layout, &Ctx::Row(&row), outer)?.is_true() {
                     kept.push(row);
                 }
             }
@@ -135,7 +242,7 @@ fn exec_select(
         for row in rows {
             let mut key = Vec::with_capacity(q.group_by.len());
             for g in &q.group_by {
-                key.push(eval(db, g, &layout, &Ctx::Row(&row), params, outer)?);
+                key.push(eval(cx, g, &layout, &Ctx::Row(&row), outer)?);
             }
             let hash_key: String = key.iter().map(|v| v.sql_literal() + "\u{1}").collect();
             match group_index.get(&hash_key) {
@@ -156,24 +263,25 @@ fn exec_select(
             let repr: &[SqlValue] = grows.first().map(|r| r.as_slice()).unwrap_or(&empty);
             let ctx = Ctx::Group { rows: grows, repr };
             if let Some(h) = &q.having {
-                if !truth_of(db, h, &layout, &ctx, params, outer)?.is_true() {
+                if !truth_of(cx, h, &layout, &ctx, outer)?.is_true() {
                     continue;
                 }
             }
-            out.push(project(db, &ctx)?);
+            out.push(project(&ctx)?);
         }
     } else {
         // the non-aggregate scan filters and projects straight off the
         // borrowed storage rows: no clone of the table, no kept-rows
         // intermediate — per-query allocation is exactly the projected
         // output
-        for row in from_rows.as_slice() {
+        for row in from_rows.iter() {
             if let Some(w) = &q.where_ {
-                if !truth_of(db, w, &layout, &Ctx::Row(row), params, outer)?.is_true() {
+                cx.examine();
+                if !truth_of(cx, w, &layout, &Ctx::Row(row), outer)?.is_true() {
                     continue;
                 }
             }
-            out.push(project(db, &Ctx::Row(row))?);
+            out.push(project(&Ctx::Row(row))?);
         }
     }
     if q.distinct {
@@ -209,52 +317,58 @@ fn exec_select(
 }
 
 /// Rows produced by a `FROM` clause: a base-table scan borrows the
-/// stored rows (no per-query copy of the table), while derived tables
-/// and joins own what they computed.
+/// stored rows (no per-query copy of the table), an index probe borrows
+/// just its candidates, while derived tables and joins own what they
+/// computed.
 enum FromRows<'a> {
     Borrowed(&'a [Row]),
+    Picked(Vec<&'a Row>),
     Owned(Vec<Row>),
 }
 
 impl FromRows<'_> {
-    fn as_slice(&self) -> &[Row] {
-        match self {
-            FromRows::Borrowed(r) => r,
-            FromRows::Owned(r) => r,
-        }
+    fn iter(&self) -> impl Iterator<Item = &Row> {
+        let (all, picked): (&[Row], &[&Row]) = match self {
+            FromRows::Borrowed(r) => (r, &[]),
+            FromRows::Picked(p) => (&[], p),
+            FromRows::Owned(r) => (r, &[]),
+        };
+        all.iter().chain(picked.iter().copied())
     }
 
     fn into_owned(self) -> Vec<Row> {
         match self {
             FromRows::Borrowed(r) => r.to_vec(),
+            FromRows::Picked(p) => p.into_iter().cloned().collect(),
             FromRows::Owned(r) => r,
         }
     }
 }
 
+/// Evaluate a FROM clause. `where_` is the predicate the caller goes on
+/// to evaluate on every returned row: a base table may then return only
+/// the candidates an index probe leaves ([`access::candidates`]).
 fn eval_from<'a>(
-    db: &'a Database,
+    cx: &Exec<'a>,
     t: &TableRef,
-    params: &[SqlValue],
+    where_: Option<&ScalarExpr>,
     outer: Option<&Scope<'_>>,
 ) -> Result<(Layout, FromRows<'a>), String> {
     match t {
         TableRef::Table { name, alias } => {
-            let table = db.table(name).ok_or_else(|| format!("no table '{name}'"))?;
-            let mut layout = Layout::default();
-            layout.push(
-                alias.clone(),
-                table
-                    .schema()
-                    .columns
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect(),
-            );
-            Ok((layout, FromRows::Borrowed(table.rows())))
+            let table = cx
+                .db
+                .table(name)
+                .ok_or_else(|| format!("no table '{name}'"))?;
+            let rows = table.rows();
+            let from = match where_.and_then(|w| access::candidates(table, alias, w, cx.params)) {
+                Some(picked) => FromRows::Picked(picked.into_iter().map(|i| &rows[i]).collect()),
+                None => FromRows::Borrowed(rows),
+            };
+            Ok((Layout::of_table(alias, table), from))
         }
         TableRef::Derived { query, alias } => {
-            let rs = exec_select(db, query, params, outer)?;
+            let rs = exec_select(cx, query, outer)?;
             let mut layout = Layout::default();
             layout.push(alias.clone(), rs.columns);
             Ok((layout, FromRows::Owned(rs.rows)))
@@ -265,26 +379,25 @@ fn eval_from<'a>(
             kind,
             on,
         } => {
-            let (ll, lrows) = eval_from(db, left, params, outer)?;
-            let (rl, rrows) = eval_from(db, right, params, outer)?;
+            let (ll, lrows) = eval_from(cx, left, None, outer)?;
+            let (rl, rrows) = eval_from(cx, right, None, outer)?;
             let lwidth = ll.width;
             let rwidth = rl.width;
             let layout = ll.merge(rl);
             // split the ON condition into hashable equi-conjuncts
             // (left-col = right-col) and a residual predicate
             let (equi, residual) = split_equi_conjuncts(on, &layout, lwidth);
-            let (lrows, rrows) = (lrows.as_slice(), rrows.as_slice());
+            let rrows: Vec<&Row> = rrows.iter().collect();
             let mut out = Vec::new();
             if equi.is_empty() {
                 // general nested loop
-                for l in lrows {
+                for l in lrows.iter() {
                     let mut matched = false;
-                    for r in rrows {
+                    for r in &rrows {
                         let mut combined = Vec::with_capacity(l.len() + r.len());
                         combined.extend(l.iter().cloned());
                         combined.extend(r.iter().cloned());
-                        if truth_of(db, on, &layout, &Ctx::Row(&combined), params, outer)?.is_true()
-                        {
+                        if truth_of(cx, on, &layout, &Ctx::Row(&combined), outer)?.is_true() {
                             matched = true;
                             out.push(combined);
                         }
@@ -315,7 +428,7 @@ fn eval_from<'a>(
                         index.entry(key).or_default().push(ri);
                     }
                 }
-                for l in lrows {
+                for l in lrows.iter() {
                     let mut matched = false;
                     let mut key = String::new();
                     let mut null_key = false;
@@ -330,13 +443,13 @@ fn eval_from<'a>(
                     }
                     if !null_key {
                         for &ri in index.get(&key).map(|v| v.as_slice()).unwrap_or(&[]) {
-                            let r = &rrows[ri];
+                            let r = rrows[ri];
                             let mut combined = Vec::with_capacity(l.len() + r.len());
                             combined.extend(l.iter().cloned());
                             combined.extend(r.iter().cloned());
                             let keep = match &residual {
                                 Some(res) => {
-                                    truth_of(db, res, &layout, &Ctx::Row(&combined), params, outer)?
+                                    truth_of(cx, res, &layout, &Ctx::Row(&combined), outer)?
                                         .is_true()
                                 }
                                 None => true,
@@ -371,7 +484,7 @@ fn split_equi_conjuncts(
     lwidth: usize,
 ) -> (Vec<(usize, usize)>, Option<ScalarExpr>) {
     let mut conjuncts = Vec::new();
-    flatten_and(on, &mut conjuncts);
+    access::flatten(on, false, &mut conjuncts);
     let mut equi = Vec::new();
     let mut residual: Vec<ScalarExpr> = Vec::new();
     for c in conjuncts {
@@ -416,25 +529,14 @@ fn split_equi_conjuncts(
     (equi, residual)
 }
 
-fn flatten_and<'a>(e: &'a ScalarExpr, out: &mut Vec<&'a ScalarExpr>) {
-    match e {
-        ScalarExpr::And(a, b) => {
-            flatten_and(a, out);
-            flatten_and(b, out);
-        }
-        _ => out.push(e),
-    }
-}
-
 fn truth_of(
-    db: &Database,
+    cx: &Exec<'_>,
     e: &ScalarExpr,
     layout: &Layout,
     ctx: &Ctx<'_>,
-    params: &[SqlValue],
     outer: Option<&Scope<'_>>,
 ) -> Result<Truth, String> {
-    Ok(match eval(db, e, layout, ctx, params, outer)? {
+    Ok(match eval(cx, e, layout, ctx, outer)? {
         SqlValue::Bool(b) => Truth::of(b),
         SqlValue::Null => Truth::Unknown,
         other => return Err(format!("predicate evaluated to non-boolean {other}")),
@@ -442,11 +544,10 @@ fn truth_of(
 }
 
 fn eval(
-    db: &Database,
+    cx: &Exec<'_>,
     e: &ScalarExpr,
     layout: &Layout,
     ctx: &Ctx<'_>,
-    params: &[SqlValue],
     outer: Option<&Scope<'_>>,
 ) -> Result<SqlValue, String> {
     Ok(match e {
@@ -470,54 +571,55 @@ fn eval(
             }
         }
         ScalarExpr::Literal(v) => v.clone(),
-        ScalarExpr::Param(i) => params
+        ScalarExpr::Param(i) => cx
+            .params
             .get(*i)
             .cloned()
             .ok_or_else(|| format!("missing parameter ?{i}"))?,
         ScalarExpr::Compare { op, lhs, rhs } => {
-            let a = eval(db, lhs, layout, ctx, params, outer)?;
-            let b = eval(db, rhs, layout, ctx, params, outer)?;
+            let a = eval(cx, lhs, layout, ctx, outer)?;
+            let b = eval(cx, rhs, layout, ctx, outer)?;
             match a.compare(&b) {
                 Some(ord) => SqlValue::Bool(op.test(ord)),
                 None => SqlValue::Null,
             }
         }
         ScalarExpr::And(a, b) => {
-            let ta = truth_of(db, a, layout, ctx, params, outer)?;
+            let ta = truth_of(cx, a, layout, ctx, outer)?;
             // short-circuit FALSE without evaluating the right side
             if ta == Truth::False {
                 SqlValue::Bool(false)
             } else {
-                truth_to_value(ta.and(truth_of(db, b, layout, ctx, params, outer)?))
+                truth_to_value(ta.and(truth_of(cx, b, layout, ctx, outer)?))
             }
         }
         ScalarExpr::Or(a, b) => {
-            let ta = truth_of(db, a, layout, ctx, params, outer)?;
+            let ta = truth_of(cx, a, layout, ctx, outer)?;
             if ta == Truth::True {
                 SqlValue::Bool(true)
             } else {
-                truth_to_value(ta.or(truth_of(db, b, layout, ctx, params, outer)?))
+                truth_to_value(ta.or(truth_of(cx, b, layout, ctx, outer)?))
             }
         }
-        ScalarExpr::Not(a) => truth_to_value(truth_of(db, a, layout, ctx, params, outer)?.not()),
-        ScalarExpr::IsNull(a) => SqlValue::Bool(eval(db, a, layout, ctx, params, outer)?.is_null()),
+        ScalarExpr::Not(a) => truth_to_value(truth_of(cx, a, layout, ctx, outer)?.not()),
+        ScalarExpr::IsNull(a) => SqlValue::Bool(eval(cx, a, layout, ctx, outer)?.is_null()),
         ScalarExpr::Arith { op, lhs, rhs } => {
-            let a = eval(db, lhs, layout, ctx, params, outer)?;
-            let b = eval(db, rhs, layout, ctx, params, outer)?;
+            let a = eval(cx, lhs, layout, ctx, outer)?;
+            let b = eval(cx, rhs, layout, ctx, outer)?;
             sql_arith(*op, &a, &b)?
         }
         ScalarExpr::Case { when, els } => {
             let mut result = None;
             for (cond, val) in when {
-                if truth_of(db, cond, layout, ctx, params, outer)?.is_true() {
-                    result = Some(eval(db, val, layout, ctx, params, outer)?);
+                if truth_of(cx, cond, layout, ctx, outer)?.is_true() {
+                    result = Some(eval(cx, val, layout, ctx, outer)?);
                     break;
                 }
             }
             match result {
                 Some(v) => v,
                 None => match els {
-                    Some(e) => eval(db, e, layout, ctx, params, outer)?,
+                    Some(e) => eval(cx, e, layout, ctx, outer)?,
                     None => SqlValue::Null,
                 },
             }
@@ -528,17 +630,17 @@ fn eval(
                 row: ctx.repr(),
                 parent: outer,
             };
-            let rs = exec_select(db, sub, params, Some(&scope))?;
+            let rs = exec_select(cx, sub, Some(&scope))?;
             SqlValue::Bool(!rs.rows.is_empty())
         }
         ScalarExpr::InList { expr, list } => {
-            let v = eval(db, expr, layout, ctx, params, outer)?;
+            let v = eval(cx, expr, layout, ctx, outer)?;
             if v.is_null() {
                 return Ok(SqlValue::Null);
             }
             let mut saw_unknown = false;
             for item in list {
-                let w = eval(db, item, layout, ctx, params, outer)?;
+                let w = eval(cx, item, layout, ctx, outer)?;
                 match v.compare(&w) {
                     Some(std::cmp::Ordering::Equal) => return Ok(SqlValue::Bool(true)),
                     Some(_) => {}
@@ -554,7 +656,7 @@ fn eval(
         ScalarExpr::Func { name, args } => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval(db, a, layout, ctx, params, outer)?);
+                vals.push(eval(cx, a, layout, ctx, outer)?);
             }
             sql_function(name, &vals)?
         }
@@ -574,7 +676,7 @@ fn eval(
                 match arg {
                     None => vals.push(SqlValue::Int(1)), // COUNT(*)
                     Some(a) => {
-                        let v = eval(db, a, layout, &Ctx::Row(row), params, outer)?;
+                        let v = eval(cx, a, layout, &Ctx::Row(row), outer)?;
                         if !v.is_null() {
                             vals.push(v);
                         }
@@ -691,6 +793,29 @@ fn aggregate(func: AggFunc, vals: &[SqlValue]) -> Result<SqlValue, String> {
             acc
         }
     })
+}
+
+/// The reference the access paths are tested against: the row indices a
+/// WHERE selects when it is evaluated on every stored row, or the first
+/// error that raises.
+#[cfg(test)]
+pub(crate) fn scan_filter(
+    db: &Database,
+    table: &str,
+    alias: &str,
+    where_: &ScalarExpr,
+    params: &[SqlValue],
+) -> Result<Vec<usize>, String> {
+    let cx = Exec::new(db, params);
+    let table = db.table(table).expect("table exists");
+    let layout = Layout::of_table(alias, table);
+    let mut hits = Vec::new();
+    for (i, row) in table.rows().iter().enumerate() {
+        if truth_of(&cx, where_, &layout, &Ctx::Row(row), None)?.is_true() {
+            hits.push(i);
+        }
+    }
+    Ok(hits)
 }
 
 #[cfg(test)]

@@ -4,14 +4,16 @@
 //! backends it integrates (§4.3–4.4). The paper's systems were Oracle,
 //! DB2, SQL Server and Sybase; this crate is the from-scratch substitute:
 //! an in-memory relational engine with a catalog ([`catalog`]), typed
-//! storage with key constraints ([`store`]), the SQL AST the pushdown
-//! framework generates ([`sql`]), a SQL92-semantics executor ([`exec`]),
+//! storage with key constraints and equality indexes ([`store`]), the
+//! SQL AST the pushdown framework generates ([`sql`]), a SQL92-semantics
+//! executor ([`exec`]) that probes those indexes where a WHERE allows,
 //! per-vendor SQL text rendering ([`dialect`]), DML with conditioned
 //! updates ([`dml`]), and a latency-simulating server facade with XA
 //! hooks and execution statistics ([`server`]) so the distributed-join
 //! and failover experiments exercise the same trade-offs as the paper's
 //! testbed.
 
+mod access;
 pub mod catalog;
 pub mod dialect;
 pub mod dml;

@@ -20,7 +20,7 @@ use crate::store::Database;
 use crate::types::SqlValue;
 use aldsp_workload::QueryBudget;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -81,13 +81,19 @@ pub struct TableStatistics {
 ///
 /// Counters are **monotonic** for the lifetime of the server: they only
 /// ever increase, so concurrent readers can difference two snapshots to
-/// get an interval's activity without coordinating with writers.
+/// get an interval's activity without coordinating with writers. The
+/// statement log is the exception: it is a window, not a history.
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
-    /// Number of statement executions.
+    /// Number of statement executions — the exact count, however few of
+    /// their texts `statements` still holds.
     pub roundtrips: u64,
     /// Total rows returned.
     pub rows_returned: u64,
+    /// Rows a WHERE predicate was evaluated on, by SELECTs, DML and the
+    /// `prepare` dry-run alike: the source-side work an access path
+    /// saves. An index probe examines its candidates, a scan the table.
+    pub rows_examined: u64,
     /// Total simulated latency charged across all statements, in
     /// nanoseconds. With overlapped (prefetched/parallel) access this
     /// exceeds the wall-clock time the client actually waited.
@@ -95,8 +101,34 @@ pub struct ServerStats {
     /// Highest number of statements simultaneously in their latency
     /// window — >1 proves the middleware overlapped source accesses.
     pub peak_inflight: u64,
-    /// Rendered SQL texts, in execution order.
+    /// Rendered SQL texts in execution order: the most recent
+    /// [`STATEMENT_LOG_CAP`] of them, so a long-lived server's log does
+    /// not grow with its uptime.
     pub statements: Vec<String>,
+}
+
+/// How many statement texts a server retains. Every test, golden and
+/// example that reads the log issues far fewer between the mark it takes
+/// and the read.
+pub const STATEMENT_LOG_CAP: usize = 1024;
+
+/// The server's running statistics: [`ServerStats`] with its
+/// `statements` left empty, and the log kept beside it as a ring so that
+/// dropping the oldest text is O(1).
+#[derive(Default)]
+struct Recorded {
+    stats: ServerStats,
+    log: VecDeque<String>,
+}
+
+impl Recorded {
+    fn statement(&mut self, sql: String) {
+        self.stats.roundtrips += 1;
+        if self.log.len() == STATEMENT_LOG_CAP {
+            self.log.pop_front();
+        }
+        self.log.push_back(sql);
+    }
 }
 
 /// One buffered DML statement with its positional parameters.
@@ -149,7 +181,7 @@ pub struct RelationalServer {
     dialect: Dialect,
     db: RwLock<Database>,
     latency: RwLock<LatencyModel>,
-    stats: Mutex<ServerStats>,
+    stats: Mutex<Recorded>,
     available: AtomicBool,
     inflight: AtomicU64,
     fail_on_prepare: AtomicBool,
@@ -167,7 +199,7 @@ impl RelationalServer {
             dialect,
             db: RwLock::new(db),
             latency: RwLock::new(LatencyModel::none()),
-            stats: Mutex::new(ServerStats::default()),
+            stats: Mutex::new(Recorded::default()),
             available: AtomicBool::new(true),
             inflight: AtomicU64::new(0),
             fail_on_prepare: AtomicBool::new(false),
@@ -232,7 +264,7 @@ impl RelationalServer {
                 return Ok(());
             }
             let (roundtrips, rows) = {
-                let s = self.stats.lock();
+                let s = &self.stats.lock().stats;
                 (s.roundtrips, s.rows_returned)
             };
             let mut due = Vec::new();
@@ -274,7 +306,11 @@ impl RelationalServer {
 
     /// Snapshot the statistics.
     pub fn stats(&self) -> ServerStats {
-        self.stats.lock().clone()
+        let s = self.stats.lock();
+        ServerStats {
+            statements: s.log.iter().cloned().collect(),
+            ..s.stats.clone()
+        }
     }
 
     /// The installed latency model.
@@ -334,6 +370,7 @@ impl RelationalServer {
     fn charge(
         &self,
         rows: usize,
+        examined: u64,
         sql: String,
         budget: Option<&QueryBudget>,
     ) -> Result<(), SourceError> {
@@ -365,11 +402,11 @@ impl RelationalServer {
         // The statement did reach the source, so it is logged and counted
         // even when the waiting query gave up mid-roundtrip.
         let mut s = self.stats.lock();
-        s.roundtrips += 1;
-        s.rows_returned += rows as u64;
-        s.latency_ns += charged.as_nanos() as u64;
-        s.peak_inflight = s.peak_inflight.max(in_window);
-        s.statements.push(sql);
+        s.statement(sql);
+        s.stats.rows_returned += rows as u64;
+        s.stats.rows_examined += examined;
+        s.stats.latency_ns += charged.as_nanos() as u64;
+        s.stats.peak_inflight = s.stats.peak_inflight.max(in_window);
         drop(s);
         if interrupted {
             return Err(SourceError::Cancelled {
@@ -400,8 +437,14 @@ impl RelationalServer {
             return Err(SourceError::unavailable(&self.name));
         }
         self.apply_faults(budget)?;
-        let rs = self.db.read().execute_select(q, params)?;
-        self.charge(rs.rows.len(), render_select(q, self.dialect), budget)?;
+        let (rs, examined) = self.db.read().select_examining(q, params);
+        let rs = rs?;
+        self.charge(
+            rs.rows.len(),
+            examined,
+            render_select(q, self.dialect),
+            budget,
+        )?;
         Ok(rs)
     }
 
@@ -410,12 +453,9 @@ impl RelationalServer {
         if !self.available.load(Ordering::SeqCst) {
             return Err(SourceError::unavailable(&self.name));
         }
-        let n = self
-            .db
-            .write()
-            .execute_dml(stmt, params)
-            .map_err(SourceError::Sql)?;
-        self.charge(n, render_dml(stmt, self.dialect), None)?;
+        let (n, examined) = self.db.write().dml_examining(stmt, params);
+        let n = n.map_err(SourceError::Sql)?;
+        self.charge(n, examined, render_dml(stmt, self.dialect), None)?;
         Ok(n)
     }
 
@@ -433,12 +473,14 @@ impl RelationalServer {
                 self.name
             )));
         }
-        // dry run on a snapshot so prepare guarantees commit will succeed
+        // dry run on a snapshot so prepare guarantees commit will succeed;
+        // the snapshot shares every table with the live database until
+        // the dry run writes to it
         let mut snapshot = self.db.read().clone();
         for (stmt, params) in &stmts {
-            snapshot
-                .execute_dml(stmt, params)
-                .map_err(SourceError::Sql)?;
+            let (n, examined) = snapshot.dml_examining(stmt, params);
+            self.stats.lock().stats.rows_examined += examined;
+            n.map_err(SourceError::Sql)?;
         }
         let tx = self.next_tx.fetch_add(1, Ordering::SeqCst);
         self.pending.lock().insert(tx, stmts);
@@ -453,8 +495,11 @@ impl RelationalServer {
         let mut total = 0;
         let mut db = self.db.write();
         for (stmt, params) in &stmts {
-            total += db.execute_dml(stmt, params).map_err(SourceError::Sql)?;
-            record_commit_statement(self, stmt);
+            let (n, examined) = db.dml_examining(stmt, params);
+            total += n.map_err(SourceError::Sql)?;
+            let mut s = self.stats.lock();
+            s.statement(render_dml(stmt, self.dialect));
+            s.stats.rows_examined += examined;
         }
         Ok(total)
     }
@@ -463,12 +508,6 @@ impl RelationalServer {
     pub fn rollback(&self, tx: u64) {
         self.pending.lock().remove(&tx);
     }
-}
-
-fn record_commit_statement(server: &RelationalServer, stmt: &Dml) {
-    let mut s = server.stats.lock();
-    s.roundtrips += 1;
-    s.statements.push(render_dml(stmt, server.dialect));
 }
 
 #[cfg(test)]
@@ -691,5 +730,106 @@ mod tests {
         s.rollback(tx);
         assert!(s.commit(tx).is_err());
         assert_eq!(s.with_db(|d| d.table("CUSTOMER").unwrap().len()), 1);
+    }
+
+    /// `n` customers with one order each; `ORDER.CID` is not a key.
+    fn server_with(n: i64) -> RelationalServer {
+        let s = server();
+        s.with_db_mut(|db| {
+            db.create_table(
+                TableSchema::builder("ORDER")
+                    .col("OID", SqlType::Integer)
+                    .col("CID", SqlType::Varchar)
+                    .pk(&["OID"])
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+            for i in 0..n {
+                let cid = SqlValue::str(&format!("N{i}"));
+                db.insert("CUSTOMER", vec![cid.clone(), SqlValue::str("Jones")])
+                    .unwrap();
+                db.insert("ORDER", vec![SqlValue::Int(i), cid]).unwrap();
+            }
+        });
+        s
+    }
+
+    #[test]
+    fn point_select_by_primary_key_examines_one_row() {
+        let s = server_with(10_000);
+        let mut q = select_all();
+        q.where_ = Some(ScalarExpr::col("t1", "CID").eq(ScalarExpr::Param(0)));
+        let rs = s.execute_select(&q, &[SqlValue::str("N4711")]).unwrap();
+        assert_eq!(rs.rows.len(), 1);
+        assert_eq!(s.stats().rows_examined, 1);
+        // without a predicate nothing is examined, however much is read
+        s.execute_select(&select_all(), &[]).unwrap();
+        assert_eq!(s.stats().rows_examined, 1);
+    }
+
+    #[test]
+    fn ppk_block_examines_exactly_its_matches() {
+        let s = server_with(10_000);
+        let mut q =
+            Select::new(TableRef::table("ORDER", "t1")).column(ScalarExpr::col("t1", "OID"), "c1");
+        q.where_ = Some(crate::sql::ppk_block_predicate(
+            &[ScalarExpr::col("t1", "CID")],
+            20,
+            0,
+        ));
+        // 18 distinct customers with an order, one of them twice, and
+        // one key nobody holds
+        let mut keys: Vec<SqlValue> = (0..18)
+            .map(|i| SqlValue::str(&format!("N{}", i * 500)))
+            .collect();
+        keys.push(keys[0].clone());
+        keys.push(SqlValue::str("nobody"));
+        let rs = s.execute_select(&q, &keys).unwrap();
+        assert_eq!(rs.rows.len(), 18);
+        assert_eq!(s.stats().rows_examined, 18);
+    }
+
+    #[test]
+    fn two_phase_conditioned_update_examines_two_rows() {
+        let s = server_with(10_000);
+        let upd = Dml::Update(Update {
+            table: "CUSTOMER".into(),
+            alias: "t1".into(),
+            set: vec![("LAST_NAME".into(), ScalarExpr::lit(SqlValue::str("Smith")))],
+            where_: Some(
+                ScalarExpr::col("t1", "CID")
+                    .eq(ScalarExpr::Param(0))
+                    .and(ScalarExpr::col("t1", "LAST_NAME").eq(ScalarExpr::Param(1))),
+            ),
+        });
+        let params = vec![SqlValue::str("N4711"), SqlValue::str("Jones")];
+        let tx = s.prepare(vec![(upd.clone(), params.clone())]).unwrap();
+        assert_eq!(s.stats().rows_examined, 1, "the dry run");
+        assert_eq!(s.commit(tx).unwrap(), 1);
+        assert_eq!(s.stats().rows_examined, 2, "and the commit");
+        // the optimistic condition no longer holds: still one row each
+        let tx = s.prepare(vec![(upd, params)]).unwrap();
+        assert_eq!(s.commit(tx).unwrap(), 0);
+        assert_eq!(s.stats().rows_examined, 4);
+    }
+
+    #[test]
+    fn statement_log_keeps_the_most_recent_texts() {
+        let s = server();
+        let numbered = |i: usize| {
+            Select::new(TableRef::table("CUSTOMER", "t1"))
+                .column(ScalarExpr::lit(SqlValue::Int(i as i64)), "c1")
+        };
+        let total = STATEMENT_LOG_CAP + 10;
+        for i in 0..total {
+            s.execute_select(&numbered(i), &[]).unwrap();
+        }
+        let st = s.stats();
+        assert_eq!(st.roundtrips, total as u64, "the count stays exact");
+        assert_eq!(st.statements.len(), STATEMENT_LOG_CAP);
+        assert!(st.statements[0].starts_with("SELECT 10 AS c1"));
+        assert!(st.statements[STATEMENT_LOG_CAP - 1]
+            .starts_with(&format!("SELECT {} AS c1", total - 1)));
     }
 }

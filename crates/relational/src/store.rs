@@ -2,39 +2,77 @@
 //!
 //! Tables enforce their schema on insert (arity, types, NOT NULL, primary
 //! key uniqueness); the [`Database`] additionally checks foreign keys.
-//! A primary-key hash index backs both constraint checking and the
-//! runtime's index-nested-loop joins.
+//! A primary-key hash index backs constraint checking, and together with
+//! per-column equality indexes built on first use it is the access path
+//! for the executor's equality probes ([`crate::access`]).
 
 use crate::catalog::{Catalog, TableSchema};
 use crate::types::SqlValue;
+use aldsp_xdm::value::{Date, DateTime, Decimal};
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// One stored row.
 pub type Row = Vec<SqlValue>;
 
-/// Hashable rendering of a key tuple (PKs never contain NULLs, and the
-/// literal rendering is injective per type).
-fn key_string(vals: &[SqlValue]) -> String {
-    let mut s = String::new();
-    for v in vals {
-        s.push_str(&v.sql_literal());
-        s.push('\u{1}');
-    }
-    s
+/// One component of an index key: a stored value in the form under which
+/// two values hash alike exactly when [`SqlValue::compare`] calls them
+/// equal. `Int` and `Dec` share the exact decimal, so an `Int` stored in
+/// a DECIMAL column meets a `Dec` probe; it is held as the two halves of
+/// its `i128`, whose 16-byte alignment would otherwise grow every key of
+/// every index by a third. Doubles are keyed by their bits, which serves
+/// primary-key uniqueness only: float equality is not bit-identity, so
+/// equality probes never use a double key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum KeyPart {
+    Null,
+    Str(Arc<str>),
+    Num(u64, u64),
+    Dbl(u64),
+    Date(Date),
+    Timestamp(DateTime),
+    Bool(bool),
 }
 
-/// A table: schema plus rows plus a primary-key index.
+impl KeyPart {
+    pub(crate) fn of(v: &SqlValue) -> KeyPart {
+        let num = |d: Decimal| KeyPart::Num((d.0 >> 64) as u64, d.0 as u64);
+        match v {
+            SqlValue::Null => KeyPart::Null,
+            SqlValue::Str(s) => KeyPart::Str(s.clone()),
+            SqlValue::Int(i) => num(Decimal::from_int(*i)),
+            SqlValue::Dec(d) => num(*d),
+            SqlValue::Dbl(d) => KeyPart::Dbl(d.to_bits()),
+            SqlValue::Date(d) => KeyPart::Date(*d),
+            SqlValue::Timestamp(t) => KeyPart::Timestamp(*t),
+            SqlValue::Bool(b) => KeyPart::Bool(*b),
+        }
+    }
+}
+
+/// Equality index over one column: key → indices of the rows holding it,
+/// ascending. NULLs are not indexed (`col = x` is never TRUE on them).
+type ColumnIndex = HashMap<KeyPart, Vec<usize>>;
+
+/// A table: schema plus rows plus its indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
+    pk_cols: Vec<usize>,
     rows: Vec<Row>,
-    pk_index: HashMap<String, usize>,
+    pk_index: HashMap<Box<[KeyPart]>, usize>,
+    /// One slot per column, filled by the first probe of that column —
+    /// which runs under the server's read lock, hence the `OnceLock` —
+    /// and kept current by every mutation after that.
+    eq_indexes: Vec<OnceLock<ColumnIndex>>,
 }
 
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: TableSchema) -> Table {
         Table {
+            pk_cols: schema.pk_indices(),
+            eq_indexes: vec![OnceLock::new(); schema.columns.len()],
             schema,
             rows: Vec::new(),
             pk_index: HashMap::new(),
@@ -87,18 +125,17 @@ impl Table {
         Ok(())
     }
 
-    fn pk_key(&self, row: &Row) -> Option<String> {
-        let idx = self.schema.pk_indices();
-        if idx.is_empty() {
+    fn pk_key(&self, row: &Row) -> Option<Box<[KeyPart]>> {
+        if self.pk_cols.is_empty() {
             return None;
         }
-        let vals: Vec<SqlValue> = idx.iter().map(|&i| row[i].clone()).collect();
-        Some(key_string(&vals))
+        Some(self.pk_cols.iter().map(|&i| KeyPart::of(&row[i])).collect())
     }
 
     /// Insert a row, enforcing schema and PK uniqueness.
     pub fn insert(&mut self, row: Row) -> Result<(), String> {
         self.check_row(&row)?;
+        let at = self.rows.len();
         if let Some(key) = self.pk_key(&row) {
             if self.pk_index.contains_key(&key) {
                 return Err(format!(
@@ -106,7 +143,13 @@ impl Table {
                     self.schema.name
                 ));
             }
-            self.pk_index.insert(key, self.rows.len());
+            self.pk_index.insert(key, at);
+        }
+        for (ix, v) in self.eq_indexes.iter_mut().zip(&row) {
+            match ix.get_mut() {
+                Some(ix) if !v.is_null() => ix.entry(KeyPart::of(v)).or_default().push(at),
+                _ => {}
+            }
         }
         self.rows.push(row);
         Ok(())
@@ -114,11 +157,49 @@ impl Table {
 
     /// Look up a row index by primary-key values.
     pub fn lookup_pk(&self, key_vals: &[SqlValue]) -> Option<usize> {
-        self.pk_index.get(&key_string(key_vals)).copied()
+        let key: Vec<KeyPart> = key_vals.iter().map(KeyPart::of).collect();
+        self.pk_index.get(key.as_slice()).copied()
+    }
+
+    /// Indices, ascending, of the rows whose column `col` equals one of
+    /// `keys`. Answered from the primary-key index when `col` is the
+    /// whole key, otherwise from the column's equality index, which the
+    /// first call builds.
+    pub(crate) fn probe(&self, col: usize, keys: &[KeyPart]) -> Vec<usize> {
+        let mut hits = Vec::new();
+        if self.pk_cols == [col] {
+            hits.extend(
+                keys.iter()
+                    .filter_map(|k| self.pk_index.get(std::slice::from_ref(k))),
+            );
+        } else {
+            let index = self.eq_indexes[col].get_or_init(|| {
+                let mut index = ColumnIndex::new();
+                for (i, row) in self.rows.iter().enumerate() {
+                    if !row[col].is_null() {
+                        index.entry(KeyPart::of(&row[col])).or_default().push(i);
+                    }
+                }
+                index
+            });
+            for k in keys {
+                hits.extend(index.get(k).into_iter().flatten());
+            }
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        hits
+    }
+
+    /// The columns whose equality index has been built.
+    #[cfg(test)]
+    pub(crate) fn indexed_columns(&self) -> Vec<usize> {
+        let built = |col: &usize| self.eq_indexes[*col].get().is_some();
+        (0..self.eq_indexes.len()).filter(built).collect()
     }
 
     /// In-place update of row `i` (used by the DML executor). The caller
-    /// must re-validate; PK changes rebuild the index entry.
+    /// must re-validate; key changes move the row's index entries.
     pub(crate) fn replace_row(&mut self, i: usize, new: Row) -> Result<(), String> {
         self.check_row(&new)?;
         let old_key = self.pk_key(&self.rows[i]);
@@ -139,44 +220,61 @@ impl Table {
                 self.pk_index.insert(nk, i);
             }
         }
-        self.rows[i] = new;
+        let old = std::mem::replace(&mut self.rows[i], new);
+        for ((ix, was), now) in self.eq_indexes.iter_mut().zip(&old).zip(&self.rows[i]) {
+            let Some(ix) = ix.get_mut() else { continue };
+            if was == now {
+                continue;
+            }
+            if !was.is_null() {
+                let key = KeyPart::of(was);
+                let posting = ix.get_mut(&key).expect("indexed on the way in");
+                posting.retain(|&r| r != i);
+                if posting.is_empty() {
+                    ix.remove(&key);
+                }
+            }
+            if !now.is_null() {
+                let posting = ix.entry(KeyPart::of(now)).or_default();
+                posting.insert(posting.partition_point(|&r| r < i), i);
+            }
+        }
         Ok(())
     }
 
-    /// Delete rows by indices (sorted ascending); rebuilds the PK index.
+    /// Delete rows by indices (sorted ascending). A surviving row moves
+    /// down by the number of deleted rows below it, and so does every
+    /// index entry that points at it.
     pub(crate) fn delete_rows(&mut self, indices: &[usize]) {
-        let mut keep = Vec::with_capacity(self.rows.len() - indices.len());
-        let mut del = indices.iter().peekable();
-        for (i, row) in self.rows.drain(..).enumerate() {
-            if del.peek() == Some(&&i) {
-                del.next();
-            } else {
-                keep.push(row);
+        let mut at = 0;
+        self.rows.retain(|_| {
+            at += 1;
+            indices.binary_search(&(at - 1)).is_err()
+        });
+        let moved = |i: &mut usize| match indices.binary_search(i) {
+            Ok(_) => false,
+            Err(below) => {
+                *i -= below;
+                true
             }
-        }
-        self.rows = keep;
-        self.pk_index.clear();
-        for i in 0..self.rows.len() {
-            if let Some(k) = {
-                let idx = self.schema.pk_indices();
-                if idx.is_empty() {
-                    None
-                } else {
-                    let vals: Vec<SqlValue> =
-                        idx.iter().map(|&j| self.rows[i][j].clone()).collect();
-                    Some(key_string(&vals))
-                }
-            } {
-                self.pk_index.insert(k, i);
-            }
+        };
+        self.pk_index.retain(|_, i| moved(i));
+        for ix in self.eq_indexes.iter_mut().filter_map(OnceLock::get_mut) {
+            ix.retain(|_, posting| {
+                posting.retain_mut(moved);
+                !posting.is_empty()
+            });
         }
     }
 }
 
-/// An in-memory database: a catalog plus table storage.
+/// An in-memory database: a catalog plus table storage. Tables are
+/// shared copy-on-write, so a clone costs O(tables) and a write to the
+/// clone copies only the table it touches — what makes the server's
+/// prepare-time snapshot cheap.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: HashMap<String, Table>,
+    tables: HashMap<String, Arc<Table>>,
     order: Vec<String>,
 }
 
@@ -192,18 +290,20 @@ impl Database {
             return Err(format!("table '{}' already exists", schema.name));
         }
         self.order.push(schema.name.clone());
-        self.tables.insert(schema.name.clone(), Table::new(schema));
+        self.tables
+            .insert(schema.name.clone(), Arc::new(Table::new(schema)));
         Ok(())
     }
 
     /// Access a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(Arc::as_ref)
     }
 
-    /// Mutable access to a table.
+    /// Mutable access to a table (copying it first if a snapshot still
+    /// shares it).
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
+        self.tables.get_mut(name).map(Arc::make_mut)
     }
 
     /// The catalog view of this database (schemas only).
@@ -220,11 +320,9 @@ impl Database {
     pub fn insert(&mut self, table: &str, row: Row) -> Result<(), String> {
         // FK existence checks against current contents
         let schema = self
-            .tables
-            .get(table)
+            .table(table)
             .ok_or_else(|| format!("no table '{table}'"))?
-            .schema()
-            .clone();
+            .schema();
         for fk in &schema.foreign_keys {
             let vals: Vec<SqlValue> = fk
                 .columns
@@ -234,7 +332,7 @@ impl Database {
             if vals.iter().any(SqlValue::is_null) {
                 continue; // NULL FK values are exempt per SQL
             }
-            let target = self.tables.get(&fk.ref_table).ok_or_else(|| {
+            let target = self.table(&fk.ref_table).ok_or_else(|| {
                 format!("foreign key references missing table '{}'", fk.ref_table)
             })?;
             // only indexable when referencing the PK, which is the
@@ -264,15 +362,18 @@ impl Database {
                 }
             }
         }
-        self.tables
-            .get_mut(table)
-            .expect("checked above")
-            .insert(row)
+        self.table_mut(table).expect("checked above").insert(row)
+    }
+
+    /// Do `self` and `other` still share the storage of table `name`?
+    #[cfg(test)]
+    pub(crate) fn shares_table(&self, other: &Database, name: &str) -> bool {
+        Arc::ptr_eq(&self.tables[name], &other.tables[name])
     }
 
     /// Total rows across all tables (diagnostics).
     pub fn total_rows(&self) -> usize {
-        self.tables.values().map(Table::len).sum()
+        self.tables.values().map(|t| t.len()).sum()
     }
 }
 
@@ -411,5 +512,46 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.lookup_pk(&[SqlValue::str("C1b")]), Some(0));
         assert_eq!(t.lookup_pk(&[SqlValue::str("C4")]), Some(2));
+    }
+
+    #[test]
+    fn snapshot_copies_only_the_table_it_writes() {
+        use crate::dml::{Dml, Update};
+        use crate::sql::ScalarExpr;
+        let mut live = db();
+        for i in 0..3 {
+            let cid = SqlValue::str(&format!("C{i}"));
+            live.insert(
+                "CUSTOMER",
+                vec![cid.clone(), SqlValue::str("X"), SqlValue::Null],
+            )
+            .unwrap();
+            live.insert("ORDER", vec![SqlValue::Int(i), cid]).unwrap();
+        }
+        let rename = |cid: &str| {
+            Dml::Update(Update {
+                table: "CUSTOMER".into(),
+                alias: "t1".into(),
+                set: vec![("LAST_NAME".into(), ScalarExpr::lit(SqlValue::str("Y")))],
+                where_: Some(ScalarExpr::col("t1", "CID").eq(ScalarExpr::lit(SqlValue::str(cid)))),
+            })
+        };
+        let mut snapshot = live.clone();
+        assert_eq!(snapshot.execute_dml(&rename("C9"), &[]), Ok(0));
+        assert!(
+            snapshot.shares_table(&live, "CUSTOMER"),
+            "a statement that hits nothing copies nothing"
+        );
+        assert_eq!(snapshot.execute_dml(&rename("C1"), &[]), Ok(1));
+        assert!(!snapshot.shares_table(&live, "CUSTOMER"));
+        assert!(snapshot.shares_table(&live, "ORDER"));
+        assert_eq!(
+            live.table("CUSTOMER").unwrap().rows()[1][1],
+            SqlValue::str("X")
+        );
+        assert_eq!(
+            snapshot.table("CUSTOMER").unwrap().rows()[1][1],
+            SqlValue::str("Y")
+        );
     }
 }

@@ -17,6 +17,9 @@ cargo test -q
 # benches must at least compile (they are exercised manually /
 # via scripts/bench_json.sh, not run in CI)
 cargo bench --no-run
+# the paired parent/change benchmark procedure takes ~20 minutes, so it
+# is only syntax-checked here (run by hand: scripts/bench_pair.sh <base-ref>)
+bash -n scripts/bench_pair.sh
 # server smoke: a real aldspd process on an ephemeral port must answer
 # one query over the wire and shut down cleanly when stdin closes
 ./scripts/server_smoke.sh
