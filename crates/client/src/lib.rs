@@ -5,10 +5,18 @@
 //! `execute_prepared`, streamed result consumption, typed server
 //! errors. Used by the end-to-end tests, the `wire` differential cell,
 //! the loopback bench, and the `aldsp-client` command-line binary.
+//!
+//! A request is encoded from the caller's borrowed text and options
+//! into one reused buffer and leaves in one `write`; replies are read
+//! through one buffered [`proto::FrameReader`], so a reply that fits
+//! its buffer costs one `read` however many frames it holds.
+//! [`Client::wire_stats`] reports the exact counts.
 
 use aldsp_protocol as proto;
-use aldsp_protocol::{code, ClientMsg, ServerMsg, WireError, WireOptions};
-use std::io::Write;
+use aldsp_protocol::{
+    code, ClientMsg, FrameReader, FrameWriter, ServerMsg, WireCounters, WireError, WireOptions,
+    WireStats,
+};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
 /// Client-side failures.
@@ -18,6 +26,10 @@ pub enum ClientError {
     Io(std::io::Error),
     /// The server sent bytes this client cannot decode.
     Wire(WireError),
+    /// The request cannot be encoded — more roles than
+    /// [`proto::MAX_ROLES`], or a text over [`proto::MAX_FRAME_LEN`].
+    /// Nothing was sent; the connection is as it was.
+    Request(std::io::Error),
     /// A typed [`proto::code`] error frame from the server.
     Server {
         /// One of the [`proto::code`] constants.
@@ -58,6 +70,7 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Io(e) => write!(f, "transport error: {e}"),
             ClientError::Wire(e) => write!(f, "wire error: {e}"),
+            ClientError::Request(e) => write!(f, "request not sent: {e}"),
             ClientError::Server { code: c, message } => {
                 write!(f, "server error [{}]: {message}", code::name(*c))
             }
@@ -121,6 +134,9 @@ impl WireResultSet {
 /// principal for its whole lifetime.
 pub struct Client {
     stream: TcpStream,
+    frames: FrameReader,
+    out: FrameWriter,
+    counters: WireCounters,
     alive: bool,
 }
 
@@ -155,14 +171,13 @@ impl Client {
         stream.set_nodelay(true)?;
         let mut client = Client {
             stream,
+            frames: FrameReader::new(),
+            out: FrameWriter::new(),
+            counters: WireCounters::default(),
             alive: true,
         };
-        client.send(&ClientMsg::Hello {
-            version: proto::PROTOCOL_VERSION,
-            principal: principal.into(),
-            roles: roles.iter().map(|r| (*r).into()).collect(),
-            token: token.into(),
-        })?;
+        client
+            .send(|b| proto::encode_hello(b, proto::PROTOCOL_VERSION, principal, roles, token))?;
         match client.recv()? {
             ServerMsg::HelloAck { .. } => Ok(client),
             ServerMsg::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -173,9 +188,7 @@ impl Client {
     /// Compile `source` server-side and get a cross-session plan
     /// handle.
     pub fn prepare(&mut self, source: &str) -> Result<Prepared, ClientError> {
-        self.send(&ClientMsg::Prepare {
-            source: source.into(),
-        })?;
+        self.send(|b| proto::encode_prepare(b, source))?;
         match self.recv()? {
             ServerMsg::Prepared { handle, shared } => Ok(Prepared { handle, shared }),
             ServerMsg::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -189,10 +202,7 @@ impl Client {
         source: &str,
         options: &WireOptions,
     ) -> Result<WireResultSet, ClientError> {
-        self.send(&ClientMsg::Execute {
-            source: source.into(),
-            options: options.clone(),
-        })?;
+        self.send(|b| proto::encode_execute(b, source, options))?;
         self.drain_result()
     }
 
@@ -202,10 +212,7 @@ impl Client {
         handle: u64,
         options: &WireOptions,
     ) -> Result<WireResultSet, ClientError> {
-        self.send(&ClientMsg::ExecutePrepared {
-            handle,
-            options: options.clone(),
-        })?;
+        self.send(|b| proto::encode_execute_prepared(b, handle, options))?;
         self.drain_result()
     }
 
@@ -220,10 +227,7 @@ impl Client {
         options: &WireOptions,
         mut on_item: impl FnMut(&WireItem) -> bool,
     ) -> Result<u64, ClientError> {
-        self.send(&ClientMsg::Execute {
-            source: source.into(),
-            options: options.clone(),
-        })?;
+        self.send(|b| proto::encode_execute(b, source, options))?;
         loop {
             match self.recv()? {
                 ServerMsg::Item { atomic, text } => {
@@ -245,7 +249,7 @@ impl Client {
     /// Release this session's reference on a plan handle; `Ok(false)`
     /// when the session did not hold it.
     pub fn close_handle(&mut self, handle: u64) -> Result<bool, ClientError> {
-        self.send(&ClientMsg::CloseHandle { handle })?;
+        self.send(|b| ClientMsg::CloseHandle { handle }.encode_into(b))?;
         match self.recv()? {
             ServerMsg::HandleClosed { released } => Ok(released),
             ServerMsg::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -255,7 +259,7 @@ impl Client {
 
     /// Orderly close: Goodbye, wait for Bye.
     pub fn goodbye(mut self) -> Result<(), ClientError> {
-        self.send(&ClientMsg::Goodbye)?;
+        self.send(|b| ClientMsg::Goodbye.encode_into(b))?;
         match self.recv()? {
             ServerMsg::Bye => {
                 self.alive = false;
@@ -279,15 +283,24 @@ impl Client {
         }
     }
 
-    fn send(&mut self, msg: &ClientMsg) -> Result<(), ClientError> {
-        let mut buf = Vec::with_capacity(64);
-        msg.write(&mut buf).expect("vec writes are infallible");
-        self.stream.write_all(&buf)?;
+    /// Exact socket work of this connection so far: calls, frames and
+    /// bytes per direction.
+    pub fn wire_stats(&self) -> WireStats {
+        self.counters.snapshot()
+    }
+
+    /// Encode one request into the send buffer and write it out.
+    fn send(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>,
+    ) -> Result<(), ClientError> {
+        self.out.push(encode).map_err(ClientError::Request)?;
+        self.out.flush(&mut self.stream, &self.counters)?;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<ServerMsg, ClientError> {
-        match ServerMsg::read(&mut self.stream) {
+        match self.frames.read_server(&mut self.stream, &self.counters) {
             Ok(Some(m)) => Ok(m),
             Ok(None) | Err(WireError::Truncated) => {
                 self.alive = false;
@@ -306,9 +319,7 @@ impl Drop for Client {
         if self.alive {
             // best-effort orderly close; the server also cleans up on
             // a plain disconnect
-            let mut buf = Vec::with_capacity(8);
-            let _ = ClientMsg::Goodbye.write(&mut buf);
-            let _ = self.stream.write_all(&buf);
+            let _ = self.send(|b| ClientMsg::Goodbye.encode_into(b));
         }
     }
 }

@@ -45,15 +45,32 @@
 //!                                 <-  Bye + close
 //! ```
 //!
-//! Result items stream one [`ServerMsg::Item`] frame each, carrying the
+//! Result items are one [`ServerMsg::Item`] frame each, carrying the
 //! item's individual serialization plus an `atomic` flag; the client
 //! rejoins them under the XQuery rule (a single space between adjacent
 //! atomics) so the reassembled text is byte-identical to a server-side
 //! [`serialize_sequence`] of the whole result — the property the
 //! differential `wire` cell pins.
 //!
+//! ## Frames are the protocol, syscalls are not
+//!
+//! A sender encodes frames in place at the end of one buffer
+//! (`encode_into`, [`encode_item`], the borrowed `encode_*` requests)
+//! and writes the buffer out whole ([`FrameWriter`]); a receiver reads
+//! through a buffer and decodes frames from slices of it
+//! ([`FrameReader`]). How many frames share a `write` or a `read` is
+//! each side's business — a peer that reads or writes frame by frame
+//! ([`read_frame`], [`ServerMsg::read`]) interoperates unchanged — and
+//! [`WireCounters`] counts both exactly.
+//!
 //! [`serialize_sequence`]: https://www.w3.org/TR/xslt-xquery-serialization/
 
+mod framing;
+
+pub use framing::{
+    read_frame, write_frame, FrameReader, FrameWriter, RawFrame, WireCounters, WireStats,
+    WIRE_BUF_LEN,
+};
 use std::io::{Read, Write};
 
 /// Protocol version spoken by this build. A [`ClientMsg::Hello`]
@@ -361,7 +378,7 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     // the `as u32` cast cannot corrupt framing: any string long enough
     // to truncate (> 4 GiB) also pushes the frame past MAX_FRAME_LEN,
-    // so write_frame refuses to emit it
+    // so `frame` refuses to emit it
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
@@ -471,154 +488,155 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---- framing ----------------------------------------------------------------
+// ---- in-place frame encoding -------------------------------------------------
 
-/// Write one frame: `u32` length, kind byte, payload. The encoded
-/// length is validated against [`MAX_FRAME_LEN`] *at the sender*: a
-/// frame the peer is guaranteed to reject as oversized (or, past
-/// `u32::MAX`, one whose length field would silently truncate and
-/// corrupt the framing) fails here with
-/// [`std::io::ErrorKind::InvalidData`] instead of on the wire.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    let len = payload.len() as u64 + 1;
+/// Append one frame to `buf`: the length word is reserved, `payload`
+/// writes after the kind byte, and the length is patched in once it is
+/// known. A frame over [`MAX_FRAME_LEN`] is taken back out — `buf`
+/// ends where it began — and fails with
+/// [`std::io::ErrorKind::InvalidData`] exactly as [`write_frame`]
+/// does, so nothing of an undeliverable frame can reach the wire.
+fn frame(buf: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+    let at = buf.len();
+    buf.extend_from_slice(&[0, 0, 0, 0, kind]);
+    payload(buf);
+    let len = (buf.len() - at - 4) as u64;
     if len > MAX_FRAME_LEN as u64 {
+        buf.truncate(at);
+        return Err(framing::over_cap(len));
+    }
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// The text of an [`ServerMsg::Item`] frame under construction: the
+/// tail of the frame buffer, so a serializer writes the item where it
+/// will be sent from. Only `str`s and `char`s can be appended, which
+/// keeps the field valid UTF-8.
+pub struct ItemText<'a>(&'a mut Vec<u8>);
+
+impl ItemText<'_> {
+    /// Append one character.
+    pub fn push(&mut self, c: char) {
+        match c.len_utf8() {
+            1 => self.0.push(c as u8),
+            _ => self.push_str(c.encode_utf8(&mut [0; 4])),
+        }
+    }
+
+    /// Append a string slice.
+    pub fn push_str(&mut self, s: &str) {
+        self.0.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// An `Item` payload whose text is written in place, its length
+/// patched in afterwards (see [`put_str`] on the cast).
+fn put_item(buf: &mut Vec<u8>, atomic: bool, text: impl FnOnce(&mut ItemText<'_>)) {
+    buf.push(atomic as u8);
+    let at = buf.len();
+    put_u32(buf, 0);
+    text(&mut ItemText(buf));
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Append an [`ServerMsg::Item`] frame whose text `text` writes
+/// straight into `buf` — no `String`, no payload copy. Fails like
+/// [`ServerMsg::encode_into`].
+pub fn encode_item(
+    buf: &mut Vec<u8>,
+    atomic: bool,
+    text: impl FnOnce(&mut ItemText<'_>),
+) -> std::io::Result<()> {
+    frame(buf, K_ITEM, |b| put_item(b, atomic, text))
+}
+
+/// Append a [`ClientMsg::Hello`] frame from borrowed parts. More than
+/// [`MAX_ROLES`] roles fails with [`std::io::ErrorKind::InvalidInput`]
+/// — the server would reject it as malformed anyway (and past
+/// `u16::MAX` roles the count field would silently truncate and desync
+/// the payload), so misuse fails locally with a clear error instead.
+pub fn encode_hello(
+    buf: &mut Vec<u8>,
+    version: u16,
+    principal: &str,
+    roles: &[impl AsRef<str>],
+    token: &str,
+) -> std::io::Result<()> {
+    if roles.len() > MAX_ROLES {
         return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"),
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "{} roles exceeds the {MAX_ROLES}-role handshake cap",
+                roles.len()
+            ),
         ));
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(payload)
+    frame(buf, K_HELLO, |b| {
+        put_u16(b, version);
+        put_str(b, principal);
+        put_u16(b, roles.len() as u16);
+        for r in roles {
+            put_str(b, r.as_ref());
+        }
+        put_str(b, token);
+    })
 }
 
-/// Read one raw frame from a *blocking* stream. `Ok(None)` is a clean
-/// close (EOF before any header byte); EOF anywhere later is
-/// [`WireError::Truncated`]. The announced length is validated against
-/// [`MAX_FRAME_LEN`] *before* any allocation.
-///
-/// Every call starts from a frame boundary, so an [`WireError::Io`]
-/// failure mid-frame loses the consumed prefix — correct only when
-/// `Io` is fatal to the connection. A socket with a read timeout must
-/// use a [`FrameReader`] instead.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError> {
-    FrameReader::new().read_frame(r)
+/// Append a [`ClientMsg::Prepare`] frame from a borrowed text.
+pub fn encode_prepare(buf: &mut Vec<u8>, source: &str) -> std::io::Result<()> {
+    frame(buf, K_PREPARE, |b| put_str(b, source))
 }
 
-/// Resumable frame reader for polling sockets.
-///
-/// A socket with a read *timeout* (the server polls its shutdown flag
-/// this way) can time out after part of a frame has already been
-/// consumed; restarting [`read_frame`] from scratch would discard
-/// those bytes and desync the stream — later bytes would be misparsed
-/// as a different message or rejected as malformed. `FrameReader`
-/// keeps the partial header/body buffered across [`WireError::Io`]
-/// failures, so the next call resumes exactly where the timeout hit.
-#[derive(Default)]
-pub struct FrameReader {
-    header: [u8; 4],
-    header_filled: usize,
-    /// Allocated once the header is complete and length-validated.
-    body: Option<Vec<u8>>,
-    body_filled: usize,
+/// Append a [`ClientMsg::Execute`] frame from borrowed parts.
+pub fn encode_execute(
+    buf: &mut Vec<u8>,
+    source: &str,
+    options: &WireOptions,
+) -> std::io::Result<()> {
+    frame(buf, K_EXECUTE, |b| {
+        put_str(b, source);
+        put_options(b, options);
+    })
 }
 
-impl FrameReader {
-    /// A reader positioned at a frame boundary.
-    pub fn new() -> FrameReader {
-        FrameReader::default()
-    }
-
-    /// Read one raw frame, resuming any partial read left behind by a
-    /// prior `Io` error. Semantics otherwise match [`read_frame`]:
-    /// `Ok(None)` is a clean close on a frame boundary, EOF inside a
-    /// frame is [`WireError::Truncated`], and the announced length is
-    /// validated against [`MAX_FRAME_LEN`] *before* any allocation.
-    pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, WireError> {
-        while self.body.is_none() {
-            match r.read(&mut self.header[self.header_filled..])? {
-                0 if self.header_filled == 0 => return Ok(None),
-                0 => return Err(WireError::Truncated),
-                n => self.header_filled += n,
-            }
-            if self.header_filled == 4 {
-                let len = u32::from_be_bytes(self.header);
-                if len == 0 {
-                    return Err(WireError::Malformed("zero-length frame"));
-                }
-                if len > MAX_FRAME_LEN {
-                    return Err(WireError::Oversized { len });
-                }
-                self.body = Some(vec![0u8; len as usize]);
-                self.body_filled = 0;
-            }
-        }
-        let body = self.body.as_mut().expect("body allocated above");
-        while self.body_filled < body.len() {
-            match r.read(&mut body[self.body_filled..])? {
-                0 => return Err(WireError::Truncated),
-                n => self.body_filled += n,
-            }
-        }
-        let mut body = self.body.take().expect("body allocated above");
-        self.header_filled = 0;
-        self.body_filled = 0;
-        let kind = body[0];
-        body.remove(0);
-        Ok(Some((kind, body)))
-    }
-
-    /// Read one client message through the resumable reader;
-    /// `Ok(None)` is a clean close.
-    pub fn read_client(&mut self, r: &mut impl Read) -> Result<Option<ClientMsg>, WireError> {
-        match self.read_frame(r)? {
-            None => Ok(None),
-            Some((kind, payload)) => Ok(Some(ClientMsg::decode(kind, &payload)?)),
-        }
-    }
+/// Append a [`ClientMsg::ExecutePrepared`] frame.
+pub fn encode_execute_prepared(
+    buf: &mut Vec<u8>,
+    handle: u64,
+    options: &WireOptions,
+) -> std::io::Result<()> {
+    frame(buf, K_EXECUTE_PREPARED, |b| {
+        put_u64(b, handle);
+        put_options(b, options);
+    })
 }
 
 // ---- message encode/decode --------------------------------------------------
 
 impl ClientMsg {
-    /// Serialize to `(kind, payload)`.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut buf = Vec::new();
+    /// Append as one frame to `buf`, which on failure ends where it
+    /// began: [`std::io::ErrorKind::InvalidInput`] for a `Hello` with
+    /// more than [`MAX_ROLES`] roles, `InvalidData` for a frame over
+    /// [`MAX_FRAME_LEN`].
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> std::io::Result<()> {
         match self {
             ClientMsg::Hello {
                 version,
                 principal,
                 roles,
                 token,
-            } => {
-                put_u16(&mut buf, *version);
-                put_str(&mut buf, principal);
-                put_u16(&mut buf, roles.len() as u16);
-                for r in roles {
-                    put_str(&mut buf, r);
-                }
-                put_str(&mut buf, token);
-                (K_HELLO, buf)
-            }
-            ClientMsg::Prepare { source } => {
-                put_str(&mut buf, source);
-                (K_PREPARE, buf)
-            }
-            ClientMsg::Execute { source, options } => {
-                put_str(&mut buf, source);
-                put_options(&mut buf, options);
-                (K_EXECUTE, buf)
-            }
+            } => encode_hello(buf, *version, principal, roles, token),
+            ClientMsg::Prepare { source } => encode_prepare(buf, source),
+            ClientMsg::Execute { source, options } => encode_execute(buf, source, options),
             ClientMsg::ExecutePrepared { handle, options } => {
-                put_u64(&mut buf, *handle);
-                put_options(&mut buf, options);
-                (K_EXECUTE_PREPARED, buf)
+                encode_execute_prepared(buf, *handle, options)
             }
             ClientMsg::CloseHandle { handle } => {
-                put_u64(&mut buf, *handle);
-                (K_CLOSE_HANDLE, buf)
+                frame(buf, K_CLOSE_HANDLE, |b| put_u64(b, *handle))
             }
-            ClientMsg::Goodbye => (K_GOODBYE, buf),
+            ClientMsg::Goodbye => frame(buf, K_GOODBYE, |_| {}),
         }
     }
 
@@ -662,26 +680,12 @@ impl ClientMsg {
         Ok(msg)
     }
 
-    /// Write as one frame. A [`ClientMsg::Hello`] carrying more than
-    /// [`MAX_ROLES`] roles fails here with
-    /// [`std::io::ErrorKind::InvalidInput`] — the server would reject
-    /// it as malformed anyway (and past `u16::MAX` roles the count
-    /// field would silently truncate and desync the payload), so
-    /// misuse fails locally with a clear error instead.
+    /// Write as one frame with one `write_all`; fails like
+    /// [`Self::encode_into`] with nothing written.
     pub fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
-        if let ClientMsg::Hello { roles, .. } = self {
-            if roles.len() > MAX_ROLES {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!(
-                        "{} roles exceeds the {MAX_ROLES}-role handshake cap",
-                        roles.len()
-                    ),
-                ));
-            }
-        }
-        let (kind, payload) = self.encode();
-        write_frame(w, kind, &payload)
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        w.write_all(&buf)
     }
 
     /// Read one client message; `Ok(None)` is a clean close.
@@ -694,39 +698,49 @@ impl ClientMsg {
 }
 
 impl ServerMsg {
-    /// Serialize to `(kind, payload)`.
+    fn kind(&self) -> u8 {
+        match self {
+            ServerMsg::HelloAck { .. } => K_HELLO_ACK,
+            ServerMsg::Prepared { .. } => K_PREPARED,
+            ServerMsg::Item { .. } => K_ITEM,
+            ServerMsg::Done { .. } => K_DONE,
+            ServerMsg::Error { .. } => K_ERROR,
+            ServerMsg::HandleClosed { .. } => K_HANDLE_CLOSED,
+            ServerMsg::Bye => K_BYE,
+        }
+    }
+
+    fn put_payload(&self, buf: &mut Vec<u8>) {
+        match self {
+            ServerMsg::HelloAck { version } => put_u16(buf, *version),
+            ServerMsg::Prepared { handle, shared } => {
+                put_u64(buf, *handle);
+                buf.push(*shared as u8);
+            }
+            ServerMsg::Item { atomic, text } => put_item(buf, *atomic, |t| t.push_str(text)),
+            ServerMsg::Done { delivered } => put_u64(buf, *delivered),
+            ServerMsg::Error { code, message } => {
+                put_u16(buf, *code);
+                put_str(buf, message);
+            }
+            ServerMsg::HandleClosed { released } => buf.push(*released as u8),
+            ServerMsg::Bye => {}
+        }
+    }
+
+    /// Serialize to a `(kind, payload)` of its own — for a caller that
+    /// frames payloads itself with [`write_frame`]; a connection uses
+    /// [`Self::encode_into`].
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut buf = Vec::new();
-        match self {
-            ServerMsg::HelloAck { version } => {
-                put_u16(&mut buf, *version);
-                (K_HELLO_ACK, buf)
-            }
-            ServerMsg::Prepared { handle, shared } => {
-                put_u64(&mut buf, *handle);
-                buf.push(*shared as u8);
-                (K_PREPARED, buf)
-            }
-            ServerMsg::Item { atomic, text } => {
-                buf.push(*atomic as u8);
-                put_str(&mut buf, text);
-                (K_ITEM, buf)
-            }
-            ServerMsg::Done { delivered } => {
-                put_u64(&mut buf, *delivered);
-                (K_DONE, buf)
-            }
-            ServerMsg::Error { code, message } => {
-                put_u16(&mut buf, *code);
-                put_str(&mut buf, message);
-                (K_ERROR, buf)
-            }
-            ServerMsg::HandleClosed { released } => {
-                buf.push(*released as u8);
-                (K_HANDLE_CLOSED, buf)
-            }
-            ServerMsg::Bye => (K_BYE, buf),
-        }
+        self.put_payload(&mut buf);
+        (self.kind(), buf)
+    }
+
+    /// Append as one frame to `buf`; a frame over [`MAX_FRAME_LEN`]
+    /// fails with `InvalidData` and leaves `buf` ending where it began.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        frame(buf, self.kind(), |b| self.put_payload(b))
     }
 
     /// Decode from a raw frame.
@@ -759,10 +773,11 @@ impl ServerMsg {
         Ok(msg)
     }
 
-    /// Write as one frame.
+    /// Write as one frame with one `write_all`.
     pub fn write(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let (kind, payload) = self.encode();
-        write_frame(w, kind, &payload)
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        w.write_all(&buf)
     }
 
     /// Read one server message; `Ok(None)` is a clean close.
@@ -915,9 +930,10 @@ mod tests {
             ready: false,
         };
         let mut frames = FrameReader::new();
+        let counters = WireCounters::default();
         let mut got = Vec::new();
         loop {
-            match frames.read_client(&mut trickle) {
+            match frames.read_client(&mut trickle, &counters) {
                 Ok(None) => break,
                 Ok(Some(m)) => got.push(m),
                 Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
@@ -925,6 +941,11 @@ mod tests {
             }
         }
         assert_eq!(got, vec![first, second]);
+        let stats = counters.snapshot();
+        assert_eq!(stats.frames_in, 2);
+        assert_eq!(stats.bytes_in, wire.len() as u64);
+        // one byte per read, plus the read that saw EOF
+        assert_eq!(stats.reads, wire.len() as u64 + 1);
     }
 
     #[test]
@@ -971,9 +992,7 @@ mod tests {
         let err = ClientMsg::decode(K_PREPARE, &payload).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
         // trailing garbage after a complete message
-        let (kind, mut payload) = ClientMsg::Goodbye.encode();
-        payload.push(0xFF);
-        let err = ClientMsg::decode(kind, &payload).unwrap_err();
+        let err = ClientMsg::decode(K_GOODBYE, &[0xFF]).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
         // invalid UTF-8 in a string field
         let mut payload = Vec::new();
@@ -994,5 +1013,44 @@ mod tests {
         );
         assert_eq!(join_items([]), "");
         assert_eq!(join_items([(false, "<a/>"), (false, "<b/>")]), "<a/><b/>");
+    }
+
+    #[test]
+    fn item_written_in_place_is_the_same_frame_as_the_message() {
+        let mut in_place = b"earlier frames".to_vec();
+        let mut by_message = in_place.clone();
+        encode_item(&mut in_place, true, |t| {
+            t.push_str("caf");
+            t.push('\u{e9}');
+        })
+        .unwrap();
+        ServerMsg::Item {
+            atomic: true,
+            text: "caf\u{e9}".into(),
+        }
+        .encode_into(&mut by_message)
+        .unwrap();
+        assert_eq!(in_place, by_message);
+    }
+
+    #[test]
+    fn over_cap_frame_leaves_the_buffer_where_it_began() {
+        let mut buf = Vec::new();
+        ServerMsg::Done { delivered: 1 }
+            .encode_into(&mut buf)
+            .unwrap();
+        let before = buf.clone();
+        // payload = atomic byte + u32 length + text; +1 kind byte puts it over
+        let text = "x".repeat(MAX_FRAME_LEN as usize - 5);
+        let err = encode_item(&mut buf, false, |t| t.push_str(&text)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(buf, before, "nothing of an undeliverable item stays");
+        // exactly at the cap is fine
+        encode_item(&mut buf, false, |t| t.push_str(&text[1..])).unwrap();
+        // and an over-cap request fails the same way
+        let mut buf = before.clone();
+        let err = encode_prepare(&mut buf, &"x".repeat(MAX_FRAME_LEN as usize)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(buf, before);
     }
 }

@@ -24,26 +24,39 @@
 //!   surface as *typed* error frames ([`aldsp_protocol::code`]), after
 //!   any already-streamed result prefix.
 //!
-//! Result items stream one frame each (individual serialization + an
+//! Result items are one frame each (individual serialization + an
 //! atomic flag); the client reassembles them byte-identically to a
 //! server-side serialization — the property the differential `wire`
 //! cell pins against the in-process engine.
+//!
+//! **One write per reply.** A session owns one reused reply buffer.
+//! Every frame it sends is encoded in place at the buffer's end — an
+//! item is serialized straight into its frame — and the buffer goes
+//! out with a single `write` when the reply ends (`Done`, `Error`, or
+//! any one-frame reply), or earlier each time it passes
+//! [`proto::WIRE_BUF_LEN`], so a long result still streams with
+//! bounded memory. Requests are read through one buffered
+//! [`proto::FrameReader`]. [`WireListener::wire_stats`] counts the
+//! calls, frames and bytes exactly.
 
 pub mod demo;
 
 use aldsp::security::Principal;
 use aldsp::workload::WorkloadError;
 use aldsp::xdm::item::Item;
-use aldsp::xdm::xml::serialize_sequence;
+use aldsp::xdm::xml::{write_item, XmlSink};
 use aldsp::{
     AldspServer, ExecutionOptions, JoinStrategy, Priority, PushdownLevel, QueryRequest, ServerError,
 };
 use aldsp_protocol as proto;
-use aldsp_protocol::{code, ClientMsg, ServerMsg, WireError, WireOptions};
+use aldsp_protocol::{
+    code, ClientMsg, FrameReader, FrameWriter, ServerMsg, WireCounters, WireError, WireOptions,
+    WireStats,
+};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -171,6 +184,7 @@ pub struct WireListener {
     accept_thread: Option<std::thread::JoinHandle<()>>,
     sessions: Arc<Mutex<Vec<SessionSlot>>>,
     handles: Arc<HandleRegistry>,
+    counters: Arc<WireCounters>,
 }
 
 impl WireListener {
@@ -183,6 +197,13 @@ impl WireListener {
     /// The shared plan-handle registry (for tests and introspection).
     pub fn handles(&self) -> &Arc<HandleRegistry> {
         &self.handles
+    }
+
+    /// Exact socket work of every session so far, summed: calls,
+    /// frames and bytes per direction. A reply is counted before it is
+    /// written, so a client holding a reply finds it here.
+    pub fn wire_stats(&self) -> WireStats {
+        self.counters.snapshot()
     }
 
     /// Stop accepting, wake blocked sessions, and join every thread.
@@ -228,10 +249,12 @@ pub fn serve(
     let shutdown = Arc::new(AtomicBool::new(false));
     let sessions: Arc<Mutex<Vec<SessionSlot>>> = Arc::default();
     let handles = Arc::new(HandleRegistry::default());
+    let counters = Arc::new(WireCounters::default());
     let accept_thread = {
         let shutdown = shutdown.clone();
         let sessions = sessions.clone();
         let handles = handles.clone();
+        let counters = counters.clone();
         std::thread::Builder::new()
             .name("aldspd-accept".into())
             .spawn(move || {
@@ -250,6 +273,7 @@ pub fn serve(
                         handles: handles.clone(),
                         config: config.clone(),
                         shutdown: shutdown.clone(),
+                        counters: counters.clone(),
                         held: HashSet::new(),
                         principal: Principal::new("anonymous", &[]),
                     };
@@ -274,6 +298,7 @@ pub fn serve(
         accept_thread: Some(accept_thread),
         sessions,
         handles,
+        counters,
     })
 }
 
@@ -288,16 +313,6 @@ pub fn error_code(e: &ServerError) -> u16 {
         ServerError::Execute(_) => code::EXECUTE,
         ServerError::Submit(_) | ServerError::Io(_) | ServerError::Other(_) => code::INTERNAL,
     }
-}
-
-/// Encode `msg` into one buffer and write it with a single syscall —
-/// `write_frame` directly on a `TcpStream` would issue three. Encoding
-/// fails (`InvalidData`, nothing written) when the frame would exceed
-/// `MAX_FRAME_LEN`; see the oversized-item handling in `run_query`.
-fn send(writer: &mut TcpStream, msg: &ServerMsg) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    msg.write(&mut buf)?;
-    writer.write_all(&buf)
 }
 
 /// Constant-time handshake-token check: both values are digested
@@ -332,8 +347,62 @@ struct Session {
     handles: Arc<HandleRegistry>,
     config: WireConfig,
     shutdown: Arc<AtomicBool>,
+    counters: Arc<WireCounters>,
     held: HashSet<u64>,
     principal: Principal,
+}
+
+/// The session's reply path: every frame the server sends is encoded
+/// into `frames` and leaves through [`Reply::flush`].
+struct Reply<'a> {
+    stream: &'a TcpStream,
+    frames: FrameWriter,
+    counters: Arc<WireCounters>,
+}
+
+/// Lets the XML serializer write into an `Item` frame's text.
+struct FrameText<'a, 'b>(&'a mut proto::ItemText<'b>);
+
+impl XmlSink for FrameText<'_, '_> {
+    fn push(&mut self, c: char) {
+        self.0.push(c)
+    }
+
+    fn push_str(&mut self, s: &str) {
+        self.0.push_str(s)
+    }
+}
+
+impl Reply<'_> {
+    /// Buffer one result item, serialized straight into its frame, and
+    /// send what is buffered once it passes [`proto::WIRE_BUF_LEN`].
+    /// An item over `MAX_FRAME_LEN` fails with `InvalidData` and
+    /// leaves the buffer (and so the wire) without a byte of it.
+    fn item(&mut self, item: &Item) -> std::io::Result<()> {
+        let atomic = matches!(item, Item::Atomic(_));
+        self.frames.push(|buf| {
+            proto::encode_item(buf, atomic, |text| write_item(item, &mut FrameText(text)))
+        })?;
+        if self.frames.buffered() >= proto::WIRE_BUF_LEN {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Buffer `msg` behind whatever the reply already holds and send it
+    /// all with one write: the end of every reply.
+    fn finish(&mut self, msg: &ServerMsg) -> std::io::Result<()> {
+        self.frames.push(|buf| msg.encode_into(buf))?;
+        self.flush()
+    }
+
+    fn error(&mut self, code: u16, message: String) -> std::io::Result<()> {
+        self.finish(&ServerMsg::Error { code, message })
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.frames.flush(&mut self.stream, &self.counters)
+    }
 }
 
 impl Session {
@@ -357,16 +426,19 @@ impl Session {
     /// Read frames until the peer leaves, a protocol error closes the
     /// connection, or the listener shuts down.
     fn serve_connection(&mut self, stream: &TcpStream) -> std::io::Result<SessionEnd> {
-        let mut reader = stream.try_clone()?;
-        let mut writer = stream.try_clone()?;
         // one resumable frame reader for the connection's lifetime, so
         // a poll timeout mid-frame never discards consumed bytes
-        let mut frames = proto::FrameReader::new();
-        if !self.handshake(&mut frames, &mut reader, &mut writer)? {
+        let mut frames = FrameReader::new();
+        let mut out = Reply {
+            stream,
+            frames: FrameWriter::new(),
+            counters: self.counters.clone(),
+        };
+        if !self.handshake(&mut frames, stream, &mut out)? {
             return Ok(SessionEnd::Clean);
         }
         loop {
-            let msg = match self.read_polling(&mut frames, &mut reader) {
+            let msg = match self.read_polling(&mut frames, stream) {
                 Ok(None) => return Ok(SessionEnd::Clean),
                 Ok(Some(m)) => m,
                 Err(WireError::Io(_)) | Err(WireError::Truncated) => {
@@ -376,51 +448,32 @@ impl Session {
                     // malformed/oversized/unknown frames get a typed
                     // reply, then the connection closes — resyncing a
                     // corrupt byte stream is not possible
-                    let _ = send(
-                        &mut writer,
-                        &ServerMsg::Error {
-                            code: code::MALFORMED,
-                            message: e.to_string(),
-                        },
-                    );
+                    let _ = out.error(code::MALFORMED, e.to_string());
                     return Ok(SessionEnd::Clean);
                 }
             };
             match msg {
                 ClientMsg::Hello { .. } => {
-                    send(
-                        &mut writer,
-                        &ServerMsg::Error {
-                            code: code::UNSUPPORTED,
-                            message: "duplicate handshake".into(),
-                        },
-                    )?;
+                    out.error(code::UNSUPPORTED, "duplicate handshake".into())?;
                     return Ok(SessionEnd::Clean);
                 }
-                ClientMsg::Prepare { source } => self.prepare(&mut writer, &source)?,
+                ClientMsg::Prepare { source } => self.prepare(&mut out, &source)?,
                 ClientMsg::Execute { source, options } => {
-                    if let SessionEnd::Disconnected =
-                        self.run_query(&mut writer, &source, &options)?
-                    {
+                    if let SessionEnd::Disconnected = self.run_query(&mut out, &source, &options)? {
                         return Ok(SessionEnd::Disconnected);
                     }
                 }
                 ClientMsg::ExecutePrepared { handle, options } => {
                     match self.handles.source_of(handle) {
-                        None => {
-                            // typed and survivable: the connection
-                            // stays usable after naming a bad handle
-                            send(
-                                &mut writer,
-                                &ServerMsg::Error {
-                                    code: code::UNKNOWN_HANDLE,
-                                    message: format!("no prepared plan handle {handle}"),
-                                },
-                            )?;
-                        }
+                        // typed and survivable: the connection stays
+                        // usable after naming a bad handle
+                        None => out.error(
+                            code::UNKNOWN_HANDLE,
+                            format!("no prepared plan handle {handle}"),
+                        )?,
                         Some(source) => {
                             if let SessionEnd::Disconnected =
-                                self.run_query(&mut writer, &source, &options)?
+                                self.run_query(&mut out, &source, &options)?
                             {
                                 return Ok(SessionEnd::Disconnected);
                             }
@@ -432,10 +485,10 @@ impl Session {
                     if released {
                         self.handles.release(handle);
                     }
-                    send(&mut writer, &ServerMsg::HandleClosed { released })?;
+                    out.finish(&ServerMsg::HandleClosed { released })?;
                 }
                 ClientMsg::Goodbye => {
-                    send(&mut writer, &ServerMsg::Bye)?;
+                    out.finish(&ServerMsg::Bye)?;
                     return Ok(SessionEnd::Clean);
                 }
             }
@@ -447,21 +500,15 @@ impl Session {
     /// sent).
     fn handshake(
         &mut self,
-        frames: &mut proto::FrameReader,
-        reader: &mut TcpStream,
-        writer: &mut TcpStream,
+        frames: &mut FrameReader,
+        stream: &TcpStream,
+        out: &mut Reply<'_>,
     ) -> std::io::Result<bool> {
-        let hello = match self.read_polling(frames, reader) {
+        let hello = match self.read_polling(frames, stream) {
             Ok(Some(m)) => m,
             Ok(None) | Err(WireError::Io(_)) | Err(WireError::Truncated) => return Ok(false),
             Err(e) => {
-                let _ = send(
-                    writer,
-                    &ServerMsg::Error {
-                        code: code::MALFORMED,
-                        message: e.to_string(),
-                    },
-                );
+                let _ = out.error(code::MALFORMED, e.to_string());
                 return Ok(false);
             }
         };
@@ -472,48 +519,33 @@ impl Session {
             token,
         } = hello
         else {
-            let _ = send(
-                writer,
-                &ServerMsg::Error {
-                    code: code::UNSUPPORTED,
-                    message: "expected Hello as the first frame".into(),
-                },
+            let _ = out.error(
+                code::UNSUPPORTED,
+                "expected Hello as the first frame".into(),
             );
             return Ok(false);
         };
         if version != proto::PROTOCOL_VERSION {
-            let _ = send(
-                writer,
-                &ServerMsg::Error {
-                    code: code::VERSION_MISMATCH,
-                    message: format!(
-                        "client speaks protocol v{version}, server speaks v{}",
-                        proto::PROTOCOL_VERSION
-                    ),
-                },
+            let _ = out.error(
+                code::VERSION_MISMATCH,
+                format!(
+                    "client speaks protocol v{version}, server speaks v{}",
+                    proto::PROTOCOL_VERSION
+                ),
             );
             return Ok(false);
         }
         if let Some(required) = &self.config.token {
             if !token_matches(&token, required) {
-                let _ = send(
-                    writer,
-                    &ServerMsg::Error {
-                        code: code::AUTH,
-                        message: "handshake token rejected".into(),
-                    },
-                );
+                let _ = out.error(code::AUTH, "handshake token rejected".into());
                 return Ok(false);
             }
         }
         let role_refs: Vec<&str> = roles.iter().map(String::as_str).collect();
         self.principal = Principal::new(&principal, &role_refs);
-        send(
-            writer,
-            &ServerMsg::HelloAck {
-                version: proto::PROTOCOL_VERSION,
-            },
-        )?;
+        out.finish(&ServerMsg::HelloAck {
+            version: proto::PROTOCOL_VERSION,
+        })?;
         Ok(true)
     }
 
@@ -521,15 +553,15 @@ impl Session {
     /// stream has a [`READ_POLL`] read timeout, so a quiet connection
     /// re-checks the flag a few times a second. The timeout can fire
     /// *inside* a frame (a client that stalls >50ms mid-send is
-    /// legitimate); `frames` keeps the consumed prefix buffered so the
+    /// legitimate); `frames` keeps what has arrived buffered so the
     /// retry resumes mid-frame instead of desyncing the stream.
     fn read_polling(
         &self,
-        frames: &mut proto::FrameReader,
-        reader: &mut TcpStream,
+        frames: &mut FrameReader,
+        mut stream: &TcpStream,
     ) -> Result<Option<ClientMsg>, WireError> {
         loop {
-            match frames.read_client(reader) {
+            match frames.read_client(&mut stream, &self.counters) {
                 Err(WireError::Io(e))
                     if matches!(
                         e.kind(),
@@ -547,7 +579,7 @@ impl Session {
 
     /// Compile-check `source` (which lands it in the engine's plan
     /// cache) and hand out a cross-session handle.
-    fn prepare(&mut self, writer: &mut TcpStream, source: &str) -> std::io::Result<()> {
+    fn prepare(&mut self, out: &mut Reply<'_>, source: &str) -> std::io::Result<()> {
         // the explain-only probe compiles through the cached_plan path
         // without executing, so prepare errors surface here and the
         // compiled plan is hot for every later ExecutePrepared
@@ -555,13 +587,7 @@ impl Session {
             .server
             .execute(QueryRequest::new(source).explain_only())
         {
-            return send(
-                writer,
-                &ServerMsg::Error {
-                    code: error_code(&e),
-                    message: e.to_string(),
-                },
-            );
+            return out.error(error_code(&e), e.to_string());
         }
         let already_held = self
             .handles
@@ -569,14 +595,17 @@ impl Session {
             .is_some_and(|id| self.held.contains(&id));
         let (handle, shared) = self.handles.acquire(source, already_held);
         self.held.insert(handle);
-        send(writer, &ServerMsg::Prepared { handle, shared })
+        out.finish(&ServerMsg::Prepared { handle, shared })
     }
 
-    /// Execute and stream: Item frames as results arrive, then Done —
-    /// or a typed Error frame after any already-streamed prefix.
+    /// Execute and reply: Item frames as results arrive, then Done — or
+    /// a typed Error frame after the intact prefix of Items, whether
+    /// the query failed, an item was undeliverable, or an operator
+    /// panicked. The frames leave together when the reply ends, or
+    /// earlier whenever they pass the buffer size (see [`Reply::item`]).
     fn run_query(
         &self,
-        writer: &mut TcpStream,
+        out: &mut Reply<'_>,
         source: &str,
         options: &WireOptions,
     ) -> std::io::Result<SessionEnd> {
@@ -594,70 +623,52 @@ impl Session {
             match decode_exec(exec) {
                 Ok(e) => req = req.execution(e),
                 Err(msg) => {
-                    send(
-                        writer,
-                        &ServerMsg::Error {
-                            code: code::MALFORMED,
-                            message: msg.into(),
-                        },
-                    )?;
+                    out.error(code::MALFORMED, msg.into())?;
                     return Ok(SessionEnd::Clean);
                 }
             }
         }
-        let mut write_err: Option<std::io::Error> = None;
-        let mut oversized: Option<std::io::Error> = None;
-        let mut sink = |item: Item| {
-            let atomic = matches!(item, Item::Atomic(_));
-            let text = serialize_sequence(&[item]);
-            match send(&mut *writer, &ServerMsg::Item { atomic, text }) {
-                Ok(()) => true,
-                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    // the item exceeds MAX_FRAME_LEN — undeliverable
-                    // in one frame; abort the stream and report a
-                    // typed error (nothing was written, so the
-                    // connection stays framed and usable)
-                    oversized = Some(e);
-                    false
-                }
-                Err(e) => {
-                    // peer gone mid-stream: abort the query cleanly
-                    write_err = Some(e);
-                    false
-                }
+        let mut undelivered: Option<std::io::Error> = None;
+        let mut sink = |item: Item| match out.item(&item) {
+            Ok(()) => true,
+            Err(e) => {
+                undelivered = Some(e);
+                false
             }
         };
-        let outcome = self.server.execute(req.stream_to(&mut sink));
-        if write_err.is_some() {
-            return Ok(SessionEnd::Disconnected);
-        }
-        if let Some(e) = oversized {
-            send(
-                writer,
-                &ServerMsg::Error {
-                    code: code::INTERNAL,
-                    message: format!("result item undeliverable: {e}"),
-                },
-            )?;
-            return Ok(SessionEnd::Clean);
+        // the panic boundary of a session: a panicking operator costs
+        // its query, not the connection or the server
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.server.execute(req.stream_to(&mut sink))
+        }))
+        .unwrap_or_else(|panic| {
+            let what = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "opaque panic payload".into());
+            Err(ServerError::Other(format!("query panicked: {what}")))
+        });
+        match undelivered {
+            // the item exceeds MAX_FRAME_LEN — undeliverable in one
+            // frame; the stream was aborted and nothing of the item
+            // was buffered, so the connection stays framed and usable
+            Some(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                out.error(code::INTERNAL, format!("result item undeliverable: {e}"))?;
+                return Ok(SessionEnd::Clean);
+            }
+            // peer gone mid-stream: the query was aborted cleanly
+            Some(_) => return Ok(SessionEnd::Disconnected),
+            None => {}
         }
         match outcome {
-            Ok(resp) => send(
-                writer,
-                &ServerMsg::Done {
-                    delivered: resp.delivered(),
-                },
-            )?,
+            Ok(resp) => out.finish(&ServerMsg::Done {
+                delivered: resp.delivered(),
+            })?,
             // shed / deadline / budget / runtime errors all surface as
             // typed frames — mid-stream ones arrive after the intact
             // prefix of Item frames
-            Err(e) => send(
-                writer,
-                &ServerMsg::Error {
-                    code: error_code(&e),
-                    message: e.to_string(),
-                },
-            )?,
+            Err(e) => out.error(error_code(&e), e.to_string())?,
         }
         Ok(SessionEnd::Clean)
     }

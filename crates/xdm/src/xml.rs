@@ -7,11 +7,31 @@
 //! used to deliver query results. Text parsed here is `xs:untypedAtomic`
 //! until schema validation assigns types (see [`crate::schema`]).
 
+use crate::item::Item;
 use crate::node::{Node, NodeKind, NodeRef};
 use crate::qname::{Namespaces, QName};
 use crate::value::AtomicValue;
 use crate::{Result, XdmError};
-use std::fmt::Write as _;
+
+/// Where serialized XML text goes: a `String`, or anything else that
+/// can take `str`s — the wire path writes result items straight into
+/// their frames through this.
+pub trait XmlSink {
+    /// Append one character.
+    fn push(&mut self, c: char);
+    /// Append a string slice.
+    fn push_str(&mut self, s: &str);
+}
+
+impl XmlSink for String {
+    fn push(&mut self, c: char) {
+        String::push(self, c)
+    }
+
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s)
+    }
+}
 
 /// Serialize a node to XML text.
 pub fn serialize(node: &Node) -> String {
@@ -22,28 +42,30 @@ pub fn serialize(node: &Node) -> String {
 
 /// Serialize a sequence of items, space-separating adjacent atomics per the
 /// XQuery serialization rules.
-pub fn serialize_sequence(items: &[crate::item::Item]) -> String {
+pub fn serialize_sequence(items: &[Item]) -> String {
     let mut out = String::new();
     let mut prev_atomic = false;
     for item in items {
-        match item {
-            crate::item::Item::Atomic(v) => {
-                if prev_atomic {
-                    out.push(' ');
-                }
-                escape_text(&v.string_value(), &mut out);
-                prev_atomic = true;
-            }
-            crate::item::Item::Node(n) => {
-                write_node(n, &mut out);
-                prev_atomic = false;
-            }
+        let atomic = matches!(item, Item::Atomic(_));
+        if atomic && prev_atomic {
+            out.push(' ');
         }
+        write_item(item, &mut out);
+        prev_atomic = atomic;
     }
     out
 }
 
-fn write_node(node: &Node, out: &mut String) {
+/// Append one item's individual serialization to `out`: what
+/// [`serialize_sequence`] writes for it, without the separator.
+pub fn write_item(item: &Item, out: &mut impl XmlSink) {
+    match item {
+        Item::Atomic(v) => escape_text(&v.string_value(), out),
+        Item::Node(n) => write_node(n, out),
+    }
+}
+
+fn write_node(node: &Node, out: &mut impl XmlSink) {
     match node.kind() {
         NodeKind::Document { children } => {
             for c in children {
@@ -88,14 +110,15 @@ fn write_node(node: &Node, out: &mut String) {
     }
 }
 
-fn write_name(name: &QName, out: &mut String) {
+fn write_name(name: &QName, out: &mut impl XmlSink) {
     if let Some(p) = name.prefix() {
-        let _ = write!(out, "{p}:");
+        out.push_str(p);
+        out.push(':');
     }
     out.push_str(name.local_name());
 }
 
-fn escape_text(s: &str, out: &mut String) {
+fn escape_text(s: &str, out: &mut impl XmlSink) {
     for c in s.chars() {
         match c {
             '<' => out.push_str("&lt;"),
@@ -106,7 +129,7 @@ fn escape_text(s: &str, out: &mut String) {
     }
 }
 
-fn escape_attr(s: &str, out: &mut String) {
+fn escape_attr(s: &str, out: &mut impl XmlSink) {
     for c in s.chars() {
         match c {
             '<' => out.push_str("&lt;"),

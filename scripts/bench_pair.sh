@@ -7,12 +7,16 @@
 # metric is reported as medians, quartiles and pair wins against its
 # bound.
 #
-#   scripts/bench_pair.sh <base-ref> [<change-ref>] [<pairs>] [<first-seed>]
+#   scripts/bench_pair.sh <base-ref> [<change-ref>] [<pairs>] [<first-seed>] [<workloads>]
 #
 # <change-ref> defaults to HEAD; to measure an uncommitted working tree
 # pass "$(git stash create)". <pairs> defaults to 10 (the minimum a
 # claim may rest on); <first-seed> defaults to the clock, so no two
-# invocations share seeds unless asked to. Takes about
+# invocations share seeds unless asked to. <workloads> is a
+# comma-separated subset of BENCHMARK.json's (default: all of them), so
+# a change to one layer can run its own workload's ten pairs first —
+# `wire_point` alone takes ~4 minutes — before the full run, which
+# "no regression elsewhere" still needs. Takes about
 # 2 x pairs x workloads x run_seconds; not run in CI.
 #
 # Verdicts, per workload and metric, from the change's side:
@@ -45,10 +49,20 @@ mapfile -t command < <(python3 -c '
 import json
 for word in json.load(open("BENCHMARK.json"))["command"]:
     print(word)')
-mapfile -t workloads < <(python3 -c '
+mapfile -t workloads < <(python3 - "${5:-}" <<'PY'
 import json
-for w in json.load(open("BENCHMARK.json"))["workloads"]:
-    print(w["name"])')
+import sys
+
+known = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]
+asked = [name for name in sys.argv[1].split(",") if name]
+unknown = [name for name in asked if name not in known]
+if unknown:
+    sys.exit(f"bench_pair.sh: no workload {unknown} in BENCHMARK.json (it has {known})")
+# BENCHMARK.json's order, whatever order they were asked for in
+print("\n".join(name for name in known if name in asked or not asked))
+PY
+)
+[[ ${#workloads[@]} -gt 0 ]] || exit 2
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 for side in parent change; do
@@ -93,12 +107,13 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$runs" "$base_ref" "$change_ref" "$seconds" <<'PY'
+python3 - "$runs" "$base_ref" "$change_ref" "$seconds" "${workloads[@]}" <<'PY'
 import json
 import statistics
 import sys
 
 runs_path, base_ref, change_ref, seconds = sys.argv[1:5]
+workloads = sys.argv[5:]
 bench = json.load(open("BENCHMARK.json"))
 runs = [json.loads(line) for line in open(runs_path)]
 
@@ -115,9 +130,8 @@ def fmt(x):
 
 
 print(f"parent `{base_ref[:7]}`, change `{change_ref[:7]}`, `--seconds {seconds}`, "
-      f"{len(runs) // (2 * len(bench['workloads']))} pairs per workload\n")
-for w in bench["workloads"]:
-    name = w["name"]
+      f"{len(runs) // (2 * len(workloads))} pairs per workload\n")
+for name in workloads:
     mine = [r for r in runs if r["workload"] == name]
     by_side = {side: {r["seed"]: r["result"] for r in mine if r["side"] == side}
                for side in ("parent", "change")}

@@ -10,9 +10,12 @@
 
 mod common;
 
+use aldsp::adaptors::NativeFunction;
 use aldsp::relational::{Fault, FaultKind, FaultTrigger, LatencyModel, RelationalServer};
 use aldsp::security::{DenialAction, ElementResource, Principal, SecurityPolicy};
-use aldsp::xdm::value::AtomicValue;
+use aldsp::xdm::item::{atomize, Item};
+use aldsp::xdm::types::{ItemType, Occurrence, SequenceType};
+use aldsp::xdm::value::{AtomicType, AtomicValue};
 use aldsp::xdm::xml::serialize_sequence;
 use aldsp::xdm::QName;
 use aldsp::{AldspServer, QueryRequest, ServerBuilder};
@@ -603,4 +606,265 @@ fn concurrent_sessions_share_one_handle_with_per_principal_redaction() {
     let (hits, _misses) = w.server.plan_cache_stats();
     assert!(hits >= 2, "shared plan cache should be hot (hits={hits})");
     wait_handles_empty(&w);
+}
+
+// ---- the coalesced wire path ------------------------------------------------
+
+/// The wire size of an `Item` frame: length word, kind, atomic flag,
+/// text length, text.
+fn item_frame_len(text: &str) -> usize {
+    4 + 1 + 1 + 4 + text.len()
+}
+
+#[test]
+fn a_reply_under_the_buffer_size_is_one_write_and_one_read() {
+    let w = wired(25, |b| b);
+    let mut c = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    let point = c
+        .prepare(&format!(
+            r#"{PROLOG} for $c in c:CUSTOMER() where $c/CID eq "C0007" return $c/LAST_NAME"#
+        ))
+        .expect("prepare");
+    let list = c.prepare(&customers_query()).expect("prepare");
+    for (handle, items) in [(point.handle, 1), (list.handle, 25)] {
+        let (server, client) = (w.listener.wire_stats(), c.wire_stats());
+        let r = c
+            .execute_prepared(handle, &WireOptions::default())
+            .expect("runs");
+        assert_eq!(r.items.len(), items);
+        let (server, client) = (
+            w.listener.wire_stats().since(&server),
+            c.wire_stats().since(&client),
+        );
+        // the request: one frame, one write, one read
+        assert_eq!((client.frames_out, client.writes, server.reads), (1, 1, 1));
+        assert_eq!(client.bytes_out, server.bytes_in);
+        // the reply: its Items and the Done, one write, one read
+        assert_eq!(server.frames_out, items as u64 + 1);
+        assert_eq!(client.frames_in, server.frames_out);
+        assert!(server.bytes_out < proto::WIRE_BUF_LEN as u64);
+        assert_eq!((server.writes, client.reads), (1, 1), "{items} items");
+        assert_eq!(client.bytes_in, server.bytes_out);
+    }
+    c.goodbye().expect("clean close");
+}
+
+#[test]
+fn a_long_reply_goes_out_in_buffer_sized_writes() {
+    let w = wired(2000, |b| b);
+    let mut c = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    let q = format!("{PROLOG} for $c in c:CUSTOMER() return <P>{{$c/CID}}{{$c/LAST_NAME}}</P>");
+    let (server, client) = (w.listener.wire_stats(), c.wire_stats());
+    let r = c.execute(&q, &WireOptions::default()).expect("scan");
+    assert_eq!(r.items.len(), 2000);
+    let (server, client) = (
+        w.listener.wire_stats().since(&server),
+        c.wire_stats().since(&client),
+    );
+    // replay the flush rule over the frames that arrived: a write each
+    // time the buffered frames pass the buffer size, one for the rest
+    let (mut writes, mut buffered, mut longest) = (0u64, 0usize, 0usize);
+    for item in &r.items {
+        buffered += item_frame_len(&item.text);
+        if buffered >= proto::WIRE_BUF_LEN {
+            writes += 1;
+            longest = longest.max(buffered);
+            buffered = 0;
+        }
+    }
+    writes += 1; // the tail and the Done frame
+    assert!(writes >= 2, "the scan must outgrow one buffer");
+    assert_eq!(server.writes, writes);
+    assert_eq!(server.frames_out, 2001);
+    // every write but the last carries at least a buffer's worth
+    assert!(server.writes <= server.bytes_out.div_ceil(proto::WIRE_BUF_LEN as u64));
+    assert!(server.writes >= server.bytes_out.div_ceil(longest as u64));
+    // and the client reads through its buffer, not frame by frame
+    assert_eq!(client.frames_in, 2001);
+    assert_eq!(client.bytes_in, server.bytes_out);
+    assert!(
+        client.reads * 10 <= client.frames_in,
+        "{} reads for {} frames",
+        client.reads,
+        client.frames_in
+    );
+    c.goodbye().expect("clean close");
+}
+
+/// `lib:blob($n)` is a string of `$n` bytes; `lib:boom($n)` is `$n`
+/// until `$n` reaches 3, where the operator panics.
+fn with_blob_and_boom(b: ServerBuilder) -> ServerBuilder {
+    let int = SequenceType::Seq(ItemType::Atomic(AtomicType::Integer), Occurrence::Optional);
+    let string = SequenceType::Seq(ItemType::Atomic(AtomicType::String), Occurrence::Optional);
+    let arg = |args: &[Vec<Item>]| match atomize(&args[0]).first() {
+        Some(AtomicValue::Integer(n)) => *n,
+        other => panic!("integer argument expected, got {other:?}"),
+    };
+    b.native_function(
+        QName::new("urn:lib", "blob"),
+        int.clone(),
+        string,
+        NativeFunction::new("blob", move |args| {
+            Ok(vec![Item::Atomic(AtomicValue::str(
+                &"x".repeat(arg(args) as usize),
+            ))])
+        }),
+    )
+    .expect("register blob")
+    .native_function(
+        QName::new("urn:lib", "boom"),
+        int.clone(),
+        int,
+        NativeFunction::new("boom", move |args| match arg(args) {
+            n if n >= 3 => panic!("boom at {n}"),
+            n => Ok(vec![Item::Atomic(AtomicValue::Integer(n))]),
+        }),
+    )
+    .expect("register boom")
+}
+
+/// Run `q` expecting a typed error after `prefix` intact items, then
+/// prove the same connection still answers.
+fn expect_prefix_then_error(c: &mut Client, q: &str, prefix: &[&str], code: u16) -> ClientError {
+    let mut seen = Vec::new();
+    let err = c
+        .execute_streaming(q, &WireOptions::default(), |item| {
+            seen.push(item.text.clone());
+            true
+        })
+        .expect_err("the stream must end in an error frame");
+    assert_eq!(err.code(), Some(code), "{err}");
+    assert_eq!(seen, prefix, "intact prefix");
+    let r = c
+        .execute("1 + 1", &WireOptions::default())
+        .expect("connection still framed and usable");
+    assert_eq!(r.text(), "2");
+    err
+}
+
+#[test]
+fn oversized_item_after_a_buffered_prefix_is_prefix_then_internal() {
+    let w = wired(3, with_blob_and_boom);
+    let mut c = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    let q = format!(
+        "{PROLOG} for $n in (1, 2, {}) return lib:blob($n)",
+        proto::MAX_FRAME_LEN
+    );
+    let server = w.listener.wire_stats();
+    let err = expect_prefix_then_error(&mut c, &q, &["x", "xx"], code::INTERNAL);
+    assert!(err.to_string().contains("undeliverable"), "{err}");
+    // the prefix waited in the buffer and left with the error frame;
+    // the second write is the `1 + 1` reply
+    let server = w.listener.wire_stats().since(&server);
+    assert_eq!((server.frames_out, server.writes), (3 + 2, 2));
+    c.goodbye().expect("clean close");
+}
+
+#[test]
+fn a_panicking_operator_costs_its_query_not_the_session() {
+    // one admission slot: a panic that leaked it would wedge the server
+    let w = wired(3, |b| with_blob_and_boom(b).admission(1, 1));
+    let mut c = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    let q = format!("{PROLOG} for $n in (1, 2, 3, 4) return lib:boom($n)");
+    for _ in 0..2 {
+        let err = expect_prefix_then_error(&mut c, &q, &["1", "2"], code::INTERNAL);
+        assert!(err.to_string().contains("boom at 3"), "{err}");
+    }
+    // and for every other session
+    let mut other = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    let r = other
+        .execute(&customers_query(), &WireOptions::default())
+        .expect("server survived");
+    assert_eq!(r.delivered, 3);
+    other.goodbye().expect("clean close");
+    c.goodbye().expect("clean close");
+}
+
+#[test]
+fn an_old_style_frame_by_frame_client_still_interoperates() {
+    let w = wired(5, |b| b);
+    let mut s = TcpStream::connect(w.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    // header, kind and payload in separate writes, the way
+    // `write_frame` on a bare socket sends them
+    let send = |s: &mut TcpStream, msg: ClientMsg| {
+        let mut frame = Vec::new();
+        msg.write(&mut frame).unwrap();
+        for part in [&frame[..4], &frame[4..5], &frame[5..]] {
+            s.write_all(part).expect("send part");
+        }
+    };
+    send(
+        &mut s,
+        ClientMsg::Hello {
+            version: proto::PROTOCOL_VERSION,
+            principal: "demo".into(),
+            roles: vec![],
+            token: String::new(),
+        },
+    );
+    let ack = ServerMsg::read(&mut s).expect("reply").expect("frame");
+    assert!(matches!(ack, ServerMsg::HelloAck { .. }), "{ack:?}");
+    send(
+        &mut s,
+        ClientMsg::Execute {
+            source: customers_query(),
+            options: WireOptions::default(),
+        },
+    );
+    // the reply arrives coalesced; read it one exact frame at a time
+    let mut items = Vec::new();
+    loop {
+        match ServerMsg::read(&mut s).expect("reply").expect("frame") {
+            ServerMsg::Item { atomic, text } => items.push((atomic, text)),
+            ServerMsg::Done { delivered } => {
+                assert_eq!(delivered, 5);
+                break;
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let reference = serialize_sequence(
+        &w.server
+            .execute(QueryRequest::new(&customers_query()).principal(Principal::new("demo", &[])))
+            .expect("in-process reference")
+            .into_items(),
+    );
+    assert_eq!(
+        proto::join_items(items.iter().map(|(a, t)| (*a, t.as_str()))),
+        reference
+    );
+}
+
+// ---- requests the client cannot encode --------------------------------------
+
+#[test]
+fn unencodable_requests_are_errors_not_panics_and_send_nothing() {
+    let w = wired(3, |b| b);
+    // more roles than the handshake admits
+    let roles: Vec<String> = (0..=proto::MAX_ROLES).map(|i| format!("r{i}")).collect();
+    let roles: Vec<&str> = roles.iter().map(String::as_str).collect();
+    match Client::connect(w.addr(), "crowd", &roles).expect_err("too many roles") {
+        ClientError::Request(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+        other => panic!("expected a request error, got {other}"),
+    }
+    // a query text over the frame cap, on an established connection
+    let mut c = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    let before = c.wire_stats();
+    let huge = " ".repeat(proto::MAX_FRAME_LEN as usize);
+    for attempt in [
+        c.execute(&huge, &WireOptions::default()).map(drop),
+        c.prepare(&huge).map(drop),
+    ] {
+        match attempt.expect_err("over the frame cap") {
+            ClientError::Request(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            other => panic!("expected a request error, got {other}"),
+        }
+    }
+    assert_eq!(c.wire_stats(), before, "nothing was written");
+    let r = c
+        .execute("1 + 1", &WireOptions::default())
+        .expect("connection left usable");
+    assert_eq!(r.text(), "2");
+    c.goodbye().expect("clean close");
 }

@@ -5,6 +5,11 @@
 //! zeroed, so the file repeats exactly on any host — a refactor of the
 //! execution path must reproduce it byte for byte.
 //!
+//! The file's second half (after the `#### wire` line) is the wire
+//! path's own golden: frames, socket writes, socket reads and bytes per
+//! request for three requests over loopback, from the exact counters of
+//! `Client::wire_stats` and `WireListener::wire_stats`.
+//!
 //! Re-bless (only when a counter's meaning changes on purpose):
 //! `WORK_COUNTERS_BLESS=1 cargo test --test work_counters`
 
@@ -15,13 +20,50 @@ use aldsp::xdm::item::Item;
 use aldsp::xdm::xml::serialize_sequence;
 use aldsp::xdm::QName;
 use aldsp::{ExecutionOptions, JoinStrategy, MatViewPolicy, QueryRequest, QueryResponse};
-use common::{world_tuned, PROLOG};
+use aldsp_client::Client;
+use aldsp_protocol::{WireOptions, WireStats};
+use aldsp_server::{serve, WireConfig};
+use common::{world, world_tuned, PROLOG};
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/work_counters.txt"
 );
+
+/// Separates the engine's records from the wire path's.
+const WIRE_MARK: &str = "#### wire\n";
+
+/// Compare `got` with its half of the golden file — or, blessing,
+/// rewrite that half and leave the other as it is.
+fn check_golden(wire: bool, got: &str) {
+    // the two tests share the file; only blessing writes it
+    static FILE: Mutex<()> = Mutex::new(());
+    let _file = FILE.lock().unwrap_or_else(|e| e.into_inner());
+    let bless = std::env::var_os("WORK_COUNTERS_BLESS").is_some();
+    let golden = match std::fs::read_to_string(GOLDEN) {
+        Ok(text) => text,
+        Err(_) if bless => String::new(),
+        Err(e) => panic!("golden file (bless it first): {e}"),
+    };
+    let (engine_half, wire_half) = golden.split_once(WIRE_MARK).unwrap_or((&golden, ""));
+    if bless {
+        let (engine_half, wire_half) = if wire {
+            (engine_half, got)
+        } else {
+            (got, wire_half)
+        };
+        std::fs::write(GOLDEN, format!("{engine_half}{WIRE_MARK}{wire_half}"))
+            .expect("writes golden");
+        return;
+    }
+    let want = if wire { wire_half } else { engine_half };
+    assert!(
+        got == want,
+        "work counters drifted from tests/golden/work_counters.txt\n--- got ---\n{got}"
+    );
+}
 
 const FLAT_MODULE: &str = r#"
     declare namespace tns = "urn:flatDS";
@@ -161,13 +203,65 @@ fn work_counters_match_the_golden() {
         record(&mut out, name, &resp, None);
     }
 
-    if std::env::var_os("WORK_COUNTERS_BLESS").is_some() {
-        std::fs::write(GOLDEN, &out).expect("writes golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden file (bless it first)");
-    assert!(
-        out == golden,
-        "work counters drifted from tests/golden/work_counters.txt\n--- got ---\n{out}"
+    check_golden(false, &out);
+}
+
+/// Socket work per request over loopback. One client, so the
+/// listener's counters are this session's; each side counts a reply
+/// before writing it, so both snapshots are complete once the client
+/// holds the reply. How many reads the client needs for a reply longer
+/// than its buffer depends on how the kernel hands the bytes over, so
+/// for the scan that one number is bounded, not recorded.
+#[test]
+fn wire_counters_match_the_golden() {
+    let w = world(2000);
+    let listener = serve("127.0.0.1:0", Arc::new(w.server), WireConfig::default()).expect("bind");
+    let mut c = Client::connect(listener.local_addr(), "demo", &[]).expect("connect");
+    let options = WireOptions::default();
+    let point = c
+        .prepare(&format!(
+            r#"{PROLOG} for $c in c:CUSTOMER() where $c/CID eq "C0007" return $c/LAST_NAME"#
+        ))
+        .expect("prepares");
+    let list = format!(
+        "{PROLOG} for $c in c:CUSTOMER() where $c/SINCE lt 1020
+         return <C>{{ $c/CID, $c/LAST_NAME }}</C>"
     );
+    let scan = format!("{PROLOG} for $c in c:CUSTOMER() return <C>{{ $c/CID, $c/LAST_NAME }}</C>");
+    let mut out = String::new();
+    let side = |s: &WireStats, reads: String| {
+        format!(
+            "reads {reads}, frames_in {}, bytes_in {}, writes {}, frames_out {}, bytes_out {}",
+            s.frames_in, s.bytes_in, s.writes, s.frames_out, s.bytes_out
+        )
+    };
+    for name in ["prepared_point_lookup", "list_of_20", "scan_of_2000"] {
+        let (server, client) = (listener.wire_stats(), c.wire_stats());
+        let reply = match name {
+            "prepared_point_lookup" => c.execute_prepared(point.handle, &options),
+            "list_of_20" => c.execute(&list, &options),
+            _ => c.execute(&scan, &options),
+        }
+        .expect("executes");
+        let (server, client) = (
+            listener.wire_stats().since(&server),
+            c.wire_stats().since(&client),
+        );
+        let client_reads = if server.writes == 1 {
+            client.reads.to_string()
+        } else {
+            assert!(client.reads * 10 <= client.frames_in, "{client:?}");
+            "(at most a tenth of frames_in)".into()
+        };
+        writeln!(
+            out,
+            "== {name}\ndelivered: {}\nclient: {}\nserver: {}\n",
+            reply.delivered,
+            side(&client, client_reads),
+            side(&server, server.reads.to_string()),
+        )
+        .expect("string write");
+    }
+    c.goodbye().expect("clean close");
+    check_golden(true, &out);
 }
