@@ -10,14 +10,18 @@
 //! runs the partial stage, `compile_query`/`compile_call` run the
 //! per-query stage.
 
-use crate::context::{Context, InverseRegistry, Mode, UserFunction};
+use crate::context::{Context, InverseRegistry, Mode, UserFunction, LIFTED_PREFIX};
 use crate::frames::FrameLayout;
 use crate::ir::{CExpr, CKind};
-use crate::translate::{translate_module, translate_query_with_vars, ModuleEnv};
+use crate::translate::{
+    resolve_seq_type, translate_functions, translate_module, translate_query_with_vars, ModuleEnv,
+};
 use crate::{frames, rules, sqlgen, typecheck};
 use aldsp_metadata::Registry;
+use aldsp_parser::ast::Module;
 use aldsp_parser::{parse_module, parse_module_strict, Diagnostic};
 use aldsp_relational::Dialect;
+use aldsp_xdm::types::SequenceType;
 use aldsp_xdm::QName;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -63,6 +67,10 @@ pub enum Mutation {
     /// without attaching it to the generated SQL — the pushed plan
     /// silently returns extra rows.
     DropPushedPredicate,
+    /// Panic when the pushdown pass reaches a FLWOR — a planted crash,
+    /// so the wire tests can prove that a panicking compile costs its
+    /// request, not the session or the server.
+    PanicInPushdown,
 }
 
 /// Compiler configuration.
@@ -151,6 +159,37 @@ pub struct CompiledQuery {
     pub joins: Arc<crate::joins::JoinPlan>,
 }
 
+/// What compiling a parsed module produced
+/// ([`Compiler::compile_module`]).
+// returned once per compile and taken apart at once: boxing the plan
+// would only add an allocation
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Compiled {
+    /// An executable plan.
+    Plan(CompiledQuery),
+    /// The value of a lifted literal would decide the plan — two
+    /// filters that prune or collapse depending on whether their
+    /// constants are equal, a `fn:subsequence` bound reached through a
+    /// function argument — so no one plan serves every text of this
+    /// shape. The caller compiles such texts with their literals in
+    /// place.
+    ValueDependent,
+}
+
+impl Compiled {
+    /// The plan of a module that holds no lifted literal.
+    fn literal(self) -> Result<CompiledQuery, Vec<Diagnostic>> {
+        match self {
+            Compiled::Plan(p) => Ok(p),
+            Compiled::ValueDependent => Err(vec![Diagnostic {
+                span: Default::default(),
+                message: "plan reported value-dependent without a lifted literal".into(),
+            }]),
+        }
+    }
+}
+
 /// Cache/statistics counters for the view sub-optimizer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompilerStats {
@@ -160,6 +199,10 @@ pub struct CompilerStats {
     pub view_cache_hits: u64,
     /// Queries compiled.
     pub queries_compiled: u64,
+    /// Compiles of a lifted module abandoned as
+    /// [`Compiled::ValueDependent`] (not counted in `queries_compiled`:
+    /// no plan came of them).
+    pub value_dependent: u64,
 }
 
 /// The ALDSP query compiler.
@@ -209,19 +252,11 @@ impl Compiler {
     /// §4.2), caching the results for reuse by later queries. Returns the
     /// deployed function names.
     pub fn deploy_module(&self, src: &str) -> Result<Vec<QName>, Vec<Diagnostic>> {
-        let (module, mut diags) = match self.options.mode {
-            Mode::FailFast => match parse_module_strict(src) {
-                Ok(m) => (m, Vec::new()),
-                Err(d) => return Err(vec![d]),
-            },
-            Mode::Recover => parse_module(src),
-        };
+        let (module, mut diags) = self.parse(src)?;
         let mut ctx = self.new_context();
         let _body = translate_module(&mut ctx, &module);
         diags.append(&mut ctx.diags);
         // partial optimization of each newly declared function body
-        let env = ModuleEnv::of(&module);
-        let _ = env;
         let mut deployed = Vec::new();
         let names: Vec<QName> = module
             .functions
@@ -268,56 +303,70 @@ impl Compiler {
         Ok(deployed)
     }
 
+    /// Parse a module text under this compiler's error-handling mode:
+    /// fail-fast stops at the first syntax error, recover mode returns
+    /// the partial module with every diagnostic (§4.1).
+    pub fn parse(&self, src: &str) -> Result<(Module, Vec<Diagnostic>), Vec<Diagnostic>> {
+        match self.options.mode {
+            Mode::FailFast => match parse_module_strict(src) {
+                Ok(m) => Ok((m, Vec::new())),
+                Err(d) => Err(vec![d]),
+            },
+            Mode::Recover => Ok(parse_module(src)),
+        }
+    }
+
     /// Compile an ad-hoc query. The source is a module whose main body is
     /// the query; its prolog may declare namespaces, import schemas, and
     /// declare external variables (which become the plan's
-    /// `external_vars`).
+    /// `external_vars`). The plan is self-contained: every literal of
+    /// the text is a constant in it.
     pub fn compile_query(&self, src: &str) -> Result<CompiledQuery, Vec<Diagnostic>> {
-        let (module, mut diags) = match self.options.mode {
-            Mode::FailFast => match parse_module_strict(src) {
-                Ok(m) => (m, Vec::new()),
-                Err(d) => return Err(vec![d]),
-            },
-            Mode::Recover => parse_module(src),
-        };
+        let (module, diags) = self.parse(src)?;
+        self.compile_module(&module, diags)?.literal()
+    }
+
+    /// Compile a parsed query module ([`Compiler::parse`]'s
+    /// output, `diags` included). An external variable named with
+    /// [`LIFTED_PREFIX`] stands for a literal the caller lifted out of
+    /// the text: it is typed exactly as declared (the caller binds a
+    /// value of that type at every execution), and when its *value*
+    /// would decide the plan the result is [`Compiled::ValueDependent`]
+    /// instead of a plan that differs from the literal text's.
+    pub fn compile_module(
+        &self,
+        module: &Module,
+        diags: Vec<Diagnostic>,
+    ) -> Result<Compiled, Vec<Diagnostic>> {
         let mut ctx = self.new_context();
-        // local function declarations in the query module
-        let body_from_module = {
-            // translate functions first (translate_module handles both)
-            let externals: Vec<String> = module.variables.iter().map(|v| v.name.clone()).collect();
-            let mut m2 = module.clone();
-            m2.body = None;
-            translate_module(&mut ctx, &m2);
-            module.body.as_ref().map(|b| {
-                let env = ModuleEnv::of(&module);
-                translate_query_with_vars(&mut ctx, &env, b, &externals)
+        let env = ModuleEnv::of(module);
+        // local function declarations first, then the body with the
+        // externals in scope
+        translate_functions(&mut ctx, &env, module);
+        let externals: Vec<(String, SequenceType)> = module
+            .variables
+            .iter()
+            .map(|v| {
+                let ty = match &v.ty {
+                    Some(t) if v.name.starts_with(LIFTED_PREFIX) => {
+                        resolve_seq_type(&mut ctx, &env, t, Default::default())
+                    }
+                    _ => SequenceType::any(),
+                };
+                (v.name.clone(), ty)
             })
-        };
-        let Some(mut plan) = body_from_module else {
+            .collect();
+        let Some(body) = &module.body else {
+            let mut diags = diags;
             diags.push(Diagnostic {
                 span: Default::default(),
                 message: "query module has no main expression".into(),
             });
             return Err(diags);
         };
-        let external_vars: Vec<String> = module.variables.iter().map(|v| v.name.clone()).collect();
-        let (frame, programs, parallel, joins) =
-            self.finish(&mut ctx, &mut plan, &external_vars)?;
-        diags.extend(ctx.diags);
-        if self.options.mode == Mode::FailFast && !diags.is_empty() {
-            return Err(diags);
-        }
-        self.stats.lock().queries_compiled += 1;
-        Ok(CompiledQuery {
-            plan,
-            external_vars,
-            frame,
-            pushdown: self.options.pushdown,
-            diagnostics: diags,
-            programs,
-            parallel,
-            joins,
-        })
+        let names: Vec<String> = externals.iter().map(|(n, _)| n.clone()).collect();
+        let plan = translate_query_with_vars(&mut ctx, &env, body, &names);
+        self.finish(ctx, plan, externals, diags)
     }
 
     /// Compile an invocation of a deployed data-service function: the
@@ -343,10 +392,14 @@ impl Compiler {
                 message: format!("unknown data-service function {name}"),
             }]);
         }
-        let mut ctx = self.new_context();
+        let ctx = self.new_context();
         let span = crate::ir::Span::default();
-        let external_vars: Vec<String> = (0..arity).map(|i| format!("arg{i}")).collect();
-        let args: Vec<CExpr> = external_vars.iter().map(|v| CExpr::var(v, span)).collect();
+        let externals: Vec<(String, SequenceType)> = (0..arity)
+            .map(|i| (format!("arg{i}"), SequenceType::any()))
+            .collect();
+        let args: Vec<CExpr> = (externals.iter())
+            .map(|(v, _)| CExpr::var(v, span))
+            .collect();
         let kind = if ctx.functions.contains_key(name) {
             self.stats.lock().view_cache_hits += 1;
             CKind::UserCall {
@@ -359,86 +412,80 @@ impl Compiler {
                 args,
             }
         };
-        let mut plan = CExpr::new(kind, span);
-        let (frame, programs, parallel, joins) =
-            self.finish(&mut ctx, &mut plan, &external_vars)?;
-        let diags = std::mem::take(&mut ctx.diags);
-        if self.options.mode == Mode::FailFast && !diags.is_empty() {
-            return Err(diags);
-        }
-        self.stats.lock().queries_compiled += 1;
-        Ok(CompiledQuery {
-            plan,
-            external_vars,
-            frame,
-            pushdown: self.options.pushdown,
-            diagnostics: diags,
-            programs,
-            parallel,
-            joins,
-        })
+        self.finish(ctx, CExpr::new(kind, span), externals, Vec::new())?
+            .literal()
     }
 
     /// The per-query stages, each an explicit pass run exactly once:
     /// type check → **normalize** (view unfolding + the local rewrite
     /// rules to fixpoint) → re-infer types → **predicate placement**
     /// (global duplicate elimination and contradiction pruning) →
-    /// **SQL pushdown** → frame layout → node ids → bytecode lowering →
-    /// **join planning** and parallel analysis over the final shape.
-    /// Debug builds assert each rewriting pass is idempotent (re-running
-    /// it is a no-op), which is what lets them run once instead of
-    /// inside one shared fixpoint.
-    #[allow(clippy::type_complexity)]
+    /// **SQL pushdown** → query-constant parameters recorded → frame
+    /// layout → node ids → bytecode lowering → **join planning** and
+    /// parallel analysis over the final shape. Debug builds assert each
+    /// rewriting pass is idempotent (re-running it is a no-op), which is
+    /// what lets them run once instead of inside one shared fixpoint.
+    ///
+    /// `externals` are the plan's external variables with their static
+    /// types, in slot order; `diags` what parsing already reported.
     fn finish(
         &self,
-        ctx: &mut Context<'_>,
-        plan: &mut CExpr,
-        external_vars: &[String],
-    ) -> Result<
-        (
-            Arc<FrameLayout>,
-            Arc<crate::program::ProgramSet>,
-            Arc<crate::parallel::ParallelPlan>,
-            Arc<crate::joins::JoinPlan>,
-        ),
-        Vec<Diagnostic>,
-    > {
-        let mut tenv: typecheck::TypeEnv = external_vars
-            .iter()
-            .map(|v| (v.clone(), aldsp_xdm::types::SequenceType::any()))
-            .collect();
-        typecheck::typecheck(ctx, plan, &mut tenv);
-        if self.options.mode == Mode::FailFast && ctx.has_errors() {
-            return Err(std::mem::take(&mut ctx.diags));
+        mut ctx: Context<'_>,
+        mut plan: CExpr,
+        externals: Vec<(String, SequenceType)>,
+        mut diags: Vec<Diagnostic>,
+    ) -> Result<Compiled, Vec<Diagnostic>> {
+        let fail_fast = self.options.mode == Mode::FailFast;
+        let tenv: typecheck::TypeEnv = externals.iter().cloned().collect();
+        let external_vars: Vec<String> = externals.into_iter().map(|(n, _)| n).collect();
+        ctx.externals.clone_from(&external_vars);
+        typecheck::typecheck(&mut ctx, &mut plan, &mut tenv.clone());
+        if fail_fast && ctx.has_errors() {
+            return Err(ctx.diags);
         }
-        run_pass(ctx, plan, "normalize", rules::optimize);
+        run_pass(&mut ctx, &mut plan, "normalize", rules::optimize);
         // re-infer types after rewriting (rewrites preserve or refine)
-        let mut tenv2: typecheck::TypeEnv = external_vars
-            .iter()
-            .map(|v| (v.clone(), aldsp_xdm::types::SequenceType::any()))
-            .collect();
-        typecheck::typecheck(ctx, plan, &mut tenv2);
-        run_pass(ctx, plan, "place-predicates", rules::place_predicates);
-        run_pass(ctx, plan, "pushdown", sqlgen::push_down);
+        typecheck::typecheck(&mut ctx, &mut plan, &mut tenv.clone());
+        run_pass(
+            &mut ctx,
+            &mut plan,
+            "place-predicates",
+            rules::place_predicates,
+        );
+        run_pass(&mut ctx, &mut plan, "pushdown", sqlgen::push_down);
+        if ctx.value_dependent {
+            self.stats.lock().value_dependent += 1;
+            return Ok(Compiled::ValueDependent);
+        }
+        sqlgen::record_query_consts(&ctx, &mut plan);
         // slots are derived from the final plan: every rewrite above is
         // name-based and slot-agnostic
-        let frame = frames::layout(plan, external_vars);
+        let frame = frames::layout(&mut plan, &external_vars);
         let node_count = plan.assign_node_ids();
         let programs = if ctx.options.vm {
-            crate::program::lower_plan(plan, node_count)
+            crate::program::lower_plan(&plan, node_count)
         } else {
             crate::program::ProgramSet::default()
         };
         // join planning and parallel eligibility are properties of the
         // final plan shape and need the node ids assigned just above
-        let joins = crate::joins::analyze(ctx, plan);
-        let parallel = crate::parallel::analyze(plan);
-        Ok((
-            Arc::new(frame),
-            Arc::new(programs),
-            Arc::new(parallel),
-            Arc::new(joins),
-        ))
+        let joins = crate::joins::analyze(&ctx, &plan);
+        let parallel = crate::parallel::analyze(&plan);
+        diags.append(&mut ctx.diags);
+        if fail_fast && !diags.is_empty() {
+            return Err(diags);
+        }
+        self.stats.lock().queries_compiled += 1;
+        Ok(Compiled::Plan(CompiledQuery {
+            plan,
+            external_vars,
+            frame: Arc::new(frame),
+            pushdown: self.options.pushdown,
+            diagnostics: diags,
+            programs: Arc::new(programs),
+            parallel: Arc::new(parallel),
+            joins: Arc::new(joins),
+        }))
     }
 
     /// A compiler over the same metadata, inverses, and deployed views

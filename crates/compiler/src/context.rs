@@ -65,6 +65,13 @@ impl InverseRegistry {
     }
 }
 
+/// Name prefix of the synthetic external variables that stand for
+/// literals lifted out of a query text (`?0`, `?1`, … in source order).
+/// No query text can spell it — `$?` does not lex — so a variable with
+/// this prefix is known to be bound by the server to a value of exactly
+/// its declared type.
+pub const LIFTED_PREFIX: &str = "?";
+
 /// The shared compilation context.
 pub struct Context<'r> {
     /// Source metadata (physical functions, schemas).
@@ -78,6 +85,15 @@ pub struct Context<'r> {
     pub functions: HashMap<QName, UserFunction>,
     /// Inverse-function registrations.
     pub inverses: InverseRegistry,
+    /// The plan's external variables (call arguments `arg0…`, declared
+    /// externals, lifted literals), set by `Compiler::finish` before
+    /// the first pass — what [`Context::is_query_const`] tests against.
+    pub externals: Vec<String>,
+    /// Set by a pass that meets a lifted literal (an external named
+    /// with [`LIFTED_PREFIX`]) where its *value* would decide the plan:
+    /// the compile is abandoned and the text is compiled with its
+    /// literals in place instead.
+    pub value_dependent: bool,
     var_counter: u32,
 }
 
@@ -90,8 +106,24 @@ impl<'r> Context<'r> {
             diags: Vec::new(),
             functions: HashMap::new(),
             inverses: InverseRegistry::default(),
+            externals: Vec::new(),
+            value_dependent: false,
             var_counter: 0,
         }
+    }
+
+    /// Does `e` read nothing but the plan's external variables? Such an
+    /// expression has one value for the whole execution, so a SQL
+    /// parameter carrying it does not correlate its statement to the
+    /// enclosing tuple stream.
+    pub fn is_query_const(&self, e: &CExpr) -> bool {
+        e.free_vars().iter().all(|v| self.externals.contains(v))
+    }
+
+    /// Is some parameter of a statement tuple-dependent (not
+    /// query-constant)?
+    pub fn correlated(&self, params: &[CExpr]) -> bool {
+        !params.iter().all(|p| self.is_query_const(p))
     }
 
     /// The SQL dialect of a connection (§4.3: "SQL syntax generation

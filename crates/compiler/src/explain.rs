@@ -8,6 +8,7 @@
 //! pushed scan, PP-k specs, the group-by mode the optimizer chose, and
 //! cache / fail-over / timeout annotations.
 
+use crate::context::LIFTED_PREFIX;
 use crate::ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, PpkSpec};
 use aldsp_relational::{render_select, Dialect};
 use aldsp_xdm::QName;
@@ -58,6 +59,21 @@ pub struct ExplainContext<'a> {
     /// so join-planning regressions are visible in review. `None`
     /// leaves the plan text unchanged.
     pub joins: Option<&'a crate::joins::JoinPlan>,
+    /// How the plan relates to the literals of the query text it was
+    /// fetched for (server state from the plan cache), rendered as a
+    /// `-- shape:` header. `None` leaves the plan text unchanged.
+    pub shape: Option<PlanShape<'a>>,
+}
+
+/// What became of a query text's literals.
+pub enum PlanShape<'a> {
+    /// The plan serves every text of this shape; these are *this*
+    /// text's lifted literals, bound to `$?0`, `$?1`, … and printed
+    /// beside each reference.
+    Lifted(&'a [aldsp_xdm::value::AtomicValue]),
+    /// The value of a literal decides the plan, so this text was
+    /// compiled with its literals in place.
+    ValueDependent,
 }
 
 impl<'a> ExplainContext<'a> {
@@ -87,6 +103,15 @@ pub fn explain_plan(plan: &CExpr, ctx: &ExplainContext<'_>) -> String {
     }
     if let Some(j) = ctx.joins {
         let _ = writeln!(out, "-- join: {j}");
+    }
+    match &ctx.shape {
+        Some(PlanShape::Lifted(values)) => {
+            let _ = writeln!(out, "-- shape: {} literals lifted", values.len());
+        }
+        Some(PlanShape::ValueDependent) => {
+            out.push_str("-- shape: literal (value-dependent)\n");
+        }
+        None => {}
     }
     render_expr(plan, ctx, 0, &mut out);
     out
@@ -125,7 +150,19 @@ fn render_expr_node(e: &CExpr, ctx: &ExplainContext<'_>, depth: usize, out: &mut
             let _ = writeln!(out, "Const {}", v.string_value());
         }
         CKind::Var { name: v, .. } => {
-            let _ = writeln!(out, "Var ${v}");
+            let lifted = match &ctx.shape {
+                Some(PlanShape::Lifted(values)) => (v.strip_prefix(LIFTED_PREFIX))
+                    .and_then(|i| values.get(i.parse::<usize>().ok()?)),
+                _ => None,
+            };
+            match lifted {
+                Some(value) => {
+                    let _ = writeln!(out, "Var ${v} = {}", value.string_value());
+                }
+                None => {
+                    let _ = writeln!(out, "Var ${v}");
+                }
+            }
         }
         CKind::Seq(items) => {
             let _ = writeln!(out, "Seq n={}", items.len());
@@ -380,6 +417,7 @@ fn render_clause(
             connection,
             select,
             params,
+            query_const,
             binds,
             ppk,
         } => {
@@ -387,9 +425,10 @@ fn render_clause(
             let bind_vars: Vec<String> = binds.iter().map(|(v, _)| format!("${v}")).collect();
             let _ = writeln!(
                 out,
-                "SqlScan connection={connection} dialect={} params={} binds=[{}]",
+                "SqlScan connection={connection} dialect={} params={} query-const={} binds=[{}]",
                 dialect.name(),
                 params.len(),
+                query_const.iter().filter(|c| **c).count(),
                 bind_vars.join(", ")
             );
             if let Some(spec) = ppk {

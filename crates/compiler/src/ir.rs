@@ -328,6 +328,16 @@ pub enum Clause {
         /// Expressions for the statement's positional parameters,
         /// evaluated per outer tuple (correlated / external values).
         params: Vec<CExpr>,
+        /// `query_const[i]`: `params[i]` reads nothing but the plan's
+        /// external variables (call arguments, declared externals,
+        /// lifted literals), so it has one value for the whole
+        /// execution and plans exactly like the literal it stands for.
+        /// A statement is *correlated* only when some parameter is not
+        /// query-constant. Recorded once by `Compiler::finish` on the
+        /// final plan (empty until then — pushdown asks
+        /// [`crate::Context::is_query_const`] while parameters are still
+        /// being rewritten).
+        query_const: Vec<bool>,
         /// `(field variable, column type)` — field i binds output column
         /// i; SQL NULL binds the empty sequence.
         binds: Vec<(String, AtomicType)>,

@@ -62,10 +62,15 @@ impl fmt::Display for JoinStrategy {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinMark {
     /// The decorrelated bulk statement: the original select with the
-    /// `key = ?` conjunct removed and the key column appended to the
-    /// select list (so the runtime can hash fetched rows without
+    /// `key = ?` conjunct removed, the remaining (query-constant)
+    /// parameters renumbered over the gap, and the key column appended
+    /// to the select list (so the runtime can hash fetched rows without
     /// re-deriving the key).
     pub bulk: Box<Select>,
+    /// Index (into the clause's `params`) of the one tuple-dependent
+    /// parameter, the probe key; every other parameter is
+    /// query-constant and binds, in order, to the bulk statement.
+    pub key_param: usize,
     /// Row index of the appended key column (= the original output
     /// column count; the extra column is invisible to `binds`, which
     /// zip only the original columns).
@@ -169,6 +174,7 @@ pub fn analyze(ctx: &Context<'_>, plan: &CExpr) -> JoinPlan {
 /// A correlated scan that can be decorrelated into a bulk fetch.
 struct Candidate {
     bulk: Select,
+    key_param: usize,
     key_row_index: usize,
     key_column: String,
 }
@@ -189,17 +195,17 @@ fn analyze_flwor(
             Clause::SqlFor {
                 connection,
                 select,
-                params,
+                query_const,
                 ppk,
                 ..
             } => {
-                if params.is_empty() && ppk.is_none() {
+                if !query_const.contains(&false) && ppk.is_none() {
                     // uncorrelated scan: (re)seed the estimate
                     outer_est = scan_estimate(ctx, connection, select);
                     continue;
                 }
                 let cand = if idx > 0 {
-                    eligible(select, params, ppk)
+                    eligible(select, query_const, ppk)
                 } else {
                     None
                 };
@@ -230,6 +236,7 @@ fn analyze_flwor(
                         (flwor_id, idx),
                         JoinMark {
                             bulk: Box::new(cand.bulk),
+                            key_param: cand.key_param,
                             key_row_index: cand.key_row_index,
                             build_rows,
                             probe_rows,
@@ -250,18 +257,20 @@ fn analyze_flwor(
     }
 }
 
-/// Is this correlated scan decorrelatable? Requires a single-parameter
-/// plain select whose only parameter use is one top-level `col = ?`
-/// conjunct. Returns the bulk statement (conjunct stripped, key column
-/// appended) when so.
+/// Is this correlated scan decorrelatable? Requires a plain select with
+/// exactly one tuple-dependent parameter, used nowhere but in one
+/// top-level `col = ?` conjunct. Returns the bulk statement — that
+/// conjunct stripped, the key column appended, the query-constant
+/// parameters kept and renumbered over the gap — when so.
 fn eligible(
     select: &Select,
-    params: &[CExpr],
+    query_const: &[bool],
     ppk: &Option<crate::ir::PpkSpec>,
 ) -> Option<Candidate> {
-    if params.len() != 1 || ppk.is_some() {
+    let mut correlated = (0..query_const.len()).filter(|&i| !query_const[i]);
+    let (Some(key_param), None, None) = (correlated.next(), correlated.next(), ppk) else {
         return None;
-    }
+    };
     if select.distinct
         || select.is_aggregate()
         || !select.group_by.is_empty()
@@ -272,38 +281,35 @@ fn eligible(
     {
         return None;
     }
-    // the parameter may appear nowhere but the correlating conjunct
-    if select.columns.iter().any(|c| c.expr.param_count() > 0) {
-        return None;
-    }
-    let where_ = select.where_.as_ref()?;
     let mut conjs = Vec::new();
-    split_conjuncts(where_, &mut conjs);
-    let mut key: Option<ScalarExpr> = None;
-    let mut rest = Vec::new();
-    for c in conjs {
-        match key_equality(&c) {
-            Some(col) if key.is_none() => key = Some(col.clone()),
-            // a second parameter use (even another `col = ?`) blocks
-            Some(_) => return None,
-            None if c.param_count() > 0 => return None,
-            None => rest.push(c),
-        }
-    }
-    let key = key?;
+    split_conjuncts(select.where_.as_ref()?, &mut conjs);
+    let (key_at, key) = (conjs.iter().enumerate())
+        .find_map(|(at, c)| Some((at, key_equality(c, key_param)?.clone())))?;
+    conjs.remove(key_at);
     let ScalarExpr::Column { column, .. } = &key else {
         return None;
     };
-    let mut bulk = select.clone();
-    bulk.where_ = rest.into_iter().reduce(ScalarExpr::and);
-    let key_row_index = bulk.columns.len();
     let key_column = column.clone();
+    let mut bulk = select.clone();
+    bulk.where_ = conjs.into_iter().reduce(ScalarExpr::and);
+    // the key parameter may appear nowhere else — not in another
+    // conjunct (even a second `col = ?`), the select list or a subquery
+    let mut key_used = false;
+    bulk.map_params(&mut |i| {
+        key_used |= i == key_param;
+        i - usize::from(i > key_param)
+    });
+    if key_used {
+        return None;
+    }
+    let key_row_index = bulk.columns.len();
     bulk.columns.push(OutputColumn {
         expr: key,
         alias: "jk".to_string(),
     });
     Some(Candidate {
         bulk,
+        key_param,
         key_row_index,
         key_column,
     })
@@ -318,8 +324,8 @@ fn split_conjuncts(e: &ScalarExpr, out: &mut Vec<ScalarExpr>) {
     }
 }
 
-/// Match `col = ?0` (either side) and return the column.
-fn key_equality(e: &ScalarExpr) -> Option<&ScalarExpr> {
+/// Match `col = ?key` (either side) and return the column.
+fn key_equality(e: &ScalarExpr, key: usize) -> Option<&ScalarExpr> {
     let ScalarExpr::Compare {
         op: CompOp::Eq,
         lhs,
@@ -329,8 +335,12 @@ fn key_equality(e: &ScalarExpr) -> Option<&ScalarExpr> {
         return None;
     };
     match (&**lhs, &**rhs) {
-        (c @ ScalarExpr::Column { .. }, ScalarExpr::Param(0))
-        | (ScalarExpr::Param(0), c @ ScalarExpr::Column { .. }) => Some(c),
+        (c @ ScalarExpr::Column { .. }, ScalarExpr::Param(p))
+        | (ScalarExpr::Param(p), c @ ScalarExpr::Column { .. })
+            if *p == key =>
+        {
+            Some(c)
+        }
         _ => None,
     }
 }

@@ -25,9 +25,11 @@ pub mod sqlgen;
 pub mod translate;
 pub mod typecheck;
 
-pub use compile::{CompiledQuery, Compiler, CompilerStats, Mutation, Options, PushdownLevel};
-pub use context::{Context, InverseRegistry, Mode, UserFunction};
-pub use explain::{explain_plan, ExplainContext};
+pub use compile::{
+    Compiled, CompiledQuery, Compiler, CompilerStats, Mutation, Options, PushdownLevel,
+};
+pub use context::{Context, InverseRegistry, Mode, UserFunction, LIFTED_PREFIX};
+pub use explain::{explain_plan, ExplainContext, PlanShape};
 pub use frames::FrameLayout;
 pub use ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec, NO_SLOT};
 pub use joins::{JoinMark, JoinPlan, JoinStrategy};
@@ -719,5 +721,313 @@ mod scalar_projection_tests {
         let regions = collect_sql_regions(&q.plan);
         let sql = render_select(&regions[0].select, Dialect::Oracle);
         assert!(sql.contains("UPPER(t1.\"LAST_NAME\")"), "{sql}");
+    }
+}
+
+/// A query-constant parameter plans exactly like the literal it stands
+/// for: each probe compiles once with its literal and once with an
+/// external variable in its place, and the two plans must agree on
+/// everything but `?` for the literal and the parameter list.
+#[cfg(test)]
+mod param_neutral_tests {
+    use super::tests::{fixture, PROLOG};
+    use super::*;
+    use aldsp_metadata::TableStats;
+    use aldsp_relational::Dialect;
+    use aldsp_xdm::QName;
+    use std::sync::Arc;
+
+    const PROFILE_MODULE: &str = r#"
+        declare namespace p = "urn:profileDS";
+        declare function p:getProfile() as element(PROFILE)* {
+          for $c in c:CUSTOMER()
+          return
+            <PROFILE>
+              <CID>{fn:data($c/CID)}</CID>
+              <LAST_NAME>{fn:data($c/LAST_NAME)}</LAST_NAME>
+              <ORDERS>{ for $o in c:ORDER() where $o/CID eq $c/CID return $o/OID }</ORDERS>
+              <CREDIT_CARDS>{
+                for $k in cc:CREDIT_CARD() where $k/CID eq $c/CID return $k/CCN
+              }</CREDIT_CARDS>
+            </PROFILE>
+        };
+        declare function p:getProfileByID($id as xs:string) as element(PROFILE)* {
+          p:getProfile()[CID eq $id]
+        };
+    "#;
+
+    /// The running-example compiler with the statistics that let the
+    /// cost model choose a hash join, and the profile views deployed.
+    fn compiler() -> Compiler {
+        let mut reg = (*fixture()).clone();
+        for (conn, table, rows) in [
+            ("db1", "CUSTOMER", 10_000),
+            ("db1", "ORDER", 30_000),
+            ("db2", "CREDIT_CARD", 20_000),
+        ] {
+            let mut ts = TableStats {
+                row_count: rows,
+                column_distinct: Default::default(),
+            };
+            ts.column_distinct.insert("CID".into(), 10_000);
+            reg.set_table_stats(conn, table, ts);
+        }
+        let mut opts = Options::default();
+        opts.dialects.insert("db1".into(), Dialect::Oracle);
+        opts.dialects.insert("db2".into(), Dialect::Db2);
+        let c = Compiler::new(Arc::new(reg), opts);
+        c.deploy_module(&format!("{PROLOG}{PROFILE_MODULE}"))
+            .expect("deploys");
+        c
+    }
+
+    /// The plan's shape: clause lines, SQL text, PP-k specs and the
+    /// join/parallel headers, with node ids, parameter counts and SQL
+    /// literals normalized away; parameter expression subtrees (and the
+    /// middleware expressions, which differ by `Const` ↔ `Var`) left out.
+    fn shape(c: &Compiler, q: &CompiledQuery) -> String {
+        let dialects = c.options().dialects.clone();
+        let text = explain_plan(
+            &q.plan,
+            &ExplainContext {
+                dialects: &dialects,
+                cache_enabled: &|_| false,
+                governor: None,
+                matview: None,
+                pushdown: q.pushdown,
+                programs: None,
+                parallel: Some(&q.parallel),
+                joins: Some(&q.joins),
+                shape: None,
+            },
+        );
+        let mut out = String::new();
+        for line in text.lines() {
+            let l = line.trim_start();
+            let clause =
+                l.starts_with('#') && l[1..].split(' ').next().is_some_and(|id| id.contains('.'));
+            let kept = clause
+                || l.starts_with("sql> ")
+                || l.starts_with("ppk: ")
+                || l.starts_with("-- join:")
+                || l.starts_with("-- parallel:");
+            if kept {
+                out.push_str(&normalize(l));
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    /// `#12.3` → `#`, `params=2 query-const=1` → gone, and in SQL text
+    /// every literal → `?`.
+    fn normalize(line: &str) -> String {
+        if let Some(sql) = line.strip_prefix("sql> ") {
+            return format!("sql> {}", aldsp_relational::modulo_literals(sql));
+        }
+        let mut out = String::new();
+        let mut rest = line;
+        while let Some(c) = rest.chars().next() {
+            if c == '#' {
+                out.push('#');
+                rest = rest[1..].trim_start_matches(|d: char| d.is_ascii_digit() || d == '.');
+            } else if rest.starts_with("params=") {
+                rest = &rest[rest.find(" binds=").unwrap_or(rest.len())..];
+            } else {
+                out.push(c);
+                rest = &rest[c.len_utf8()..];
+            }
+        }
+        out
+    }
+
+    /// Compile `template` with `literal` for `{}` and with an external
+    /// variable for `{}`; both plans must have one shape.
+    fn assert_neutral(template: &str, literal: &str) -> String {
+        let c = compiler();
+        let lit = c
+            .compile_query(&format!("{PROLOG}{}", template.replace("{}", literal)))
+            .unwrap_or_else(|d| panic!("literal text: {d:?}"));
+        let ext = c
+            .compile_query(&format!(
+                "{PROLOG} declare variable $v external; {}",
+                template.replace("{}", "$v")
+            ))
+            .unwrap_or_else(|d| panic!("external text: {d:?}"));
+        let (want, got) = (shape(&c, &lit), shape(&c, &ext));
+        assert_eq!(
+            got, want,
+            "\n--- external ---\n{got}\n--- literal ---\n{want}"
+        );
+        want
+    }
+
+    #[test]
+    fn the_six_adhoc_templates() {
+        let id = "\"C0007\"";
+        // point lookup
+        assert_neutral(
+            "for $c in c:CUSTOMER() where $c/CID eq {} \
+             return <R>{$c/CID}{$c/LAST_NAME}{$c/SSN}</R>",
+            id,
+        );
+        // same-source join
+        assert_neutral(
+            "for $c in c:CUSTOMER(), $o in c:ORDER() \
+             where $o/CID eq $c/CID and $c/CID eq {} \
+             return <R>{$c/LAST_NAME}{$o/OID}{$o/AMOUNT}</R>",
+            id,
+        );
+        // cross-source profile
+        let s = assert_neutral(
+            "for $c in c:CUSTOMER() where $c/CID eq {} \
+             return <R>{$c/CID}<CARDS>{ \
+               for $k in cc:CREDIT_CARD() where $k/CID eq $c/CID return $k/CCN \
+             }</CARDS></R>",
+            id,
+        );
+        assert!(s.contains("ppk: k=20"), "{s}");
+        // group-by with aggregate
+        let s = assert_neutral(
+            "for $o in c:ORDER() where $o/CID ge {} and $o/CID le \"C0011\" \
+             group $o as $g by $o/CID as $k \
+             return <R><K>{$k}</K><N>{fn:count($g)}</N></R>",
+            id,
+        );
+        assert!(s.contains("GROUP BY"), "{s}");
+        // order-by: the ORDER BY still pushes
+        let s = assert_neutral(
+            "for $c in c:CUSTOMER() where $c/LAST_NAME eq \"Jones\" and $c/CID ge {} \
+             order by $c/SINCE descending \
+             return <R>{$c/CID}</R>",
+            id,
+        );
+        assert!(s.contains("ORDER BY t1.\"SINCE\" DESC"), "{s}");
+        // call through the getProfileByID view: CUSTOMER ⟕ ORDER still
+        // merge, leaving two statements
+        let s = assert_neutral(
+            "declare namespace p = \"urn:profileDS\"; \
+             for $p in p:getProfileByID({}) return <R>{$p/CID}{$p/ORDERS}</R>",
+            id,
+        );
+        assert!(s.contains("LEFT OUTER JOIN \"ORDER\""), "{s}");
+        assert_eq!(s.matches("SqlScan").count(), 2, "{s}");
+    }
+
+    #[test]
+    fn nested_same_connection_flwor_merges_with_constants_on_both_sides() {
+        let s = assert_neutral(
+            "for $c in c:CUSTOMER() where $c/LAST_NAME eq {} \
+             return <C>{ $c/CID, for $o in c:ORDER() \
+               where $o/CID eq $c/CID and $o/AMOUNT gt 10 return $o/OID }</C>",
+            "\"Jones\"",
+        );
+        assert!(s.contains("LEFT OUTER JOIN \"ORDER\""), "{s}");
+        assert_eq!(s.matches("SqlScan").count(), 1, "{s}");
+        // ... and with the inner constant the parameter
+        let s = assert_neutral(
+            "for $c in c:CUSTOMER() where $c/LAST_NAME eq \"Jones\" \
+             return <C>{ $c/CID, for $o in c:ORDER() \
+               where $o/CID eq $c/CID and $o/AMOUNT gt {} return $o/OID }</C>",
+            "10",
+        );
+        assert_eq!(s.matches("SqlScan").count(), 1, "{s}");
+    }
+
+    #[test]
+    fn ppk_inner_region_with_an_extra_filter_keeps_its_block_size() {
+        let s = assert_neutral(
+            "for $c in c:CUSTOMER() \
+             return <P>{ $c/CID, for $k in cc:CREDIT_CARD() \
+               where $k/CID eq $c/CID and $k/LIMIT_AMT gt {} return $k/CCN }</P>",
+            "500",
+        );
+        assert!(s.contains("ppk: k=20"), "{s}");
+        // the runtime's block size follows the recorded constancy
+        let c = compiler();
+        let q = c
+            .compile_query(&format!(
+                "{PROLOG} declare variable $v external; \
+                 for $c in c:CUSTOMER() \
+                 return <P>{{ $c/CID, for $k in cc:CREDIT_CARD() \
+                   where $k/CID eq $c/CID and $k/LIMIT_AMT gt $v return $k/CCN }}</P>"
+            ))
+            .unwrap();
+        let mut seen = 0;
+        q.plan.walk(&mut |e| {
+            let CKind::Flwor { clauses, .. } = &e.kind else {
+                return;
+            };
+            for cl in clauses {
+                if let Clause::SqlFor {
+                    params,
+                    query_const,
+                    ppk: Some(_),
+                    ..
+                } = cl
+                {
+                    assert_eq!(params.len(), 1);
+                    assert_eq!(query_const, &[true]);
+                    seen += 1;
+                }
+            }
+        });
+        assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn cross_source_join_with_a_constant_filter_stays_a_hash_join() {
+        let s = assert_neutral(
+            "for $c in c:CUSTOMER(), $k in cc:CREDIT_CARD() \
+             where $k/CID eq $c/CID and $k/LIMIT_AMT gt {} \
+             return <J>{$c/LAST_NAME}{$k/CCN}</J>",
+            "40000",
+        );
+        assert!(s.contains("strategy=hash"), "{s}");
+        // the bulk statement keeps the constant, renumbered to ?0, and
+        // loses only the correlating conjunct
+        let c = compiler();
+        let q = c
+            .compile_query(&format!(
+                "{PROLOG} declare variable $v external; \
+                 for $c in c:CUSTOMER(), $k in cc:CREDIT_CARD() \
+                 where $k/LIMIT_AMT gt $v and $k/CID eq $c/CID \
+                 return <J>{{$c/LAST_NAME}}{{$k/CCN}}</J>"
+            ))
+            .unwrap();
+        let (_, _, mark) = q.joins.iter().next().expect("marked");
+        let bulk = aldsp_relational::render_select(&mark.bulk, Dialect::Db2);
+        assert!(bulk.contains("WHERE t1.\"LIMIT_AMT\" > ?"), "{bulk}");
+        assert!(!bulk.contains("\"CID\" ="), "{bulk}");
+        assert_eq!(mark.bulk.where_.as_ref().unwrap().param_count(), 1);
+    }
+
+    #[test]
+    fn trailing_order_by_and_pagination_push_past_a_constant() {
+        let s = assert_neutral(
+            "let $cs := for $c in c:CUSTOMER() where $c/SINCE ge {} \
+                        order by $c/LAST_NAME descending return $c/CID \
+             return fn:subsequence($cs, 10, 20)",
+            "1005",
+        );
+        assert!(s.contains("ROWNUM"), "{s}");
+        assert!(s.contains("ORDER BY t1.\"LAST_NAME\" DESC"), "{s}");
+    }
+
+    #[test]
+    fn a_call_plans_like_the_text_with_its_argument_as_a_literal() {
+        let c = compiler();
+        let call = c
+            .compile_call(&QName::new("urn:profileDS", "getProfileByID"))
+            .expect("compiles");
+        let text = c
+            .compile_query(&format!(
+                "{PROLOG} declare namespace p = \"urn:profileDS\"; \
+                 p:getProfileByID(\"C0007\")"
+            ))
+            .expect("compiles");
+        let (got, want) = (shape(&c, &call), shape(&c, &text));
+        assert_eq!(got, want, "\n--- call ---\n{got}\n--- text ---\n{want}");
+        assert_eq!(want.matches("SqlScan").count(), 2, "{want}");
     }
 }

@@ -131,7 +131,9 @@ pub fn analyze(plan: &CExpr) -> ParallelPlan {
 
 fn analyze_clauses(clauses: &[Clause]) -> Option<ParallelMark> {
     match clauses.first()? {
-        Clause::SqlFor { params, ppk, .. } if params.is_empty() && ppk.is_none() => {}
+        Clause::SqlFor {
+            query_const, ppk, ..
+        } if !query_const.contains(&false) && ppk.is_none() => {}
         _ => return None,
     }
     let mut i = 1;

@@ -21,9 +21,10 @@
 //! * **Dead-let elimination** — unused (pure) lets are dropped, so
 //!   unused source accesses disappear entirely.
 
-use crate::context::Context;
+use crate::context::{Context, LIFTED_PREFIX};
 use crate::ir::{CExpr, CKind, Clause};
 use aldsp_xdm::types::{ItemType, SequenceType};
+use aldsp_xdm::value::{AtomicType, AtomicValue};
 use std::collections::HashSet;
 
 /// Run the optimizer to fixpoint (bounded).
@@ -771,22 +772,48 @@ fn simplify_flwor(
 ///
 /// Both rewrites are idempotent by construction — the staged-pass
 /// contract `run_pass` asserts in debug builds.
-pub fn place_predicates(_ctx: &mut Context<'_>, e: &mut CExpr) {
-    place_predicates_rec(e);
-}
-
-fn place_predicates_rec(e: &mut CExpr) {
-    e.for_each_child_mut(&mut place_predicates_rec);
+pub fn place_predicates(ctx: &mut Context<'_>, e: &mut CExpr) {
+    e.for_each_child_mut(&mut |c| place_predicates(ctx, c));
     if let CKind::Flwor { clauses, .. } = &mut e.kind {
-        prune_contradictions(clauses);
+        ctx.value_dependent |= prune_contradictions(clauses);
         drop_duplicate_wheres(clauses);
     }
 }
 
+/// The constant side of a value comparison: a literal, or a literal
+/// lifted out of the query text, of which only the type is known.
+enum Literal {
+    Const(AtomicValue),
+    Lifted(AtomicType),
+}
+
+impl Literal {
+    fn of(e: &CExpr) -> Option<Literal> {
+        match (&e.kind, e.ty.item_type()) {
+            (CKind::Const(v), _) => Some(Literal::Const(v.clone())),
+            (CKind::Var { name, .. }, Some(ItemType::Atomic(t)))
+                if name.starts_with(LIFTED_PREFIX) =>
+            {
+                Some(Literal::Lifted(*t))
+            }
+            _ => None,
+        }
+    }
+
+    fn type_of(&self) -> AtomicType {
+        match self {
+            Literal::Const(v) => v.type_of(),
+            Literal::Lifted(t) => *t,
+        }
+    }
+}
+
 /// Match a value comparison `expr eq <literal>` (either side) against
-/// a type whose structural equality is semantic equality.
-fn const_equality(w: &CExpr) -> Option<(&CExpr, &aldsp_xdm::value::AtomicValue)> {
-    use aldsp_xdm::value::AtomicValue;
+/// a type whose structural equality is semantic equality. The
+/// expression comes back without source positions, so two occurrences
+/// of one expression compare equal wherever the text wrote them.
+fn const_equality(c: &Clause) -> Option<(CExpr, Literal)> {
+    let Clause::Where(w) = c else { return None };
     let CKind::Compare {
         op: aldsp_xdm::item::CompOp::Eq,
         general: false,
@@ -796,52 +823,67 @@ fn const_equality(w: &CExpr) -> Option<(&CExpr, &aldsp_xdm::value::AtomicValue)>
     else {
         return None;
     };
-    let (expr, v) = match (&lhs.kind, &rhs.kind) {
-        (_, CKind::Const(v)) => (&**lhs, v),
-        (CKind::Const(v), _) => (&**rhs, v),
+    let (expr, lit) = match (Literal::of(lhs), Literal::of(rhs)) {
+        (_, Some(lit)) => (lhs, lit),
+        (Some(lit), _) => (rhs, lit),
         _ => return None,
     };
     // Integer/String/Boolean literals compare structurally iff they
-    // compare semantically; decimals (1.0 vs 1.00) and dates do not
-    matches!(
-        v,
-        AtomicValue::Integer(_) | AtomicValue::String(_) | AtomicValue::Boolean(_)
-    )
-    .then_some((expr, v))
+    // compare semantically; decimals (1.0 vs 1.00) and dates do not.
+    // The comparison is evaluated twice, so it must not be able to
+    // tell.
+    if !matches!(
+        lit.type_of(),
+        AtomicType::Integer | AtomicType::String | AtomicType::Boolean
+    ) || !is_pure(expr)
+    {
+        return None;
+    }
+    let mut expr = (**expr).clone();
+    fn unplace(e: &mut CExpr) {
+        e.span = Default::default();
+        e.for_each_child_mut(&mut unplace);
+    }
+    unplace(&mut expr);
+    Some((expr, lit))
 }
 
-fn prune_contradictions(clauses: &mut [Clause]) {
+/// Replace the later of two contradictory equality filters by
+/// `where false()`. Returns `true` when one of a pair that would
+/// contradict *or* repeat is a lifted literal: which of the two the
+/// pair does depends on a value this compile does not have.
+fn prune_contradictions(clauses: &mut [Clause]) -> bool {
+    let mut value_dependent = false;
+    let mut equalities: Vec<_> = clauses.iter().map(const_equality).collect();
     for j in 1..clauses.len() {
-        let Clause::Where(w) = &clauses[j] else {
+        let Some((expr, lit)) = &equalities[j] else {
             continue;
         };
-        let Some((expr, v)) = const_equality(w) else {
-            continue;
-        };
-        let (expr, v, span) = (expr.clone(), v.clone(), w.span);
         let mut found = false;
-        for c in clauses[..j].iter().rev() {
-            match c {
-                // grouping/ordering rebinds or reorders scope: stop looking
-                Clause::GroupBy { .. } | Clause::OrderBy(_) => break,
-                Clause::Where(prev) => {
-                    if let Some((pe, pv)) = const_equality(prev) {
-                        if *pe == expr && pv.type_of() == v.type_of() && *pv != v {
-                            found = true;
-                            break;
-                        }
-                    }
+        for (c, prev) in clauses[..j].iter().zip(&equalities).rev() {
+            // grouping/ordering rebinds or reorders scope: stop looking
+            if matches!(c, Clause::GroupBy { .. } | Clause::OrderBy(_)) {
+                break;
+            }
+            let Some((pe, pl)) = prev else { continue };
+            if pe != expr || pl.type_of() != lit.type_of() {
+                continue;
+            }
+            match (pl, lit) {
+                (Literal::Const(a), Literal::Const(b)) if a != b => {
+                    found = true;
+                    break;
                 }
-                _ => {}
+                (Literal::Const(_), Literal::Const(_)) => {}
+                _ => value_dependent = true,
             }
         }
-        if found {
-            clauses[j] = Clause::Where(CExpr::constant(
-                aldsp_xdm::value::AtomicValue::Boolean(false),
-                span,
-            ));
+        if let (true, Clause::Where(w)) = (found, &clauses[j]) {
+            clauses[j] = Clause::Where(CExpr::constant(AtomicValue::Boolean(false), w.span));
+            equalities[j] = None;
         }
     }
+    value_dependent
 }
 
 fn drop_duplicate_wheres(clauses: &mut Vec<Clause>) {

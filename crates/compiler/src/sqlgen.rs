@@ -25,7 +25,7 @@
 //! * quantified expressions over one source become `EXISTS` semi-joins
 //!   (Table 2(h)).
 
-use crate::context::Context;
+use crate::context::{Context, LIFTED_PREFIX};
 use crate::ir::{Builtin, CExpr, CKind, Clause, PpkSpec};
 use aldsp_metadata::SourceBinding;
 use aldsp_relational::{
@@ -89,6 +89,9 @@ pub fn push_down(ctx: &mut Context<'_>, e: &mut CExpr) {
     let full = ctx.options.pushdown == PushdownLevel::Full;
     e.for_each_child_mut(&mut |c| push_down(ctx, c));
     if let CKind::Flwor { clauses, ret } = &mut e.kind {
+        if ctx.options.mutation == Some(crate::compile::Mutation::PanicInPushdown) {
+            panic!("planted pushdown panic");
+        }
         form_regions(ctx, clauses, ret);
     }
     // fold the rewritten field references (Data(<COL>{$f}</COL>) → $f)
@@ -101,7 +104,7 @@ pub fn push_down(ctx: &mut Context<'_>, e: &mut CExpr) {
         hoist_dependent_joins(ctx, clauses, ret, span);
         if full {
             push_trailing_group_by(ctx, clauses, ret);
-            push_trailing_order_by(clauses);
+            push_trailing_order_by(ctx, clauses);
         }
         prune_unused_columns(clauses, ret);
     }
@@ -111,6 +114,26 @@ pub fn push_down(ctx: &mut Context<'_>, e: &mut CExpr) {
     if full {
         push_subsequence(ctx, e);
     }
+}
+
+/// Record on every `SqlFor` of the finished plan which of its
+/// parameters are query-constant ([`Context::is_query_const`]) — what
+/// join planning, parallel analysis, EXPLAIN and the runtime read
+/// instead of asking "any parameter?".
+pub fn record_query_consts(ctx: &Context<'_>, e: &mut CExpr) {
+    if let CKind::Flwor { clauses, .. } = &mut e.kind {
+        for c in clauses {
+            if let Clause::SqlFor {
+                params,
+                query_const,
+                ..
+            } = c
+            {
+                *query_const = params.iter().map(|p| ctx.is_query_const(p)).collect();
+            }
+        }
+    }
+    e.for_each_child_mut(&mut |c| record_query_consts(ctx, c));
 }
 
 /// Metadata about one pushed FLWOR variable.
@@ -785,6 +808,7 @@ fn build_sql_for(
             connection: region.connection.clone(),
             select: Box::new(select),
             params: std::mem::take(&mut region.params),
+            query_const: Vec::new(),
             binds,
             ppk,
         },
@@ -1090,7 +1114,7 @@ fn hoist_dependent_joins(
                     ..
                 } = c
                 {
-                    if params.is_empty()
+                    if !ctx.correlated(params)
                         && clauses[i + 1..].iter().all(|t| {
                             matches!(
                                 t,
@@ -1162,8 +1186,9 @@ fn hoist_dependent_joins(
                     params,
                     binds,
                     ppk: Some(ppk),
+                    ..
                 },
-            ) if oconn == connection && params.is_empty() => {
+            ) if oconn == connection && !ctx.correlated(params) => {
                 // the re-nesting (non-aggregate) variant inserts a group
                 // clause, which is only sound when nothing follows the
                 // outer SqlFor and the slot is the return
@@ -1177,6 +1202,7 @@ fn hoist_dependent_joins(
                         otable,
                         oalias,
                         select,
+                        params,
                         binds,
                         ppk,
                         inner_ret.clone(),
@@ -1323,6 +1349,7 @@ fn merge_same_connection(
     otable: &str,
     oalias: &str,
     inner_select: &Select,
+    inner_params: &[CExpr],
     inner_binds: &[(String, AtomicType)],
     ppk: &PpkSpec,
     inner_ret: CExpr,
@@ -1355,6 +1382,7 @@ fn merge_same_connection(
     // correlation: outer_keys must be field vars bound by the outer SqlFor
     let Clause::SqlFor {
         select: outer_select,
+        params: outer_params,
         binds: outer_binds,
         ..
     } = &mut clauses[outer_idx]
@@ -1387,6 +1415,15 @@ fn merge_same_connection(
         });
     }
     let Some(on) = on else { return false };
+    // both statements' parameters are query-constant (the caller
+    // checked): the merged statement takes the outer's, then the
+    // inner's renumbered behind them
+    let inner_select = &{
+        let mut renumbered = inner_select.clone();
+        renumbered.map_params(&mut |i| i + outer_params.len());
+        renumbered
+    };
+    outer_params.extend_from_slice(inner_params);
     // splice the join in
     outer_select.from = outer_select.from.clone().join(
         JoinKind::LeftOuter,
@@ -1620,6 +1657,7 @@ fn hoist_cross_source(
         connection,
         select,
         params,
+        query_const,
         mut binds,
         ppk: Some(mut ppk),
     } = inner_clause
@@ -1714,6 +1752,7 @@ fn hoist_cross_source(
         connection,
         select,
         params,
+        query_const,
         binds,
         ppk: Some(ppk),
     });
@@ -2197,6 +2236,11 @@ fn translate_bound(
     }
 }
 
+/// Does `e` read a literal lifted out of the query text?
+fn reads_lifted_literal(e: &CExpr) -> bool {
+    e.free_vars().iter().any(|v| v.starts_with(LIFTED_PREFIX))
+}
+
 fn strip_data(e: &CExpr) -> &CExpr {
     match &e.kind {
         CKind::Data(inner) => strip_data(inner),
@@ -2314,12 +2358,11 @@ fn push_scalars_in(
 /// `[SqlFor, (Let|Where)*, OrderBy(fields)]` → `ORDER BY` in the SQL.
 /// Order keys may reference the SqlFor's binds directly or through
 /// simple `let` aliases (`let $oc := $aggvar`).
-fn push_trailing_order_by(clauses: &mut Vec<Clause>) {
+fn push_trailing_order_by(ctx: &Context<'_>, clauses: &mut Vec<Clause>) {
     // find the single uncorrelated SqlFor
-    let Some(sf_idx) = clauses
-        .iter()
-        .position(|c| matches!(c, Clause::SqlFor { ppk: None, params, .. } if params.is_empty()))
-    else {
+    let Some(sf_idx) = clauses.iter().position(
+        |c| matches!(c, Clause::SqlFor { ppk: None, params, .. } if !ctx.correlated(params)),
+    ) else {
         return;
     };
     // alias map through intermediate lets
@@ -2396,21 +2439,29 @@ fn push_subsequence(ctx: &mut Context<'_>, e: &mut CExpr) {
     else {
         return;
     };
-    let (start, len) = {
-        let s = match args.get(1).map(|a| &a.kind) {
-            Some(CKind::Const(v)) => match v.cast_to(AtomicType::Integer) {
-                Ok(aldsp_xdm::value::AtomicValue::Integer(i)) => i,
-                _ => return,
-            },
-            _ => return,
+    let int_bound = |a: &CExpr| match &a.kind {
+        CKind::Const(v) => match v.cast_to(AtomicType::Integer) {
+            Ok(aldsp_xdm::value::AtomicValue::Integer(i)) => Some(i),
+            _ => None,
+        },
+        _ => None,
+    };
+    // a lifted literal as a bound: whether (and as what) the range
+    // pushes depends on its value, so if everything else would push,
+    // the shape is reported value-dependent instead
+    let lifted_bound = args[1..].iter().any(reads_lifted_literal);
+    let (start, len) = if lifted_bound {
+        (1, None)
+    } else {
+        let Some(s) = args.get(1).and_then(int_bound) else {
+            return;
         };
-        let l = match args.get(2).map(|a| &a.kind) {
-            Some(CKind::Const(v)) => match v.cast_to(AtomicType::Integer) {
-                Ok(aldsp_xdm::value::AtomicValue::Integer(i)) => Some(i),
-                _ => return,
+        let l = match args.get(2) {
+            Some(a) => match int_bound(a) {
+                Some(l) => Some(l),
+                None => return,
             },
             None => None,
-            _ => return,
         };
         (s, l)
     };
@@ -2434,7 +2485,11 @@ fn push_subsequence(ctx: &mut Context<'_>, e: &mut CExpr) {
     else {
         return;
     };
-    if !params.is_empty() || !ctx.dialect_of(connection).supports_pagination() {
+    if ctx.correlated(params) || !ctx.dialect_of(connection).supports_pagination() {
+        return;
+    }
+    if lifted_bound {
+        ctx.value_dependent = true;
         return;
     }
     select.offset = Some((start - 1) as u64);

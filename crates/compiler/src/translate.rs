@@ -9,7 +9,7 @@
 //! alpha-renamed to a unique name so later rewrites need no capture
 //! analysis.
 
-use crate::context::{Context, UserFunction};
+use crate::context::{Context, UserFunction, LIFTED_PREFIX};
 use crate::ir::{Builtin, CExpr, CKind, Clause, OrderSpec, Span};
 use aldsp_parser::ast::{
     self, Axis, Clause as AClause, Expr, ExprKind, ItemTypeAst, Module, NameTest, SeqTypeAst,
@@ -69,6 +69,15 @@ type Scope = HashMap<String, String>;
 /// body (if any). Returns the translated main body.
 pub fn translate_module(ctx: &mut Context<'_>, module: &Module) -> Option<CExpr> {
     let env = ModuleEnv::of(module);
+    translate_functions(ctx, &env, module);
+    module.body.as_ref().map(|b| {
+        let mut scope = Scope::new();
+        translate_expr(ctx, &env, &mut scope, b)
+    })
+}
+
+/// Translate a module's function declarations into `ctx.functions`.
+pub fn translate_functions(ctx: &mut Context<'_>, env: &ModuleEnv, module: &Module) {
     // two passes: signatures first so bodies can call forward
     #[allow(clippy::type_complexity)]
     let mut sigs: Vec<(
@@ -91,7 +100,7 @@ pub fn translate_module(ctx: &mut Context<'_>, module: &Module) -> Option<CExpr>
             .map(|p| {
                 let ty =
                     p.ty.as_ref()
-                        .map(|t| resolve_seq_type(ctx, &env, t, f.span))
+                        .map(|t| resolve_seq_type(ctx, env, t, f.span))
                         .unwrap_or_else(SequenceType::any);
                 (p.name.clone(), ty)
             })
@@ -99,7 +108,7 @@ pub fn translate_module(ctx: &mut Context<'_>, module: &Module) -> Option<CExpr>
         let ret = f
             .return_type
             .as_ref()
-            .map(|t| resolve_seq_type(ctx, &env, t, f.span))
+            .map(|t| resolve_seq_type(ctx, env, t, f.span))
             .unwrap_or_else(SequenceType::any);
         let pragmas: Vec<(String, String)> =
             f.pragmas.iter().flat_map(|p| p.attrs.clone()).collect();
@@ -145,15 +154,11 @@ pub fn translate_module(ctx: &mut Context<'_>, module: &Module) -> Option<CExpr>
                 unique_params.push((u, pty.clone()));
             }
         }
-        let body = translate_expr(ctx, &env, &mut scope, body_ast);
+        let body = translate_expr(ctx, env, &mut scope, body_ast);
         let f_entry = ctx.functions.get_mut(&name).expect("registered above");
         f_entry.params = unique_params;
         f_entry.body = Some(body);
     }
-    module.body.as_ref().map(|b| {
-        let mut scope = Scope::new();
-        translate_expr(ctx, &env, &mut scope, b)
-    })
 }
 
 /// Translate a standalone expression (an ad-hoc query).
@@ -689,17 +694,16 @@ fn translate_call(
         ctx.diag(span, format!("unbound namespace prefix in call {name}()"));
         return error_expr(cargs, span);
     }
-    // fn:data is the atomization node
-    if name.local == "data" && cargs.len() == 1 && (uri.is_none() || uri.as_deref() == Some(ns::FN))
-    {
-        return CExpr::new(
-            CKind::Data(Box::new(cargs.into_iter().next().expect("one arg"))),
-            span,
-        );
-    }
-    // xs:TYPE(...) constructor functions are casts
-    if uri.as_deref() == Some(ns::XS) && cargs.len() == 1 {
-        if let Some(t) = AtomicType::from_xs_name(&name.local) {
+    let builtin = match call_target(uri.as_deref(), &name.local, cargs.len()) {
+        // fn:data is the atomization node
+        CallTarget::Data => {
+            return CExpr::new(
+                CKind::Data(Box::new(cargs.into_iter().next().expect("one arg"))),
+                span,
+            );
+        }
+        // xs:TYPE(...) constructor functions are casts
+        CallTarget::Cast(t) => {
             return CExpr::new(
                 CKind::Cast {
                     input: Box::new(atomized(cargs.into_iter().next().expect("one arg"))),
@@ -709,9 +713,10 @@ fn translate_call(
                 span,
             );
         }
-    }
-    // built-ins
-    if let Some(b) = Builtin::resolve(uri.as_deref(), &name.local, cargs.len()) {
+        CallTarget::Builtin(b) => Some(b),
+        CallTarget::Function => None,
+    };
+    if let Some(b) = builtin {
         let cargs = match b {
             // aggregates and string functions atomize their arguments
             // (function conversion rules — §3.3 stage 3)
@@ -781,11 +786,44 @@ fn translate_call(
     error_expr(cargs, span)
 }
 
+/// What a call's resolved name and arity select, in the order
+/// translation tries them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CallTarget {
+    /// `fn:data` — the atomization node.
+    Data,
+    /// An `xs:TYPE(…)` constructor function — a cast.
+    Cast(AtomicType),
+    /// A built-in function.
+    Builtin(Builtin),
+    /// Anything else: a user or physical (data-source) function.
+    Function,
+}
+
+/// Classify a call by namespace URI (`None` = unprefixed), local name
+/// and arity.
+pub fn call_target(uri: Option<&str>, local: &str, arity: usize) -> CallTarget {
+    if local == "data" && arity == 1 && (uri.is_none() || uri == Some(ns::FN)) {
+        return CallTarget::Data;
+    }
+    if uri == Some(ns::XS) && arity == 1 {
+        if let Some(t) = AtomicType::from_xs_name(local) {
+            return CallTarget::Cast(t);
+        }
+    }
+    match Builtin::resolve(uri, local, arity) {
+        Some(b) => CallTarget::Builtin(b),
+        None => CallTarget::Function,
+    }
+}
+
 /// Wrap with atomization unless the expression is already atomic-typed
-/// syntax (constants, casts, existing Data nodes).
+/// syntax (constants and the lifted literals that stand for them,
+/// casts, existing Data nodes).
 fn atomized(e: CExpr) -> CExpr {
     match &e.kind {
         CKind::Const(_) | CKind::Data(_) | CKind::Cast { .. } | CKind::Arith { .. } => e,
+        CKind::Var { name, .. } if name.starts_with(LIFTED_PREFIX) => e,
         _ => {
             let span = e.span;
             CExpr::new(CKind::Data(Box::new(e)), span)

@@ -33,10 +33,15 @@ pub use aldsp_updates as updates;
 pub use aldsp_workload as workload;
 pub use aldsp_xdm as xdm;
 
+mod lift;
+
 use aldsp_adaptors::{
     AdaptorRegistry, CsvFileSource, NativeFunction, SimulatedWebService, XmlFileSource,
 };
-use aldsp_compiler::{explain_plan, CompiledQuery, Compiler, ExplainContext, Mode, Options};
+use aldsp_compiler::{
+    explain_plan, Compiled, CompiledQuery, Compiler, ExplainContext, Mode, Options, PlanShape,
+    LIFTED_PREFIX,
+};
 pub use aldsp_compiler::{JoinStrategy, Mutation, PushdownLevel};
 pub use aldsp_matview::MatViewPolicy;
 use aldsp_matview::{Dependencies, MatViewRegistry};
@@ -60,6 +65,7 @@ use aldsp_xdm::types::SequenceType;
 use aldsp_xdm::value::AtomicValue;
 use aldsp_xdm::QName;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -603,7 +609,7 @@ impl ServerBuilder {
             security: self.security,
             audit: AuditLog::new(),
             inverses: inverse_registry,
-            plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY),
+            plan_cache: PlanCache::new(PLAN_CACHE_CAPACITY, SHAPE_CACHE_CAPACITY),
             lineage_cache: Mutex::new(HashMap::new()),
             update_overrides: Mutex::new(HashMap::new()),
             matviews,
@@ -873,98 +879,182 @@ impl QueryResponse {
     }
 }
 
-/// Default bound on cached query plans. Keys are full query texts and
-/// plans hold whole expression trees, so a few hundred distinct popular
-/// queries (§2.2) is plenty; an ad-hoc workload that never repeats
-/// shouldn't pin memory forever.
+/// Bound on the plan cache's text front: one entry per distinct request
+/// (query text or called function, options-qualified). Entries are
+/// cheap — a plan handle and the text's literal values — so a few
+/// hundred popular queries (§2.2) is plenty; an ad-hoc workload that
+/// never repeats shouldn't pin memory forever.
 const PLAN_CACHE_CAPACITY: usize = 256;
 
+/// Bound on the plan cache's shapes: one compiled plan per distinct
+/// literal-free query shape.
+const SHAPE_CACHE_CAPACITY: usize = 256;
+
 /// The §2.2 query plan cache: "ALDSP maintains a query plan cache in
-/// order to avoid repeatedly compiling popular queries". Bounded, with
-/// stale-first (least-recently-used) eviction like the runtime's
-/// `FunctionCache`; plans never expire on their own, so staleness here
-/// is recency of use. One mutex covers the map *and* the hit/miss
-/// counters, so a lookup takes a single lock acquisition.
+/// order to avoid repeatedly compiling popular queries". Two bounded
+/// maps under one mutex (which also covers the hit/miss counters, so a
+/// lookup takes a single lock acquisition):
+///
+/// * **texts** in front — the exact request key → its plan and the
+///   literal values that plan runs with for this text. A hit costs one
+///   lookup and a clone of the values; nothing is parsed.
+/// * **shapes** behind — the text with its liftable literals cut out
+///   ([`lift`]) → the one plan every such text shares, or the verdict
+///   that texts of this shape must each be compiled with their literals
+///   in place (`None`: a literal's value decides the plan).
+///
+/// Plans never expire on their own, so staleness is recency of use.
 struct PlanCache {
     state: Mutex<PlanCacheState>,
-    capacity: usize,
 }
 
-#[derive(Default)]
 struct PlanCacheState {
-    entries: HashMap<String, PlanEntry>,
-    /// Monotonic use counter; entries stamp it on hit and insert.
-    tick: u64,
+    texts: Lru<Planned>,
+    shapes: Lru<Option<Arc<CompiledQuery>>>,
+    /// Requests served without compiling.
     hits: u64,
+    /// Requests that had to compile.
     misses: u64,
 }
 
-struct PlanEntry {
+/// A plan together with what it needs to run for one particular text.
+#[derive(Clone)]
+struct Planned {
     plan: Arc<CompiledQuery>,
-    last_used: u64,
+    literals: Literals,
 }
 
-impl PlanCache {
-    fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            state: Mutex::new(PlanCacheState::default()),
+/// What became of a request's literals.
+#[derive(Clone)]
+enum Literals {
+    /// A data-service call: no text, no literals.
+    Call,
+    /// The plan is the text's shape; `values[i]` binds its `$?i` (the
+    /// last `values.len()` of the plan's externals).
+    Lifted(Arc<[AtomicValue]>),
+    /// The text was compiled with its literals in place because a
+    /// literal's value decides the plan.
+    InPlace,
+}
+
+/// What the plan cache knows about a shape.
+enum ShapeLookup {
+    /// Nothing yet: compile it.
+    Unknown,
+    /// One plan serves every text of the shape (here with this text's
+    /// literals).
+    Shared(Planned),
+    /// Texts of the shape are compiled one by one, literals in place.
+    ValueDependent,
+}
+
+/// A bounded map with least-recently-used eviction in batches: when an
+/// insert finds the map full, the stalest eighth goes in one pass, so
+/// eviction costs a scan once per `capacity / 8` inserts instead of on
+/// every one.
+struct Lru<V> {
+    entries: HashMap<String, (V, u64)>,
+    /// Monotonic use counter; entries stamp it on hit and insert.
+    tick: u64,
+    capacity: usize,
+}
+
+impl<V> Lru<V> {
+    fn new(capacity: usize) -> Lru<V> {
+        Lru {
+            entries: HashMap::new(),
+            tick: 0,
             capacity: capacity.max(1),
         }
     }
 
-    /// Look up `key`, counting the hit or miss — one lock acquisition.
-    fn get(&self, key: &str) -> Option<Arc<CompiledQuery>> {
+    fn get(&mut self, key: &str) -> Option<&V> {
+        self.tick += 1;
+        let (value, last_used) = self.entries.get_mut(key)?;
+        *last_used = self.tick;
+        Some(value)
+    }
+
+    fn insert(&mut self, key: String, value: V) {
+        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+            let batch = (self.capacity / 8).max(1);
+            let mut stamps: Vec<u64> = self.entries.values().map(|(_, t)| *t).collect();
+            // stamps are unique, so exactly `batch` entries are at or
+            // below the cutoff
+            let (_, cutoff, _) = stamps.select_nth_unstable(batch - 1);
+            let cutoff = *cutoff;
+            self.entries.retain(|_, (_, t)| *t > cutoff);
+        }
+        self.tick += 1;
+        self.entries.insert(key, (value, self.tick));
+    }
+}
+
+impl PlanCache {
+    fn new(texts: usize, shapes: usize) -> PlanCache {
+        PlanCache {
+            state: Mutex::new(PlanCacheState {
+                texts: Lru::new(texts),
+                shapes: Lru::new(shapes),
+                hits: 0,
+                misses: 0,
+            }),
+        }
+    }
+
+    /// The exact-text lookup — one lock acquisition, counted as a hit
+    /// when it finds the request.
+    fn text(&self, key: &str) -> Option<Planned> {
         let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        match st.entries.get_mut(key) {
-            Some(e) => {
-                e.last_used = tick;
-                let plan = e.plan.clone();
+        let found = st.texts.get(key).cloned();
+        st.hits += u64::from(found.is_some());
+        found
+    }
+
+    /// The shape lookup behind a text miss. A shared plan serves `key`
+    /// without compiling: counted as a hit and remembered in the text
+    /// front with this text's `values`.
+    fn shape(&self, key: &str, shape: &str, values: &Arc<[AtomicValue]>) -> ShapeLookup {
+        let mut st = self.state.lock();
+        match st.shapes.get(shape).cloned() {
+            None => ShapeLookup::Unknown,
+            Some(None) => ShapeLookup::ValueDependent,
+            Some(Some(plan)) => {
                 st.hits += 1;
-                Some(plan)
-            }
-            None => {
-                st.misses += 1;
-                None
+                let planned = Planned {
+                    plan,
+                    literals: Literals::Lifted(values.clone()),
+                };
+                st.texts.insert(key.to_string(), planned.clone());
+                ShapeLookup::Shared(planned)
             }
         }
     }
 
-    /// Insert a freshly compiled plan, evicting the least-recently-used
-    /// entries if the cache is full.
-    fn insert(&self, key: String, plan: Arc<CompiledQuery>) {
+    /// Count a request that has to compile (whether or not the compile
+    /// then succeeds, and however many attempts it takes).
+    fn miss(&self) {
+        self.state.lock().misses += 1;
+    }
+
+    /// Remember a freshly compiled plan for `key` and — with `shape` —
+    /// for every text of that shape.
+    fn compiled(&self, key: &str, shape: Option<String>, planned: &Planned) {
         let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        st.entries.insert(
-            key,
-            PlanEntry {
-                plan,
-                last_used: tick,
-            },
-        );
-        while st.entries.len() > self.capacity {
-            let Some(stalest) = st
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            st.entries.remove(&stalest);
+        if let Some(shape) = shape {
+            st.shapes.insert(shape, Some(planned.plan.clone()));
         }
+        st.texts.insert(key.to_string(), planned.clone());
+    }
+
+    /// Remember that texts of `shape` are compiled one by one.
+    fn value_dependent(&self, shape: String) {
+        self.state.lock().shapes.insert(shape, None);
     }
 
     fn stats(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.hits, st.misses)
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.state.lock().entries.len()
     }
 }
 
@@ -1038,6 +1128,12 @@ impl AldspServer {
                     .into(),
             ));
         }
+        if let Some((name, _)) = bindings.iter().find(|(n, _)| n.starts_with(LIFTED_PREFIX)) {
+            return Err(ServerError::Other(format!(
+                "cannot bind ${name}: names starting with '{LIFTED_PREFIX}' \
+                 are reserved for lifted literals"
+            )));
+        }
         let exec = execution.unwrap_or_else(|| self.execution.clone());
         let trace = trace.unwrap_or(exec.trace_level);
         if let RequestTarget::Call { function, .. } = &target {
@@ -1046,7 +1142,8 @@ impl AldspServer {
             self.security
                 .check_function_access(&principal, function, &self.audit)?;
         }
-        let plan = self.plan_for(&target, &exec)?;
+        let planned = self.plan_for(&target, &exec)?;
+        let plan = &planned.plan;
         let (call_fn, call_args, criteria) = match target {
             RequestTarget::Query { .. } => (None, None, CallCriteria::default()),
             RequestTarget::Call {
@@ -1058,7 +1155,7 @@ impl AldspServer {
         let mem_cap = memory_budget.or(self.default_memory_budget);
         let plan_explain = (explain_only || trace != TraceLevel::Off).then(|| {
             self.explain_for(
-                &plan,
+                &planned,
                 self.governor_note(priority, deadline, mem_cap),
                 call_fn.as_ref().and_then(|f| self.matview_note(f)),
             )
@@ -1096,8 +1193,9 @@ impl AldspServer {
         let fill =
             view.and_then(|(f, key)| self.matviews.fill_ticket(f, &key).map(|ticket| (f, ticket)));
         // Call arguments bind positionally to the plan's external
-        // variables; ad-hoc queries bind by name.
-        let bindings = match call_args {
+        // variables; ad-hoc queries bind by name, their lifted literals
+        // to the last of the plan's externals.
+        let mut bindings: Vec<(&str, Sequence)> = match call_args {
             Some(args) => (plan.external_vars.iter().map(String::as_str))
                 .zip(args)
                 .collect(),
@@ -1105,6 +1203,14 @@ impl AldspServer {
                 .map(|(n, v)| (n.as_str(), std::mem::take(v)))
                 .collect(),
         };
+        if let Literals::Lifted(values) = &planned.literals {
+            let declared = plan.external_vars.len().saturating_sub(values.len());
+            bindings.extend(
+                (plan.external_vars[declared..].iter())
+                    .zip(values.iter())
+                    .map(|(n, v)| (n.as_str(), vec![Item::Atomic(v.clone())])),
+            );
+        }
         // Workload governance: one budget shared by every thread of the
         // query (PP-k prefetch, async), created only when something is
         // actually governed. Admission may queue — or shed — the
@@ -1127,7 +1233,7 @@ impl AldspServer {
         let ex = self
             .runtime
             .run(
-                &plan,
+                plan,
                 ExecRequest {
                     bindings,
                     trace,
@@ -1451,6 +1557,12 @@ impl AldspServer {
         &self.audit
     }
 
+    /// The security policy (§7) — what a caller that runs a plan on
+    /// [`AldspServer::runtime`] directly applies to the raw result.
+    pub fn security(&self) -> &SecurityPolicy {
+        &self.security
+    }
+
     /// The compiler (for inspection and benches).
     pub fn compiler(&self) -> &Compiler {
         &self.compiler
@@ -1471,33 +1583,61 @@ impl AldspServer {
         &self.adaptors
     }
 
-    /// The compiled plan for a request target, from the plan cache when
-    /// it is there. When the request's [`ExecutionOptions`] override a
-    /// compile-affecting knob, the plan caches under an
-    /// options-qualified key and — on a miss only — compiles under a
-    /// compiler carrying the override.
+    /// The compiled plan for a request target and the literal values it
+    /// runs with, from the plan cache when they are there. An exact
+    /// request hit parses nothing; a text miss parses, lifts the text's
+    /// literals ([`lift`]) and looks its shape up; only a shape miss
+    /// compiles — the lifted module, so the plan serves every text of
+    /// the shape. When the request's [`ExecutionOptions`] override a
+    /// compile-affecting knob, both keys are options-qualified and a
+    /// miss compiles under a compiler carrying the override.
     fn plan_for(
         &self,
         target: &RequestTarget<'_>,
         exec: &ExecutionOptions,
-    ) -> Result<Arc<CompiledQuery>, ServerError> {
+    ) -> Result<Planned, ServerError> {
         let base = self.compiler.options();
         let overridden = exec.pushdown != base.pushdown
             || exec.ppk_prefetch_depth != base.ppk_prefetch_depth
             || exec.join_strategy != base.join_strategy;
-        let mut key = match target {
-            RequestTarget::Query { source } => source.to_string(),
-            RequestTarget::Call { function, .. } => format!("call:{function}"),
-        };
-        if overridden {
-            key.push_str(&format!(
+        let suffix = if overridden {
+            format!(
                 "\u{1}pushdown={};ppk-depth={};join={}",
                 exec.pushdown, exec.ppk_prefetch_depth, exec.join_strategy
-            ));
-        }
-        if let Some(p) = self.plan_cache.get(&key) {
+            )
+        } else {
+            String::new()
+        };
+        let key: Cow<'_, str> = match target {
+            RequestTarget::Query { source } if !overridden => Cow::Borrowed(source),
+            RequestTarget::Query { source } => Cow::Owned(format!("{source}{suffix}")),
+            RequestTarget::Call { function, .. } => Cow::Owned(format!("call:{function}{suffix}")),
+        };
+        if let Some(p) = self.plan_cache.text(&key) {
             return Ok(p);
         }
+        let mut literals = match target {
+            RequestTarget::Query { .. } => Literals::Lifted(Arc::from([])),
+            RequestTarget::Call { .. } => Literals::Call,
+        };
+        // the lifted module to compile for every text of its shape.
+        // Design-time recover mode compiles each text as it stands: its
+        // diagnostics are positions in that text.
+        let mut shared = None;
+        if let (RequestTarget::Query { source }, Mode::FailFast) = (target, base.mode) {
+            let (mut module, _) = self.compiler.parse(source).map_err(ServerError::Compile)?;
+            if let Some(lift::Lifted { mut shape, values }) = lift::lift(source, &mut module) {
+                shape.push_str(&suffix);
+                let values: Arc<[AtomicValue]> = values.into();
+                match self.plan_cache.shape(&key, &shape, &values) {
+                    ShapeLookup::Shared(planned) => return Ok(planned),
+                    ShapeLookup::ValueDependent => literals = Literals::InPlace,
+                    ShapeLookup::Unknown => shared = Some((module, shape, values)),
+                }
+            }
+        }
+        // from here on the request compiles
+        self.plan_cache.miss();
         let over = overridden.then(|| {
             let mut options = base.clone();
             options.pushdown = exec.pushdown;
@@ -1506,13 +1646,36 @@ impl AldspServer {
             self.compiler.with_options(options)
         });
         let compiler = over.as_ref().unwrap_or(&self.compiler);
+        if let Some((module, shape, values)) = shared {
+            match compiler
+                .compile_module(&module, Vec::new())
+                .map_err(ServerError::Compile)?
+            {
+                Compiled::Plan(plan) => {
+                    let planned = Planned {
+                        plan: Arc::new(plan),
+                        literals: Literals::Lifted(values),
+                    };
+                    self.plan_cache.compiled(&key, Some(shape), &planned);
+                    return Ok(planned);
+                }
+                Compiled::ValueDependent => {
+                    self.plan_cache.value_dependent(shape);
+                    literals = Literals::InPlace;
+                }
+            }
+        }
+        // this request alone, its literals (if any) in place
         let plan = match target {
             RequestTarget::Query { source } => compiler.compile_query(source),
             RequestTarget::Call { function, .. } => compiler.compile_call(function),
         };
-        let plan = Arc::new(plan.map_err(ServerError::Compile)?);
-        self.plan_cache.insert(key, plan.clone());
-        Ok(plan)
+        let planned = Planned {
+            plan: Arc::new(plan.map_err(ServerError::Compile)?),
+            literals,
+        };
+        self.plan_cache.compiled(&key, None, &planned);
+        Ok(planned)
     }
 
     /// Render the plan EXPLAIN for a compiled query, supplying the
@@ -1521,10 +1684,11 @@ impl AldspServer {
     /// terms the query would run under.
     fn explain_for(
         &self,
-        plan: &CompiledQuery,
+        planned: &Planned,
         governor: Option<String>,
         matview: Option<String>,
     ) -> String {
+        let plan = &*planned.plan;
         let dialects = self.adaptors.connection_dialects();
         let cache = self.runtime.cache();
         let ctx = ExplainContext {
@@ -1536,6 +1700,11 @@ impl AldspServer {
             programs: Some(&plan.programs),
             parallel: Some(&plan.parallel),
             joins: Some(&plan.joins),
+            shape: match &planned.literals {
+                Literals::Call => None,
+                Literals::Lifted(values) => Some(PlanShape::Lifted(values)),
+                Literals::InPlace => Some(PlanShape::ValueDependent),
+            },
         };
         explain_plan(&plan.plan, &ctx)
     }
@@ -1668,43 +1837,97 @@ fn apply_criteria(items: Sequence, criteria: &CallCriteria) -> Sequence {
 mod plan_cache_tests {
     use super::*;
 
-    fn plan() -> Arc<CompiledQuery> {
-        Arc::new(CompiledQuery {
-            plan: aldsp_compiler::ir::CExpr::new(
-                aldsp_compiler::ir::CKind::Seq(vec![]),
-                aldsp_compiler::ir::Span::default(),
-            ),
-            external_vars: vec![],
-            frame: Arc::new(Default::default()),
-            pushdown: Default::default(),
-            diagnostics: vec![],
-            programs: Arc::new(Default::default()),
-            parallel: Arc::new(Default::default()),
-            joins: Arc::new(Default::default()),
-        })
+    fn planned() -> Planned {
+        Planned {
+            plan: Arc::new(CompiledQuery {
+                plan: aldsp_compiler::ir::CExpr::new(
+                    aldsp_compiler::ir::CKind::Seq(vec![]),
+                    aldsp_compiler::ir::Span::default(),
+                ),
+                external_vars: vec![],
+                frame: Arc::new(Default::default()),
+                pushdown: Default::default(),
+                diagnostics: vec![],
+                programs: Arc::new(Default::default()),
+                parallel: Arc::new(Default::default()),
+                joins: Arc::new(Default::default()),
+            }),
+            literals: Literals::Call,
+        }
     }
 
     #[test]
     fn counts_hits_and_misses_in_one_lock() {
-        let c = PlanCache::new(4);
-        assert!(c.get("q1").is_none());
-        c.insert("q1".into(), plan());
-        assert!(c.get("q1").is_some());
-        assert!(c.get("q1").is_some());
+        let c = PlanCache::new(4, 4);
+        assert!(c.text("q1").is_none());
+        c.miss();
+        c.compiled("q1", None, &planned());
+        assert!(c.text("q1").is_some());
+        assert!(c.text("q1").is_some());
         assert_eq!(c.stats(), (2, 1));
     }
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let c = PlanCache::new(2);
-        c.insert("a".into(), plan());
-        c.insert("b".into(), plan());
+        let mut c = Lru::new(2);
+        c.insert("a".into(), ());
+        c.insert("b".into(), ());
         // touch "a" so "b" is now the stalest
         assert!(c.get("a").is_some());
-        c.insert("c".into(), plan());
-        assert_eq!(c.len(), 2);
+        c.insert("c".into(), ());
+        assert_eq!(c.entries.len(), 2);
         assert!(c.get("a").is_some(), "recently used entry survives");
         assert!(c.get("b").is_none(), "least recently used entry evicted");
         assert!(c.get("c").is_some());
+    }
+
+    #[test]
+    fn a_full_map_sheds_its_stalest_eighth_in_one_pass() {
+        let mut c = Lru::new(64);
+        for i in 0..64 {
+            c.insert(format!("k{i}"), i);
+        }
+        // keep the first four recent; the eviction batch is 64 / 8
+        for i in 0..4 {
+            assert!(c.get(&format!("k{i}")).is_some());
+        }
+        c.insert("new".into(), 64);
+        assert_eq!(c.entries.len(), 64 - 8 + 1);
+        for i in 0..4 {
+            assert!(c.get(&format!("k{i}")).is_some(), "k{i} was recent");
+        }
+        for i in 4..12 {
+            assert!(c.get(&format!("k{i}")).is_none(), "k{i} was stalest");
+        }
+        assert!(c.get("k12").is_some());
+        // re-inserting a present key never evicts
+        let before = c.entries.len();
+        c.insert("k12".into(), 0);
+        assert_eq!(c.entries.len(), before);
+    }
+
+    #[test]
+    fn a_shape_hit_serves_a_new_text_and_remembers_it() {
+        let c = PlanCache::new(4, 4);
+        let values: Arc<[AtomicValue]> = Arc::from([AtomicValue::Integer(1)]);
+        assert!(matches!(c.shape("t1", "s", &values), ShapeLookup::Unknown));
+        c.miss();
+        c.compiled("t1", Some("s".into()), &planned());
+        let other: Arc<[AtomicValue]> = Arc::from([AtomicValue::Integer(2)]);
+        assert!(matches!(
+            c.shape("t2", "s", &other),
+            ShapeLookup::Shared(Planned { literals: Literals::Lifted(v), .. })
+                if v[0] == AtomicValue::Integer(2)
+        ));
+        assert_eq!(c.stats(), (1, 1));
+        // the text front now answers for t2 without the shape
+        assert!(c.text("t2").is_some());
+        // a value-dependent shape is remembered as such
+        c.value_dependent("vd".into());
+        assert!(matches!(
+            c.shape("t3", "vd", &values),
+            ShapeLookup::ValueDependent
+        ));
+        assert_eq!(c.stats(), (2, 1));
     }
 }

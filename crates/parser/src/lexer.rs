@@ -4,8 +4,9 @@
 //! element constructors embed XML syntax mid-expression. The [`Scanner`]
 //! therefore exposes two levels: ordinary token scanning (with pragma and
 //! nested-comment handling) and raw character access that the parser uses
-//! while inside direct constructors. `peek` is implemented by scan-and-
-//! rewind, so the parser can freely re-interpret a position.
+//! while inside direct constructors. A token depends on nothing but the
+//! position it is scanned from, so the parser can keep one token of
+//! lookahead keyed by position and still freely re-interpret a position.
 
 use crate::ast::Span;
 

@@ -94,6 +94,27 @@ struct Parser<'a> {
     mode: Mode,
     diags: Vec<Diagnostic>,
     pending_pragmas: Vec<Pragma>,
+    ahead: Option<Lookahead>,
+}
+
+/// One token of lookahead: what [`Parser::next`] returns from scanner
+/// position `at`, scanned once and kept until it is consumed. Scanning
+/// depends on nothing but the position, so the buffer is valid exactly
+/// while the scanner still stands at `at` — raw character access and
+/// `seek` (direct constructors re-read a position as XML) invalidate it
+/// by moving away, with no bookkeeping of their own.
+struct Lookahead {
+    at: usize,
+    tok: Tok,
+    span: Span,
+    /// Scanner position just past the token.
+    end: usize,
+    /// Lexical diagnostics and pragmas met on the way to the token;
+    /// they take effect when the token is consumed.
+    diags: Vec<Diagnostic>,
+    pragmas: Vec<Pragma>,
+    /// The token after this one, once [`Parser::peek2`] has asked.
+    second: Option<Tok>,
 }
 
 impl<'a> Parser<'a> {
@@ -103,34 +124,51 @@ impl<'a> Parser<'a> {
             mode,
             diags: Vec::new(),
             pending_pragmas: Vec::new(),
+            ahead: None,
         }
     }
 
     // ---- token plumbing -------------------------------------------------
 
-    /// Consume and return the next non-trivia token; pragmas are captured
-    /// into `pending_pragmas`; lexical errors become diagnostics and the
-    /// offending character is skipped.
-    fn next(&mut self) -> (Tok, Span) {
+    /// Scan the next non-trivia token; pragmas are captured into
+    /// `pragmas`; lexical errors become `diags` and the offending
+    /// character is skipped.
+    fn scan(
+        s: &mut Scanner<'_>,
+        diags: &mut Vec<Diagnostic>,
+        pragmas: &mut Vec<Pragma>,
+    ) -> (Tok, Span) {
         loop {
-            match self.s.next() {
-                Ok((Tok::Pragma(body), _)) => {
-                    self.pending_pragmas.push(Pragma::parse(&body));
-                }
+            match s.next() {
+                Ok((Tok::Pragma(body), _)) => pragmas.push(Pragma::parse(&body)),
                 Ok(ts) => return ts,
                 Err(e) => {
-                    self.diags.push(Diagnostic {
+                    diags.push(Diagnostic {
                         span: Span::new(e.pos, e.pos + 1),
                         message: e.message,
                     });
                     // skip one char and retry so recovery can proceed
-                    let p = self.s.raw_pos();
-                    if self.s.peek_char().is_none() {
+                    let p = s.raw_pos();
+                    if s.peek_char().is_none() {
                         return (Tok::Eof, Span::new(p, p));
                     }
-                    self.s.seek(p + 1);
+                    s.seek(p + 1);
                 }
             }
+        }
+    }
+
+    /// Consume and return the next non-trivia token, with the pragmas
+    /// and lexical diagnostics on the way to it.
+    fn next(&mut self) -> (Tok, Span) {
+        match self.ahead.take() {
+            Some(a) if a.at == self.s.raw_pos() => {
+                self.diags.extend(a.diags);
+                self.pending_pragmas.extend(a.pragmas);
+                self.s.seek(a.end);
+                (a.tok, a.span)
+            }
+            _ => Self::scan(&mut self.s, &mut self.diags, &mut self.pending_pragmas),
         }
     }
 
@@ -152,33 +190,64 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The lookahead for the scanner's current position, scanning it
+    /// if it is not already there. The scanner stays where it was.
+    fn ahead(&mut self) -> &mut Lookahead {
+        let at = self.s.raw_pos();
+        if self.ahead.as_ref().is_none_or(|a| a.at != at) {
+            let (mut diags, mut pragmas) = (Vec::new(), Vec::new());
+            let (tok, span) = Self::scan(&mut self.s, &mut diags, &mut pragmas);
+            let end = self.s.raw_pos();
+            self.s.seek(at);
+            self.ahead = Some(Lookahead {
+                at,
+                tok,
+                span,
+                end,
+                diags,
+                pragmas,
+                second: None,
+            });
+        }
+        self.ahead.as_mut().expect("filled above")
+    }
+
     /// Peek the next token without consuming it.
+    fn peek_tok(&mut self) -> &Tok {
+        &self.ahead().tok
+    }
+
+    /// Where the next token stands.
+    fn peek_span(&mut self) -> Span {
+        self.ahead().span
+    }
+
+    /// An owned copy of the next token (for diagnostics and the cold
+    /// prolog paths; the expression grammar peeks by reference).
     fn peek(&mut self) -> (Tok, Span) {
-        let p = self.s.raw_pos();
-        let n_diags = self.diags.len();
-        let n_pragmas = self.pending_pragmas.len();
-        let ts = self.next();
-        self.s.seek(p);
-        self.diags.truncate(n_diags);
-        self.pending_pragmas.truncate(n_pragmas);
-        ts
+        let a = self.ahead();
+        (a.tok.clone(), a.span)
     }
 
     /// Peek the token after the next one.
-    fn peek2(&mut self) -> Tok {
-        let p = self.s.raw_pos();
-        let n_diags = self.diags.len();
-        let n_pragmas = self.pending_pragmas.len();
-        let _ = self.next();
-        let (t, _) = self.next();
-        self.s.seek(p);
-        self.diags.truncate(n_diags);
-        self.pending_pragmas.truncate(n_pragmas);
-        t
+    fn peek2(&mut self) -> &Tok {
+        let (at, end, known) = {
+            let a = self.ahead();
+            (a.at, a.end, a.second.is_some())
+        };
+        if !known {
+            // its pragmas and diagnostics are scanned again, for real,
+            // when the parser gets there
+            self.s.seek(end);
+            let (tok, _) = Self::scan(&mut self.s, &mut Vec::new(), &mut Vec::new());
+            self.s.seek(at);
+            self.ahead().second = Some(tok);
+        }
+        self.ahead().second.as_ref().expect("scanned above")
     }
 
     fn at_name(&mut self, kw: &str) -> bool {
-        matches!(self.peek().0, Tok::Name(n) if n == kw)
+        matches!(self.peek_tok(), Tok::Name(n) if n == kw)
     }
 
     fn eat_name(&mut self, kw: &str) -> bool {
@@ -191,7 +260,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat(&mut self, t: &Tok) -> bool {
-        if &self.peek().0 == t {
+        if self.peek_tok() == t {
             self.next();
             true
         } else {
@@ -204,65 +273,55 @@ impl<'a> Parser<'a> {
         Fail
     }
 
-    fn expect(&mut self, t: Tok) -> PResult<Span> {
+    /// Fail on the next token: `expected <what>, found <token>`.
+    fn unexpected(&mut self, what: &str) -> Fail {
         let (tok, span) = self.peek();
-        if tok == t {
-            self.next();
-            Ok(span)
+        self.fail(span, format!("expected {what}, found {}", tok.describe()))
+    }
+
+    fn expect(&mut self, t: Tok) -> PResult<Span> {
+        if *self.peek_tok() == t {
+            Ok(self.next().1)
         } else {
-            Err(self.fail(
-                span,
-                format!("expected {}, found {}", t.describe(), tok.describe()),
-            ))
+            Err(self.unexpected(&t.describe()))
         }
     }
 
     fn expect_kw(&mut self, kw: &str) -> PResult<Span> {
-        let (tok, span) = self.peek();
-        if matches!(&tok, Tok::Name(n) if n == kw) {
-            self.next();
-            Ok(span)
+        if self.at_name(kw) {
+            Ok(self.next().1)
         } else {
-            Err(self.fail(span, format!("expected '{kw}', found {}", tok.describe())))
+            Err(self.unexpected(&format!("'{kw}'")))
         }
     }
 
     fn expect_var(&mut self) -> PResult<String> {
-        let (tok, span) = self.peek();
-        match tok {
-            Tok::Var(v) => {
-                self.next();
-                Ok(v)
-            }
-            other => Err(self.fail(
-                span,
-                format!("expected a variable, found {}", other.describe()),
-            )),
+        match self.peek_tok() {
+            Tok::Var(_) => match self.next().0 {
+                Tok::Var(v) => Ok(v),
+                _ => unreachable!("peeked a variable"),
+            },
+            _ => Err(self.unexpected("a variable")),
         }
     }
 
     fn expect_name(&mut self) -> PResult<(Name, Span)> {
-        let (tok, span) = self.peek();
-        match tok {
-            Tok::Name(n) => {
-                self.next();
-                Ok((Name::parse(&n), span))
-            }
-            other => Err(self.fail(span, format!("expected a name, found {}", other.describe()))),
+        match self.peek_tok() {
+            Tok::Name(_) => match self.next() {
+                (Tok::Name(n), span) => Ok((Name::parse(&n), span)),
+                _ => unreachable!("peeked a name"),
+            },
+            _ => Err(self.unexpected("a name")),
         }
     }
 
     fn expect_string(&mut self) -> PResult<String> {
-        let (tok, span) = self.peek();
-        match tok {
-            Tok::Str(s) => {
-                self.next();
-                Ok(s)
-            }
-            other => Err(self.fail(
-                span,
-                format!("expected a string literal, found {}", other.describe()),
-            )),
+        match self.peek_tok() {
+            Tok::Str(_) => match self.next().0 {
+                Tok::Str(s) => Ok(s),
+                _ => unreachable!("peeked a string"),
+            },
+            _ => Err(self.unexpected("a string literal")),
         }
     }
 
@@ -503,7 +562,7 @@ impl<'a> Parser<'a> {
 
     fn seq_type(&mut self) -> PResult<SeqTypeAst> {
         let (name, span) = self.expect_name()?;
-        let kind_with_parens = self.peek().0 == Tok::LParen;
+        let kind_with_parens = *self.peek_tok() == Tok::LParen;
         let item = if kind_with_parens {
             self.next(); // '('
             match name.to_string().as_str() {
@@ -531,7 +590,7 @@ impl<'a> Parser<'a> {
                     });
                 }
                 "element" | "schema-element" | "attribute" => {
-                    let inner = if self.peek().0 == Tok::RParen || self.eat(&Tok::Star) {
+                    let inner = if *self.peek_tok() == Tok::RParen || self.eat(&Tok::Star) {
                         None
                     } else {
                         let (n, _) = self.expect_name()?;
@@ -580,7 +639,7 @@ impl<'a> Parser<'a> {
     /// `Expr ::= ExprSingle ("," ExprSingle)*`
     fn expr(&mut self) -> PResult<Expr> {
         let first = self.expr_single()?;
-        if self.peek().0 != Tok::Comma {
+        if *self.peek_tok() != Tok::Comma {
             return Ok(first);
         }
         let mut items = vec![first];
@@ -592,31 +651,37 @@ impl<'a> Parser<'a> {
     }
 
     fn expr_single(&mut self) -> PResult<Expr> {
-        let (tok, _) = self.peek();
-        if let Tok::Name(n) = &tok {
-            match n.as_str() {
-                "for" | "let" => return self.flwor(),
-                "some" | "every" => {
-                    // only if followed by a variable (else it's a path step)
-                    if matches!(self.peek2(), Tok::Var(_)) {
-                        return self.quantified();
-                    }
-                }
-                "if" if self.peek2() == Tok::LParen => return self.if_expr(),
-                "typeswitch" if self.peek2() == Tok::LParen => return self.typeswitch(),
-                _ => {}
-            }
+        // a keyword only when what follows says so (else it's a path step)
+        let keyword = match self.peek_tok() {
+            Tok::Name(n) => match n.as_str() {
+                "for" | "let" => 'f',
+                "some" | "every" => 'q',
+                "if" => 'i',
+                "typeswitch" => 't',
+                _ => ' ',
+            },
+            _ => ' ',
+        };
+        match keyword {
+            'f' => self.flwor(),
+            'q' if matches!(self.peek2(), Tok::Var(_)) => self.quantified(),
+            'i' if *self.peek2() == Tok::LParen => self.if_expr(),
+            't' if *self.peek2() == Tok::LParen => self.typeswitch(),
+            _ => self.or_expr(),
         }
-        self.or_expr()
     }
 
     fn flwor(&mut self) -> PResult<Expr> {
-        let start = self.peek().1;
+        let start = self.peek_span();
         let mut clauses = Vec::new();
         loop {
-            let (tok, _) = self.peek();
-            let Tok::Name(kw) = &tok else { break };
-            match kw.as_str() {
+            let kw = match self.peek_tok() {
+                Tok::Name(kw) => ["for", "let", "where", "group", "stable", "order"]
+                    .into_iter()
+                    .find(|k| k == kw),
+                _ => None,
+            };
+            match kw.unwrap_or("") {
                 "for" => {
                     self.next();
                     loop {
@@ -705,7 +770,7 @@ impl<'a> Parser<'a> {
     /// `group (var1 as var2)? by expr (as var3)? (, expr (as var4)?)*`
     fn group_clause(&mut self) -> PResult<Clause> {
         let mut bindings = Vec::new();
-        if matches!(self.peek().0, Tok::Var(_)) {
+        if matches!(self.peek_tok(), Tok::Var(_)) {
             loop {
                 let from = self.expect_var()?;
                 self.expect_kw("as")?;
@@ -815,7 +880,7 @@ impl<'a> Parser<'a> {
         self.expect(Tok::RParen)?;
         let mut cases = Vec::new();
         while self.eat_name("case") {
-            let var = if matches!(self.peek().0, Tok::Var(_)) {
+            let var = if matches!(self.peek_tok(), Tok::Var(_)) {
                 let v = self.expect_var()?;
                 self.expect_kw("as")?;
                 Some(v)
@@ -831,7 +896,7 @@ impl<'a> Parser<'a> {
             return Err(self.fail(start, "typeswitch requires at least one case".into()));
         }
         self.expect_kw("default")?;
-        let default_var = if matches!(self.peek().0, Tok::Var(_)) {
+        let default_var = if matches!(self.peek_tok(), Tok::Var(_)) {
             Some(self.expect_var()?)
         } else {
             None
@@ -874,8 +939,7 @@ impl<'a> Parser<'a> {
 
     fn comparison_expr(&mut self) -> PResult<Expr> {
         let lhs = self.range_expr()?;
-        let (tok, _) = self.peek();
-        let (op, general) = match &tok {
+        let (op, general) = match self.peek_tok() {
             Tok::Eq => (CompOp::Eq, true),
             Tok::Ne => (CompOp::Ne, true),
             Tok::Lt => (CompOp::Lt, true),
@@ -924,7 +988,7 @@ impl<'a> Parser<'a> {
     fn additive_expr(&mut self) -> PResult<Expr> {
         let mut lhs = self.multiplicative_expr()?;
         loop {
-            let op = match self.peek().0 {
+            let op = match self.peek_tok() {
                 Tok::Plus => ArithOp::Add,
                 Tok::Minus => ArithOp::Sub,
                 _ => return Ok(lhs),
@@ -946,7 +1010,7 @@ impl<'a> Parser<'a> {
     fn multiplicative_expr(&mut self) -> PResult<Expr> {
         let mut lhs = self.unary_expr()?;
         loop {
-            let op = match &self.peek().0 {
+            let op = match self.peek_tok() {
                 Tok::Star => ArithOp::Mul,
                 Tok::Name(n) if n == "div" => ArithOp::Div,
                 Tok::Name(n) if n == "mod" => ArithOp::Mod,
@@ -967,13 +1031,13 @@ impl<'a> Parser<'a> {
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
-        if self.peek().0 == Tok::Minus {
+        if *self.peek_tok() == Tok::Minus {
             let (_, start) = self.next();
             let inner = self.unary_expr()?;
             let span = start.to(inner.span);
             return Ok(Expr::new(ExprKind::Neg(Box::new(inner)), span));
         }
-        if self.peek().0 == Tok::Plus {
+        if *self.peek_tok() == Tok::Plus {
             self.next();
             return self.unary_expr();
         }
@@ -1016,26 +1080,23 @@ impl<'a> Parser<'a> {
     // ---- paths, steps, primaries -------------------------------------------
 
     fn path_expr(&mut self) -> PResult<Expr> {
-        let (tok, start) = self.peek();
+        let start = self.peek_span();
         // leading step (relative path) vs primary
-        let (base, mut steps) = match &tok {
-            Tok::Name(_) if self.peek2() != Tok::LParen => {
+        let leading_step = match self.peek_tok() {
+            Tok::Star | Tok::At => true,
+            Tok::Name(_) => *self.peek2() != Tok::LParen,
+            _ => false,
+        };
+        let (base, mut steps) = match leading_step {
+            true => {
                 let step = self.step()?;
                 (Expr::new(ExprKind::ContextItem, start), vec![step])
             }
-            Tok::Star => {
-                let step = self.step()?;
-                (Expr::new(ExprKind::ContextItem, start), vec![step])
-            }
-            Tok::At => {
-                let step = self.step()?;
-                (Expr::new(ExprKind::ContextItem, start), vec![step])
-            }
-            _ => {
+            false => {
                 let mut primary = self.primary_expr()?;
                 // postfix predicates on the primary
                 let mut preds = Vec::new();
-                while self.peek().0 == Tok::LBracket {
+                while *self.peek_tok() == Tok::LBracket {
                     self.next();
                     preds.push(self.expr()?);
                     self.expect(Tok::RBracket)?;
@@ -1053,7 +1114,7 @@ impl<'a> Parser<'a> {
                 (primary, Vec::new())
             }
         };
-        while matches!(self.peek().0, Tok::Slash | Tok::SlashSlash) {
+        while matches!(self.peek_tok(), Tok::Slash | Tok::SlashSlash) {
             let (sep, _) = self.next();
             if sep == Tok::SlashSlash {
                 // `//E` abbreviates descendant-or-self::node()/child::E
@@ -1079,49 +1140,36 @@ impl<'a> Parser<'a> {
     }
 
     fn step(&mut self) -> PResult<Step> {
-        let (tok, span) = self.peek();
-        let (axis, test) = match tok {
+        let span = self.peek_span();
+        let axis = match self.peek_tok() {
             Tok::At => {
                 self.next();
-                let (t, _) = self.peek();
-                let test = match t {
-                    Tok::Star => {
-                        self.next();
-                        NameTest::Wildcard
-                    }
-                    Tok::Name(n) => {
-                        self.next();
-                        NameTest::Name(Name::parse(&n))
-                    }
-                    other => {
-                        return Err(self.fail(
-                            span,
-                            format!(
-                                "expected attribute name after '@', found {}",
-                                other.describe()
-                            ),
-                        ))
-                    }
-                };
-                (Axis::Attribute, test)
+                Axis::Attribute
             }
+            _ => Axis::Child,
+        };
+        let test = match self.peek_tok() {
             Tok::Star => {
                 self.next();
-                (Axis::Child, NameTest::Wildcard)
+                NameTest::Wildcard
             }
-            Tok::Name(n) => {
-                self.next();
-                (Axis::Child, NameTest::Name(Name::parse(&n)))
-            }
+            Tok::Name(_) => match self.next().0 {
+                Tok::Name(n) => NameTest::Name(Name::parse(&n)),
+                _ => unreachable!("peeked a name"),
+            },
             other => {
-                return Err(self.fail(
-                    span,
-                    format!("expected a path step, found {}", other.describe()),
-                ))
+                let message = match axis {
+                    Axis::Attribute => format!(
+                        "expected attribute name after '@', found {}",
+                        other.describe()
+                    ),
+                    _ => format!("expected a path step, found {}", other.describe()),
+                };
+                return Err(self.fail(span, message));
             }
         };
         let mut predicates = Vec::new();
-        while self.peek().0 == Tok::LBracket {
+        while *self.peek_tok() == Tok::LBracket {
             self.next();
             predicates.push(self.expr()?);
             self.expect(Tok::RBracket)?;
@@ -1134,34 +1182,27 @@ impl<'a> Parser<'a> {
     }
 
     fn primary_expr(&mut self) -> PResult<Expr> {
-        let (tok, span) = self.peek();
-        match tok {
-            Tok::Int(i) => {
-                self.next();
-                Ok(Expr::new(ExprKind::Literal(AtomicValue::Integer(i)), span))
-            }
-            Tok::Dec(d) => {
-                self.next();
-                match Decimal::parse(&d) {
-                    Some(v) => Ok(Expr::new(ExprKind::Literal(AtomicValue::Decimal(v)), span)),
-                    None => Err(self.fail(span, format!("invalid decimal literal '{d}'"))),
-                }
-            }
-            Tok::Dbl(v) => {
-                self.next();
-                Ok(Expr::new(ExprKind::Literal(AtomicValue::Double(v)), span))
-            }
-            Tok::Str(s) => {
-                self.next();
-                Ok(Expr::new(ExprKind::Literal(AtomicValue::str(&s)), span))
-            }
-            Tok::Var(v) => {
-                self.next();
-                Ok(Expr::new(ExprKind::VarRef(v), span))
-            }
-            Tok::Dot => {
-                self.next();
-                Ok(Expr::new(ExprKind::ContextItem, span))
+        let span = self.peek_span();
+        if matches!(self.peek_tok(), Tok::Name(_)) && *self.peek2() == Tok::LParen {
+            return self.function_call();
+        }
+        match self.peek_tok() {
+            // single-token primaries: take the token, keep its payload
+            Tok::Int(_) | Tok::Dec(_) | Tok::Dbl(_) | Tok::Str(_) | Tok::Var(_) | Tok::Dot => {
+                let kind = match self.next().0 {
+                    Tok::Int(i) => ExprKind::Literal(AtomicValue::Integer(i)),
+                    Tok::Dec(d) => match Decimal::parse(&d) {
+                        Some(v) => ExprKind::Literal(AtomicValue::Decimal(v)),
+                        None => {
+                            return Err(self.fail(span, format!("invalid decimal literal '{d}'")))
+                        }
+                    },
+                    Tok::Dbl(v) => ExprKind::Literal(AtomicValue::Double(v)),
+                    Tok::Str(s) => ExprKind::Literal(AtomicValue::str(&s)),
+                    Tok::Var(v) => ExprKind::VarRef(v),
+                    _ => ExprKind::ContextItem,
+                };
+                Ok(Expr::new(kind, span))
             }
             Tok::LParen => {
                 self.next();
@@ -1172,7 +1213,6 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::RParen)?;
                 Ok(inner)
             }
-            Tok::Name(_) if self.peek2() == Tok::LParen => self.function_call(),
             Tok::Lt => {
                 // direct constructor iff '<' is immediately followed by a
                 // name-start character
@@ -1185,10 +1225,10 @@ impl<'a> Parser<'a> {
                     Err(self.fail(span, "unexpected '<' (not a constructor)".into()))
                 }
             }
-            other => Err(self.fail(
-                span,
-                format!("unexpected {} in expression", other.describe()),
-            )),
+            other => {
+                let message = format!("unexpected {} in expression", other.describe());
+                Err(self.fail(span, message))
+            }
         }
     }
 
@@ -1353,8 +1393,8 @@ impl<'a> Parser<'a> {
                     }
                     self.s.bump_char(); // '{'
                     let inner = self.expr()?;
-                    let (tok, sp) = self.peek();
-                    if tok != Tok::RBrace {
+                    if *self.peek_tok() != Tok::RBrace {
+                        let sp = self.peek_span();
                         return Err(
                             self.fail(sp, "expected '}' closing enclosed expression".into())
                         );
@@ -1466,8 +1506,8 @@ impl<'a> Parser<'a> {
                     flush_text!();
                     self.s.bump_char(); // '{'
                     let inner = self.expr()?;
-                    let (tok, sp) = self.peek();
-                    if tok != Tok::RBrace {
+                    if *self.peek_tok() != Tok::RBrace {
+                        let sp = self.peek_span();
                         return Err(
                             self.fail(sp, "expected '}' closing enclosed expression".into())
                         );

@@ -31,6 +31,6 @@ pub mod writes;
 pub use fault::{generate_plan, run_fault_trial, FaultOutcome, FaultPlan};
 pub use gen::{generate, GenQuery};
 pub use model::{CatalogModel, ColTy};
-pub use oracle::{default_matrix, CellSpec, Mismatch, Oracle};
+pub use oracle::{default_matrix, pushed_sql, CellSpec, Mismatch, Oracle};
 pub use shrink::shrink;
 pub use writes::{generate_writes, WriteOp};

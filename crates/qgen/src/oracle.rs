@@ -9,13 +9,32 @@
 //! serialized token stream be byte-identical to the reference — the
 //! optimizer may change *how* an answer is computed, never *what* it
 //! is (§4.3's contract for the pushdown framework).
+//!
+//! The reference cell does not go through the plan cache: it compiles
+//! the text with its literals in place ([`Compiler::compile_query`])
+//! and runs that plan on the runtime, so a plan with lifted literals is
+//! never its own reference. On top of the matrix, the **lifted** check
+//! holds the `full` cell's server to *lifted ≡ literal*: what
+//! `AldspServer::execute` answers (one cached plan per query shape, the
+//! text's literals bound as parameters) must be byte-identical to what
+//! the text's own literal plan answers on the same server, and the two
+//! plans must push the same SQL, statement for statement, modulo
+//! literal ↔ `?`. Cell servers live across seeds, so a shape compiled
+//! for one seed's sample literals serves the next seed's.
+//!
+//! [`Compiler::compile_query`]: aldsp::compiler::Compiler::compile_query
 
+use aldsp::compiler::{explain_plan, CompiledQuery, ExplainContext};
+use aldsp::relational::modulo_literals;
 use aldsp::security::Principal;
 use aldsp::xdm::item::Item;
 use aldsp::xdm::xml::serialize_sequence;
 use aldsp::{
     AldspServer, ExecutionOptions, JoinStrategy, PushdownLevel, QueryRequest, ServerError,
 };
+
+/// The cell the lifted check runs on.
+const LIFTED_CELL: &str = "full";
 
 /// One configuration cell of the differential matrix.
 #[derive(Debug, Clone)]
@@ -202,6 +221,14 @@ pub enum Mismatch {
         /// This cell's serialization.
         actual: String,
     },
+    /// The plan `execute` ran (literals lifted to parameters) pushes
+    /// different SQL than the text's own literal plan.
+    LiftedSql {
+        /// The literal plan's statements, literals as `?`.
+        literal: String,
+        /// The executed plan's statements, literals as `?`.
+        lifted: String,
+    },
 }
 
 impl std::fmt::Display for Mismatch {
@@ -215,6 +242,10 @@ impl std::fmt::Display for Mismatch {
             } => write!(
                 f,
                 "cell '{cell}' diverged from reference\n  reference: {expected}\n  cell:      {actual}"
+            ),
+            Mismatch::LiftedSql { literal, lifted } => write!(
+                f,
+                "lifted plan pushes different SQL than the literal plan\n--- literal ---\n{literal}--- lifted ---\n{lifted}"
             ),
         }
     }
@@ -256,6 +287,10 @@ impl Oracle {
     /// so atomic-separator whitespace matches the materialized path.
     pub fn run_cell(&self, i: usize, query: &str) -> Result<String, ServerError> {
         let (spec, server) = &self.cells[i];
+        if i == 0 {
+            let plan = literal_plan(server, query)?;
+            return Ok(serialize_sequence(&self.literal_items(server, &plan)?));
+        }
         let mut req = QueryRequest::new(query).principal(self.principal.clone());
         if let Some(b) = spec.memory_budget {
             req = req.memory_budget(b);
@@ -308,13 +343,120 @@ impl Oracle {
                 });
             }
         }
+        self.check_lifted(query, &reference)?;
         Ok(reference)
     }
 
     /// Materialized reference items (for fault-trial prefix checks).
     pub fn reference_items(&self, query: &str) -> Result<Vec<Item>, ServerError> {
-        let (_, server) = &self.cells[0];
-        let resp = server.execute(QueryRequest::new(query).principal(self.principal.clone()))?;
-        Ok(resp.into_items())
+        let server = &self.cells[0].1;
+        self.literal_items(server, &literal_plan(server, query)?)
+    }
+
+    /// Run a literal plan on `server`'s runtime, security-filtered for
+    /// the oracle's principal as `execute` would.
+    fn literal_items(
+        &self,
+        server: &AldspServer,
+        plan: &CompiledQuery,
+    ) -> Result<Vec<Item>, ServerError> {
+        let raw = server.runtime().execute(plan, &[])?;
+        Ok((server.security()).filter_result(&self.principal, raw, server.audit()))
+    }
+
+    /// Lifted ≡ literal on the [`LIFTED_CELL`] server (skipped when the
+    /// matrix has no such cell): same bytes, same SQL modulo `?`.
+    fn check_lifted(&self, query: &str, reference: &str) -> Result<(), Mismatch> {
+        let Some((_, server)) = self.cells.iter().find(|(s, _)| s.name == LIFTED_CELL) else {
+            return Ok(());
+        };
+        let error = |e: ServerError| Mismatch::Error {
+            cell: "lifted",
+            error: e.to_string(),
+        };
+        let plan = literal_plan(server, query).map_err(error)?;
+        let actual = serialize_sequence(&self.literal_items(server, &plan).map_err(error)?);
+        if actual != reference {
+            return Err(Mismatch::Diverged {
+                cell: "lifted",
+                expected: reference.to_string(),
+                actual,
+            });
+        }
+        let dialects = server.adaptors().connection_dialects();
+        let literal = pushed_sql(&explain_plan(
+            &plan.plan,
+            &ExplainContext {
+                dialects: &dialects,
+                cache_enabled: &|_| false,
+                governor: None,
+                matview: None,
+                pushdown: plan.pushdown,
+                programs: None,
+                parallel: None,
+                joins: None,
+                shape: None,
+            },
+        ));
+        let explained = server
+            .execute(
+                QueryRequest::new(query)
+                    .principal(self.principal.clone())
+                    .explain_only(),
+            )
+            .map_err(error)?;
+        let lifted = pushed_sql(explained.plan_explain().unwrap_or_default());
+        if lifted != literal {
+            return Err(Mismatch::LiftedSql { literal, lifted });
+        }
+        Ok(())
+    }
+}
+
+/// `query`'s literal plan: compiled past the plan cache, every literal
+/// a constant.
+fn literal_plan(server: &AldspServer, query: &str) -> Result<CompiledQuery, ServerError> {
+    (server.compiler())
+        .compile_query(query)
+        .map_err(ServerError::Compile)
+}
+
+/// The `sql>` lines of an EXPLAIN, literals cut
+/// ([`aldsp::relational::modulo_literals`]), each statement behind a
+/// `--` line.
+pub fn pushed_sql(explain: &str) -> String {
+    let mut out = String::new();
+    for line in explain.lines().map(str::trim_start) {
+        if line.contains(" SqlScan ") {
+            out.push_str("--\n");
+        }
+        if let Some(sql) = line.strip_prefix("sql> ") {
+            out.push_str(&modulo_literals(sql));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::pushed_sql;
+
+    #[test]
+    fn pushed_sql_keeps_identifiers_and_cuts_literals() {
+        let explain = "#1 FLWOR\n  #1.0 SqlScan connection=db1 dialect=Oracle params=1 binds=[$x]\n    \
+            sql> SELECT t1.\"CID\" AS c1, t_out.rn\n    \
+            sql> WHERE (t1.\"N 1\" = 'it''s 5') AND (t1.\"SINCE\" >= 1005) AND (t1.\"A\" < 20.50)\n    \
+            #2 Var $?0 = 7\n";
+        assert_eq!(
+            pushed_sql(explain),
+            "--\nSELECT t1.\"CID\" AS c1, t_out.rn\n\
+             WHERE (t1.\"N 1\" = ?) AND (t1.\"SINCE\" >= ?) AND (t1.\"A\" < ?)\n"
+        );
+        // a parameter and the literal it stands for read the same
+        assert_eq!(
+            pushed_sql("sql> WHERE t1.\"CID\" = ?"),
+            pushed_sql("sql> WHERE t1.\"CID\" = 'C0003'")
+        );
     }
 }

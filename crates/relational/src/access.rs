@@ -17,6 +17,13 @@
 //! NULL; and each key must hash the way it compares. Where any of this
 //! cannot be shown, `candidates` is `None` and the executor scans, so
 //! rows, their order and errors are the scan's either way.
+//!
+//! The same pin serves a join of two base tables (`exec::pinned_join`):
+//! the mediator's merged statement `CUSTOMER t1 LEFT OUTER JOIN "ORDER"
+//! t_inner ON t1.CID = t_inner.CID WHERE t1.CID = ?` takes only the
+//! candidate rows of its left table and finds each one's partners by
+//! probing the right table's join column, where the general path hashes
+//! the whole right table for every statement.
 
 use crate::sql::ScalarExpr;
 use crate::store::{KeyPart, Table};
@@ -56,7 +63,7 @@ pub(crate) fn candidates(
 /// Does equality of `v` with a stored value of a `ty` column coincide
 /// with equality of their [`KeyPart`]s? Not for NULL (never equal), not
 /// for doubles (compared as floats), not across type classes (UNKNOWN).
-fn hashes_as_compared(ty: SqlType, v: &SqlValue) -> bool {
+pub(crate) fn hashes_as_compared(ty: SqlType, v: &SqlValue) -> bool {
     match v {
         SqlValue::Null | SqlValue::Dbl(_) => false,
         SqlValue::Int(_) | SqlValue::Dec(_) => matches!(ty, SqlType::Integer | SqlType::Decimal),
@@ -135,32 +142,9 @@ impl Shape<'_> {
         }
     }
 
-    /// Can evaluating `e` as a predicate only yield TRUE, FALSE or
-    /// UNKNOWN? Deliberately narrow: comparisons and boolean connectives
-    /// over this table's columns, literals and supplied parameters.
-    /// Arithmetic, functions, CASE and subqueries can all raise.
+    /// [`cannot_raise`] over this table's columns.
     fn cannot_raise(&self, e: &ScalarExpr) -> bool {
-        match e {
-            ScalarExpr::Compare { lhs, rhs, .. } => self.plain(lhs) && self.plain(rhs),
-            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
-                self.cannot_raise(a) && self.cannot_raise(b)
-            }
-            ScalarExpr::Not(a) => self.cannot_raise(a),
-            ScalarExpr::IsNull(a) => self.plain(a),
-            ScalarExpr::InList { expr, list } => {
-                self.plain(expr) && list.iter().all(|e| self.plain(e))
-            }
-            _ => false,
-        }
-    }
-
-    fn plain(&self, e: &ScalarExpr) -> bool {
-        match e {
-            ScalarExpr::Column { .. } => self.column(e).is_some(),
-            ScalarExpr::Literal(_) => true,
-            ScalarExpr::Param(i) => *i < self.params.len(),
-            _ => false,
-        }
+        cannot_raise(e, &|c| self.column(c).is_some(), self.params.len())
     }
 
     fn column(&self, e: &ScalarExpr) -> Option<usize> {
@@ -170,6 +154,33 @@ impl Shape<'_> {
             }
             _ => None,
         }
+    }
+}
+
+/// Can evaluating `e` as a predicate only yield TRUE, FALSE or UNKNOWN?
+/// Deliberately narrow: comparisons and boolean connectives over the
+/// columns `resolves` knows, literals and the `params` supplied
+/// parameters. Arithmetic, functions, CASE and subqueries can all raise.
+pub(crate) fn cannot_raise(
+    e: &ScalarExpr,
+    resolves: &dyn Fn(&ScalarExpr) -> bool,
+    params: usize,
+) -> bool {
+    let plain = |e: &ScalarExpr| match e {
+        ScalarExpr::Column { .. } => resolves(e),
+        ScalarExpr::Literal(_) => true,
+        ScalarExpr::Param(i) => *i < params,
+        _ => false,
+    };
+    match e {
+        ScalarExpr::Compare { lhs, rhs, .. } => plain(lhs) && plain(rhs),
+        ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
+            cannot_raise(a, resolves, params) && cannot_raise(b, resolves, params)
+        }
+        ScalarExpr::Not(a) => cannot_raise(a, resolves, params),
+        ScalarExpr::IsNull(a) => plain(a),
+        ScalarExpr::InList { expr, list } => plain(expr) && list.iter().all(plain),
+        _ => false,
     }
 }
 
@@ -452,6 +463,100 @@ mod tests {
             let db = random_db(&mut rng, rows);
             assert_all_equivalent(&db, seed, &format!("seed {seed}, {rows} rows"));
         }
+    }
+
+    /// The pinned join agrees with the general join path — the same
+    /// statement with its WHERE written `NOT (NOT (…))`, which pins
+    /// nothing — on rows, their order and errors, for every predicate
+    /// shape on the left table, inner and left outer, over ON
+    /// conditions that probe, that must be verified after the probe,
+    /// and that make the index path stand down.
+    #[test]
+    fn pinned_joins_agree_with_the_general_join_path() {
+        use crate::sql::JoinKind;
+        let r = |c: &str| ScalarExpr::col("t2", c);
+        let ons = [
+            col("K").eq(r("K")),
+            r("K").eq(col("ID")),
+            // Int 1 and Dec 1.0 share an index entry but not a rendering
+            col("AMT").eq(r("AMT")),
+            col("A").eq(r("A")).and(col("B").eq(r("B"))),
+            col("NAME").eq(r("NAME")),
+            col("K")
+                .eq(r("K"))
+                .and(r("NAME").eq(ScalarExpr::lit(SqlValue::str("a")))),
+            // stand down: a residual that can raise, float keys, no equality
+            col("K").eq(r("K")).and(func("LENGTH", r("ID")).eq(int(1))),
+            col("D").eq(r("D")),
+            ScalarExpr::Compare {
+                op: CompOp::Lt,
+                lhs: Box::new(col("K")),
+                rhs: Box::new(r("K")),
+            },
+        ];
+        for seed in 0..12 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let db = random_db(&mut rng, [1, 9, 30][seed as usize % 3]);
+            let columns = &db.table("T").unwrap().schema().columns;
+            for (on, kind) in ons
+                .iter()
+                .flat_map(|on| [(on, JoinKind::Inner), (on, JoinKind::LeftOuter)])
+            {
+                let from =
+                    TableRef::table("T", "t1").join(kind, TableRef::table("T", "t2"), on.clone());
+                let mut q = Select::new(from);
+                for c in columns {
+                    q = q.column(col(&c.name), &c.name);
+                    q = q.column(r(&c.name), &format!("r{}", c.name));
+                }
+                for (w, params) in predicates(&mut StdRng::seed_from_u64(seed)) {
+                    // a conjunct on the right table behind the pin, too
+                    let behind = w
+                        .clone()
+                        .and(r("NAME").eq(ScalarExpr::lit(SqlValue::str("b"))));
+                    for w in [w, behind] {
+                        let mut general = q.clone();
+                        general.where_ = Some(ScalarExpr::Not(Box::new(ScalarExpr::Not(
+                            Box::new(w.clone()),
+                        ))));
+                        q.where_ = Some(w);
+                        assert_eq!(
+                            db.execute_select(&q, &params).map_err(|e| e.to_string()),
+                            db.execute_select(&general, &params)
+                                .map_err(|e| e.to_string()),
+                            "seed {seed}, {kind:?} ON {on:?} WHERE {:?} {params:?}",
+                            q.where_
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pinned_join_examines_its_matches_not_the_tables() {
+        use crate::sql::JoinKind;
+        let mut db = Database::new();
+        db.create_table(schema()).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        for id in 0..2_000 {
+            let mut row = random_row(&mut rng, id);
+            row[1] = SqlValue::Int(id / 2); // K: two rows each
+            db.insert("T", row).unwrap();
+        }
+        let from = TableRef::table("T", "t1").join(
+            JoinKind::LeftOuter,
+            TableRef::table("T", "t2"),
+            col("ID").eq(ScalarExpr::col("t2", "K")),
+        );
+        let mut q = Select::new(from).column(ScalarExpr::col("t2", "ID"), "c1");
+        q.where_ = Some(col("ID").eq(ScalarExpr::Param(0)));
+        let (rs, examined) = db.select_examining(&q, &[SqlValue::Int(7)]);
+        assert_eq!(
+            rs.unwrap().rows,
+            vec![vec![SqlValue::Int(14)], vec![SqlValue::Int(15)]]
+        );
+        assert_eq!(examined, 2, "one WHERE evaluation per joined row");
     }
 
     #[test]

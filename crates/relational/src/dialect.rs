@@ -79,6 +79,46 @@ impl Dialect {
     }
 }
 
+/// Rendered `sql` with every literal (quoted string, number) replaced by `?` —
+/// the form in which a statement with a parameter and the statement
+/// with the literal it stands for read the same.
+pub fn modulo_literals(sql: &str) -> String {
+    let b = sql.as_bytes();
+    let mut out = String::with_capacity(sql.len());
+    let mut i = 0;
+    while i < b.len() {
+        let after_ident = i > 0 && (b[i - 1].is_ascii_alphanumeric() || b"_\"".contains(&b[i - 1]));
+        match b[i] {
+            b'"' => {
+                // a quoted identifier, copied whole
+                let end = sql[i + 1..].find('"').map_or(b.len(), |e| i + e + 2);
+                out.push_str(&sql[i..end]);
+                i = end;
+            }
+            b'\'' => {
+                out.push('?');
+                i += 1;
+                while i < b.len() && (b[i] != b'\'' || b.get(i + 1) == Some(&b'\'')) {
+                    i += if b[i] == b'\'' { 2 } else { 1 };
+                }
+                i += 1;
+            }
+            c if c.is_ascii_digit() && !after_ident => {
+                out.push('?');
+                while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'.') {
+                    i += 1;
+                }
+            }
+            _ => {
+                let ch = sql[i..].chars().next().expect("in bounds");
+                out.push(ch);
+                i += ch.len_utf8();
+            }
+        }
+    }
+    out
+}
+
 /// Render a `SELECT` statement as SQL text in the given dialect.
 pub fn render_select(q: &Select, d: Dialect) -> String {
     match (q.offset, q.fetch) {

@@ -11,7 +11,7 @@
 use crate::access;
 use crate::error::SourceError;
 use crate::sql::{AggFunc, JoinKind, OrderBy, ScalarExpr, Select, TableRef};
-use crate::store::{Database, Row, Table};
+use crate::store::{Database, KeyPart, Row, Table};
 use crate::types::{SqlValue, Truth};
 use aldsp_xdm::value::{ArithOp, Decimal};
 use std::cell::Cell;
@@ -379,6 +379,9 @@ fn eval_from<'a>(
             kind,
             on,
         } => {
+            if let Some(joined) = pinned_join(cx, left, right, *kind, on, where_, outer)? {
+                return Ok(joined);
+            }
             let (ll, lrows) = eval_from(cx, left, None, outer)?;
             let (rl, rrows) = eval_from(cx, right, None, outer)?;
             let lwidth = ll.width;
@@ -394,19 +397,14 @@ fn eval_from<'a>(
                 for l in lrows.iter() {
                     let mut matched = false;
                     for r in &rrows {
-                        let mut combined = Vec::with_capacity(l.len() + r.len());
-                        combined.extend(l.iter().cloned());
-                        combined.extend(r.iter().cloned());
+                        let combined = joined(l, Some(r), rwidth);
                         if truth_of(cx, on, &layout, &Ctx::Row(&combined), outer)?.is_true() {
                             matched = true;
                             out.push(combined);
                         }
                     }
                     if !matched && *kind == JoinKind::LeftOuter {
-                        let mut combined = Vec::with_capacity(l.len() + rwidth);
-                        combined.extend(l.iter().cloned());
-                        combined.extend(std::iter::repeat_n(SqlValue::Null, rwidth));
-                        out.push(combined);
+                        out.push(joined(l, None, rwidth));
                     }
                 }
             } else {
@@ -443,10 +441,7 @@ fn eval_from<'a>(
                     }
                     if !null_key {
                         for &ri in index.get(&key).map(|v| v.as_slice()).unwrap_or(&[]) {
-                            let r = rrows[ri];
-                            let mut combined = Vec::with_capacity(l.len() + r.len());
-                            combined.extend(l.iter().cloned());
-                            combined.extend(r.iter().cloned());
+                            let combined = joined(l, Some(rrows[ri]), rwidth);
                             let keep = match &residual {
                                 Some(res) => {
                                     truth_of(cx, res, &layout, &Ctx::Row(&combined), outer)?
@@ -461,16 +456,113 @@ fn eval_from<'a>(
                         }
                     }
                     if !matched && *kind == JoinKind::LeftOuter {
-                        let mut combined = Vec::with_capacity(l.len() + rwidth);
-                        combined.extend(l.iter().cloned());
-                        combined.extend(std::iter::repeat_n(SqlValue::Null, rwidth));
-                        out.push(combined);
+                        out.push(joined(l, None, rwidth));
                     }
                 }
             }
             Ok((layout, FromRows::Owned(out)))
         }
     }
+}
+
+/// One joined row: `l` followed by its partner, or by `rwidth` NULLs
+/// when a left outer join found none.
+fn joined(l: &[SqlValue], r: Option<&[SqlValue]>, rwidth: usize) -> Row {
+    let mut combined = Vec::with_capacity(l.len() + rwidth);
+    combined.extend_from_slice(l);
+    match r {
+        Some(r) => combined.extend_from_slice(r),
+        None => combined.extend(std::iter::repeat_n(SqlValue::Null, rwidth)),
+    }
+    combined
+}
+
+/// The index path of a join of two base tables whose WHERE pins the
+/// left one ([`access::candidates`]): only the candidate left rows are
+/// joined, each finding its partners by a probe of the right table's
+/// join column, verified the way the hash join of the general path
+/// matches keys. `None` — take the general path — unless rows, their
+/// order and errors are provably the general path's: the rows the pin
+/// rules out are rejected by the WHERE without raising (that is
+/// `candidates`' own condition, and holds of every joined row a
+/// ruled-out left row would have produced), and the ON condition they
+/// would have been matched with cannot raise either.
+fn pinned_join<'a>(
+    cx: &Exec<'a>,
+    left: &TableRef,
+    right: &TableRef,
+    kind: JoinKind,
+    on: &ScalarExpr,
+    where_: Option<&ScalarExpr>,
+    outer: Option<&Scope<'_>>,
+) -> Result<Option<(Layout, FromRows<'a>)>, String> {
+    let (
+        TableRef::Table {
+            name: lname,
+            alias: lalias,
+        },
+        TableRef::Table {
+            name: rname,
+            alias: ralias,
+        },
+        Some(where_),
+    ) = (left, right, where_)
+    else {
+        return Ok(None);
+    };
+    let (Some(ltable), Some(rtable)) = (cx.db.table(lname), cx.db.table(rname)) else {
+        return Ok(None); // the general path reports the missing table
+    };
+    let Some(picked) = access::candidates(ltable, lalias, where_, cx.params) else {
+        return Ok(None);
+    };
+    let lwidth = ltable.schema().columns.len();
+    let rwidth = rtable.schema().columns.len();
+    let layout = Layout::of_table(lalias, ltable).merge(Layout::of_table(ralias, rtable));
+    let (equi, residual) = split_equi_conjuncts(on, &layout, lwidth);
+    let Some(&(probe_l, probe_r)) = equi.first() else {
+        return Ok(None);
+    };
+    let resolves = |c: &ScalarExpr| matches!(c, ScalarExpr::Column { table, column } if layout.resolve(table, column).is_some());
+    if (residual.as_ref()).is_some_and(|r| !access::cannot_raise(r, &resolves, cx.params.len())) {
+        return Ok(None);
+    }
+    let probe_ty = rtable.schema().columns[probe_r - lwidth].ty;
+    let mut out = Vec::new();
+    for li in picked {
+        let l = &ltable.rows()[li];
+        let mut matched = false;
+        if !l[probe_l].is_null() {
+            if !access::hashes_as_compared(probe_ty, &l[probe_l]) {
+                return Ok(None);
+            }
+            for ri in rtable.probe(probe_r - lwidth, &[KeyPart::of(&l[probe_l])]) {
+                let r = &rtable.rows()[ri];
+                // partners as the hash join defines them: every key pair
+                // non-NULL and alike in its literal rendering
+                let partners = equi.iter().all(|&(lc, rc)| {
+                    let (a, b) = (&l[lc], &r[rc - lwidth]);
+                    !a.is_null() && !b.is_null() && a.sql_literal() == b.sql_literal()
+                });
+                if !partners {
+                    continue;
+                }
+                let combined = joined(l, Some(r), rwidth);
+                let keep = match &residual {
+                    Some(res) => truth_of(cx, res, &layout, &Ctx::Row(&combined), outer)?.is_true(),
+                    None => true,
+                };
+                if keep {
+                    matched = true;
+                    out.push(combined);
+                }
+            }
+        }
+        if !matched && kind == JoinKind::LeftOuter {
+            out.push(joined(l, None, rwidth));
+        }
+    }
+    Ok(Some((layout, FromRows::Owned(out))))
 }
 
 /// Decompose an ON condition into `(left column index, right column

@@ -25,7 +25,7 @@ pub mod store;
 pub mod types;
 
 pub use catalog::{Catalog, Column, ForeignKey, TableSchema};
-pub use dialect::{render_select, Dialect};
+pub use dialect::{modulo_literals, render_select, Dialect};
 pub use dml::{render_dml, Delete, Dml, Insert, Update};
 pub use error::SourceError;
 pub use exec::ResultSet;

@@ -62,6 +62,23 @@ impl Select {
         self
     }
 
+    /// Renumber every positional parameter of the statement (subqueries
+    /// and derived tables included) through `f` — how the pushdown
+    /// framework merges two statements' parameter lists into one.
+    pub fn map_params(&mut self, f: &mut dyn FnMut(usize) -> usize) {
+        for c in &mut self.columns {
+            c.expr.map_params(f);
+        }
+        self.from.map_params(f);
+        for e in (self.where_.iter_mut())
+            .chain(&mut self.group_by)
+            .chain(&mut self.having)
+            .chain(self.order_by.iter_mut().map(|o| &mut o.expr))
+        {
+            e.map_params(f);
+        }
+    }
+
     /// Does any output column or the HAVING clause aggregate?
     pub fn is_aggregate(&self) -> bool {
         !self.group_by.is_empty()
@@ -138,6 +155,21 @@ impl TableRef {
             right: Box::new(right),
             kind,
             on,
+        }
+    }
+
+    /// See [`Select::map_params`].
+    pub fn map_params(&mut self, f: &mut dyn FnMut(usize) -> usize) {
+        match self {
+            TableRef::Table { .. } => {}
+            TableRef::Join {
+                left, right, on, ..
+            } => {
+                left.map_params(f);
+                right.map_params(f);
+                on.map_params(f);
+            }
+            TableRef::Derived { query, .. } => query.map_params(f),
         }
     }
 
@@ -319,6 +351,43 @@ impl ScalarExpr {
         max
     }
 
+    /// See [`Select::map_params`].
+    pub fn map_params(&mut self, f: &mut dyn FnMut(usize) -> usize) {
+        match self {
+            ScalarExpr::Param(i) => *i = f(*i),
+            ScalarExpr::Column { .. } | ScalarExpr::Literal(_) => {}
+            ScalarExpr::Compare { lhs, rhs, .. } | ScalarExpr::Arith { lhs, rhs, .. } => {
+                lhs.map_params(f);
+                rhs.map_params(f);
+            }
+            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
+                a.map_params(f);
+                b.map_params(f);
+            }
+            ScalarExpr::Not(a) | ScalarExpr::IsNull(a) => a.map_params(f),
+            ScalarExpr::Case { when, els } => {
+                for (c, r) in when {
+                    c.map_params(f);
+                    r.map_params(f);
+                }
+                if let Some(e) = els {
+                    e.map_params(f);
+                }
+            }
+            ScalarExpr::Exists(sub) => sub.map_params(f),
+            ScalarExpr::InList { expr, list } => {
+                expr.map_params(f);
+                list.iter_mut().for_each(|e| e.map_params(f));
+            }
+            ScalarExpr::Func { args, .. } => args.iter_mut().for_each(|a| a.map_params(f)),
+            ScalarExpr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    a.map_params(f);
+                }
+            }
+        }
+    }
+
     /// Visit this expression tree (not descending into subqueries).
     pub fn walk(&self, f: &mut dyn FnMut(&ScalarExpr)) {
         f(self);
@@ -437,6 +506,38 @@ mod tests {
             .eq(ScalarExpr::Param(0))
             .or(ScalarExpr::col("t1", "CID").eq(ScalarExpr::Param(1)));
         assert_eq!(e.param_count(), 2);
+    }
+
+    #[test]
+    fn map_params_reaches_joins_and_subqueries() {
+        let mut sub = Select::new(TableRef::table("ORDER", "t2"))
+            .column(ScalarExpr::lit(SqlValue::Int(1)), "c1");
+        sub.where_ = Some(ScalarExpr::col("t2", "AMOUNT").eq(ScalarExpr::Param(1)));
+        let mut q = Select::new(TableRef::table("CUSTOMER", "t1").join(
+            JoinKind::LeftOuter,
+            TableRef::table("ORDER", "t3"),
+            ScalarExpr::col("t3", "OID").eq(ScalarExpr::Param(2)),
+        ))
+        .column(ScalarExpr::col("t1", "CID"), "c1");
+        q.where_ = Some(
+            ScalarExpr::col("t1", "CID")
+                .eq(ScalarExpr::Param(0))
+                .and(ScalarExpr::Exists(Box::new(sub))),
+        );
+        let mut seen = Vec::new();
+        q.map_params(&mut |i| {
+            seen.push(i);
+            i + 10
+        });
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2]);
+        let mut shifted = Vec::new();
+        q.map_params(&mut |i| {
+            shifted.push(i);
+            i
+        });
+        shifted.sort_unstable();
+        assert_eq!(shifted, vec![10, 11, 12]);
     }
 
     #[test]

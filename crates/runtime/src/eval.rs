@@ -1206,6 +1206,7 @@ fn parallel_region<'a>(
     let Clause::SqlFor {
         connection,
         select,
+        params,
         binds,
         ..
     } = &clauses[0]
@@ -1220,8 +1221,11 @@ fn parallel_region<'a>(
         Ok(s) => s.into(),
         Err(e) => return one_err(e),
     };
-    // the uncorrelated scan executes exactly once, up front
-    let rows = match exec_sql(cx, connection, select, &[]) {
+    // the uncorrelated scan executes exactly once, up front (whatever
+    // parameters it has are query-constant)
+    let rows = match eval_sql_params(cx, params, base)
+        .and_then(|vals| exec_sql(cx, connection, select, &vals))
+    {
         Ok(rs) => Arc::new(rs.rows),
         Err(e) => return one_err(e),
     };
@@ -1674,6 +1678,7 @@ fn build_clause<'a>(
             connection,
             select,
             params,
+            query_const,
             binds,
             ppk,
         } => {
@@ -1693,6 +1698,13 @@ fn build_clause<'a>(
                     connection,
                     select,
                     base_params: params,
+                    // tuple-dependent base params force block size 1
+                    // (they may vary from one outer tuple to the next)
+                    k: if query_const.contains(&false) {
+                        1
+                    } else {
+                        spec.k.max(1)
+                    },
                     bind_slots,
                     spec,
                     buffer: std::collections::VecDeque::new(),
@@ -1706,7 +1718,7 @@ fn build_clause<'a>(
                 }),
                 None => match cx.joins.mark(flwor_id, idx) {
                     Some(mark) => Box::new(HashJoinIter::new(
-                        cx, tkey, connection, mark, params, bind_slots, input,
+                        cx, tkey, connection, mark, params, bind_slots, input, flwor_base,
                     )),
                     None => sql_for_plain(
                         cx,
@@ -2377,8 +2389,13 @@ fn group_partition(
 
 // ---- SQL clauses ------------------------------------------------------------------
 
-fn eval_sql_params(cx: &ExecCtx, params: &[CExpr], env: &Env) -> RtResult<Vec<SqlValue>> {
-    let mut out = Vec::with_capacity(params.len());
+fn eval_sql_params<'p>(
+    cx: &ExecCtx,
+    params: impl IntoIterator<Item = &'p CExpr>,
+    env: &Env,
+) -> RtResult<Vec<SqlValue>> {
+    let params = params.into_iter();
+    let mut out = Vec::with_capacity(params.size_hint().0);
     for p in params {
         let v = atomize(eval(cx, p, env)?.as_slice());
         let first = v.first();
@@ -2486,6 +2503,9 @@ struct HashJoinIter<'a> {
     params: &'a [CExpr],
     bind_slots: Vec<u32>,
     input: TupleIter<'a>,
+    /// The FLWOR's base tuple: what the bulk statement's
+    /// (query-constant) parameters are evaluated against.
+    base: Env,
     built: bool,
     /// Terminal failure already emitted: stop producing.
     failed: bool,
@@ -2511,6 +2531,7 @@ impl<'a> HashJoinIter<'a> {
         params: &'a [CExpr],
         bind_slots: Vec<u32>,
         input: TupleIter<'a>,
+        base: Env,
     ) -> HashJoinIter<'a> {
         HashJoinIter {
             cx,
@@ -2520,6 +2541,7 @@ impl<'a> HashJoinIter<'a> {
             params,
             bind_slots,
             input,
+            base,
             built: false,
             failed: false,
             rows: Vec::new(),
@@ -2540,7 +2562,7 @@ impl<'a> HashJoinIter<'a> {
     /// The probe key for one outer tuple: `None` when the param is SQL
     /// NULL (which never equi-joins).
     fn probe_key(&mut self, env: &Env) -> RtResult<Option<String>> {
-        let vals = eval_sql_params(self.cx, self.params, env)?;
+        let vals = eval_sql_params(self.cx, [&self.params[self.mark.key_param]], env)?;
         if vals.iter().any(|v| matches!(v, SqlValue::Null)) {
             return Ok(None);
         }
@@ -2549,10 +2571,15 @@ impl<'a> HashJoinIter<'a> {
         Ok(Some(self.key_buf.clone()))
     }
 
-    /// Fetch the decorrelated bulk statement (one roundtrip).
+    /// Fetch the decorrelated bulk statement (one roundtrip); its
+    /// parameters are the clause's query-constant ones, in order.
     fn fetch_bulk(&mut self) -> RtResult<ResultSet> {
+        let consts = (self.params.iter().enumerate())
+            .filter(|(i, _)| *i != self.mark.key_param)
+            .map(|(_, p)| p);
+        let vals = eval_sql_params(self.cx, consts, &self.base)?;
         self.cx.trace_roundtrip(self.tkey);
-        exec_sql(self.cx, self.connection, &self.mark.bulk, &[])
+        exec_sql(self.cx, self.connection, &self.mark.bulk, &vals)
     }
 
     /// The key literal of one bulk row; `None` for NULL keys, which can
@@ -2726,6 +2753,9 @@ struct PpkIter<'a> {
     connection: &'a str,
     select: &'a Select,
     base_params: &'a [CExpr],
+    /// Outer tuples per block: `spec.k`, or 1 when a base parameter is
+    /// tuple-dependent.
+    k: usize,
     /// Frame slots of the bound result columns (last is the tuple id
     /// when `spec.outer_join` is set).
     bind_slots: Vec<u32>,
@@ -2778,12 +2808,7 @@ impl PpkIter<'_> {
     /// `None` means the input is done — either exhausted or errored (the
     /// error lands in `staging_err` and the partial block is dropped).
     fn read_block(&mut self) -> Option<OuterBlock> {
-        // per-tuple base params force block size 1 (they may vary)
-        let k = if self.base_params.is_empty() {
-            self.spec.k.max(1)
-        } else {
-            1
-        };
+        let k = self.k;
         let mut block: OuterBlock = Vec::with_capacity(k);
         while block.len() < k {
             match self.input.next() {

@@ -28,7 +28,7 @@ pub use vm::ExprVM;
 pub use aldsp_workload::{QueryBudget, WorkloadError};
 
 use aldsp_adaptors::AdaptorRegistry;
-use aldsp_compiler::CompiledQuery;
+use aldsp_compiler::{CompiledQuery, LIFTED_PREFIX};
 use aldsp_metadata::Registry;
 use aldsp_xdm::item::{Item, Sequence};
 use std::sync::Arc;
@@ -54,7 +54,8 @@ pub struct Execution {
 /// streaming is a sink choice, not a second API.
 pub struct ExecRequest<'a> {
     /// External-variable bindings by name (unbound externals default to
-    /// the empty sequence). Values move into the initial tuple frame.
+    /// the empty sequence; an unbound lifted literal is a typed
+    /// [`RtError::Plan`]). Values move into the initial tuple frame.
     pub bindings: Vec<(&'a str, Sequence)>,
     /// [`TraceLevel::Operators`] collects a per-operator [`QueryTrace`]
     /// keyed by the plan's node ids.
@@ -131,7 +132,7 @@ impl Runtime {
     /// not; the root trace node's row count is the delivered item count,
     /// so a trace always sums consistently with what was returned.
     pub fn run(&self, query: &CompiledQuery, mut req: ExecRequest<'_>) -> RtResult<Execution> {
-        let env = bind_env(query, &mut req.bindings);
+        let env = bind_env(query, &mut req.bindings)?;
         let cx = ExecCtx::for_plan(self.inner.clone(), query, &req);
         let t0 = std::time::Instant::now();
         let mut items = Vec::new();
@@ -204,20 +205,28 @@ impl Runtime {
 }
 
 /// The initial frame spans the whole plan; externals sit at the slots
-/// the layout pass assigned them (0..n in declaration order).
-fn bind_env(query: &CompiledQuery, bindings: &mut [(&str, Sequence)]) -> Env {
+/// the layout pass assigned them (0..n in declaration order). An
+/// unbound external is the empty sequence — except a lifted literal
+/// (named with [`LIFTED_PREFIX`]): the plan was compiled for a value of
+/// exactly its type, so a missing one means plan and literal
+/// environment do not belong together.
+fn bind_env(query: &CompiledQuery, bindings: &mut [(&str, Sequence)]) -> RtResult<Env> {
     let mut w = Env::with_width(query.frame.width() as usize).writer();
     for var in &query.external_vars {
-        let value = bindings
-            .iter_mut()
-            .find(|(n, _)| n == var)
-            .map(|(_, v)| std::mem::take(v))
-            .unwrap_or_default();
+        let value = match bindings.iter_mut().find(|(n, _)| n == var) {
+            Some((_, v)) => std::mem::take(v),
+            None if var.starts_with(LIFTED_PREFIX) => {
+                return Err(RtError::Plan(format!(
+                    "no value bound for lifted literal ${var}"
+                )))
+            }
+            None => Sequence::new(),
+        };
         if let Some(slot) = query.frame.slot(var) {
             w.set(slot, value);
         }
     }
-    w.finish()
+    Ok(w.finish())
 }
 
 /// Fold the budget's own counters (gate wait, peak held memory) into

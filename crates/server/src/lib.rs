@@ -583,10 +583,10 @@ impl Session {
         // the explain-only probe compiles through the cached_plan path
         // without executing, so prepare errors surface here and the
         // compiled plan is hot for every later ExecutePrepared
-        if let Err(e) = self
-            .server
-            .execute(QueryRequest::new(source).explain_only())
-        {
+        if let Err(e) = contained("prepare", || {
+            self.server
+                .execute(QueryRequest::new(source).explain_only())
+        }) {
             return out.error(error_code(&e), e.to_string());
         }
         let already_held = self
@@ -636,19 +636,7 @@ impl Session {
                 false
             }
         };
-        // the panic boundary of a session: a panicking operator costs
-        // its query, not the connection or the server
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.server.execute(req.stream_to(&mut sink))
-        }))
-        .unwrap_or_else(|panic| {
-            let what = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            Err(ServerError::Other(format!("query panicked: {what}")))
-        });
+        let outcome = contained("query", || self.server.execute(req.stream_to(&mut sink)));
         match undelivered {
             // the item exceeds MAX_FRAME_LEN — undeliverable in one
             // frame; the stream was aborted and nothing of the item
@@ -672,6 +660,23 @@ impl Session {
         }
         Ok(SessionEnd::Clean)
     }
+}
+
+/// The panic boundary of a session: whatever the engine does with a
+/// request's bytes — parse, lift, compile, execute — a panic costs that
+/// request (a typed `INTERNAL` error), not the connection or the server.
+fn contained<T>(
+    what: &str,
+    engine: impl FnOnce() -> Result<T, ServerError>,
+) -> Result<T, ServerError> {
+    catch_unwind(AssertUnwindSafe(engine)).unwrap_or_else(|panic| {
+        let payload = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".into());
+        Err(ServerError::Other(format!("{what} panicked: {payload}")))
+    })
 }
 
 /// Lift a wire execution override into typed [`ExecutionOptions`].

@@ -3,8 +3,12 @@
 # testing"). Generates N_SEEDS random FLWGOR queries and executes each
 # under the full optimizer/runtime config matrix plus seeded fault
 # schedules, demanding byte-identical results or typed errors. The
-# same seeds also replay over a loopback aldspd through aldsp-client
-# (the `wire` cell), demanding byte-identity with the in-process run.
+# reference cell runs each text's literal plan; the `lifted` check
+# holds the `full` cell to lifted == literal on every seed (what
+# `execute` answers from its one-plan-per-shape cache vs. the text's
+# own literal plan: same bytes, same pushed SQL modulo `?`). The same
+# seeds also replay over a loopback aldspd through aldsp-client (the
+# `wire` cell), demanding byte-identity with the in-process run.
 #
 # Usage:
 #   scripts/difftest.sh [N_SEEDS] [SEED_START]

@@ -6,7 +6,13 @@
 //! PP-k prefetch {0, 2}, streaming vs. materialized delivery, budgeted
 //! vs. unbudgeted — and every cell must produce byte-identical
 //! serialized output to the naive reference (pushdown off, fully
-//! interpreted). A second mode attaches seeded fault schedules to the
+//! interpreted, the text's literal plan run past the plan cache). On
+//! every seed the oracle's `lifted` check also holds the `full` cell to
+//! *lifted ≡ literal*: the plan `execute` serves for the text's shape,
+//! literals bound as parameters, answers byte-identically to the
+//! text's own literal plan and pushes the same SQL modulo `?` — and
+//! since cell servers outlive a seed, shapes are hit again with other
+//! sample literals. A second mode attaches seeded fault schedules to the
 //! simulated relational servers and asserts every run ends in either an
 //! identical result or a typed error, with any streamed prefix intact.
 //!

@@ -780,6 +780,35 @@ fn a_panicking_operator_costs_its_query_not_the_session() {
     c.goodbye().expect("clean close");
 }
 
+/// `Prepare` runs parse, lift and compile on bytes from the wire: a
+/// panic there is a typed `INTERNAL` for that request, and the session,
+/// its handles and the server go on.
+#[test]
+fn a_panicking_prepare_costs_its_request_not_the_session() {
+    let w = wired(3, |b| b.mutation(aldsp::Mutation::PanicInPushdown));
+    let mut c = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    for _ in 0..2 {
+        let err = c.prepare(&customers_query()).expect_err("compile panics");
+        assert_eq!(err.code(), Some(code::INTERNAL), "{err}");
+        assert!(err.to_string().contains("planted pushdown panic"), "{err}");
+    }
+    assert_eq!(w.listener.handles().len(), 0, "nothing was handed out");
+    // the same session prepares and runs what does not panic
+    let ok = c.prepare("1 + 1").expect("session still usable");
+    let r = c
+        .execute_prepared(ok.handle, &WireOptions::default())
+        .expect("and so is its handle");
+    assert_eq!(r.text(), "2");
+    // and so does every other session
+    let mut other = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    let r = other
+        .execute("2 + 2", &WireOptions::default())
+        .expect("server survived");
+    assert_eq!(r.text(), "4");
+    other.goodbye().expect("clean close");
+    c.goodbye().expect("clean close");
+}
+
 #[test]
 fn an_old_style_frame_by_frame_client_still_interoperates() {
     let w = wired(5, |b| b);

@@ -178,12 +178,13 @@ fn explain_pins_program_disassembly() {
         .expect("explains");
     let explain = resp.plan_explain().expect("explain-only output");
     assert!(explain.contains("-- vm: programs="), "{explain}");
-    // the where predicate's program, op for op
+    // the where predicate's program, op for op (the literal is lifted:
+    // it reads the first external's slot where the constant stood)
     let want = "-- program: ops=5 stack=2\n\
-                --   0: var slot=0 ($o__1)\n\
+                --   0: var slot=1 ($o__1)\n\
                 --   1: child::AMOUNT\n\
                 --   2: data\n\
-                --   3: const 20\n\
+                --   3: var slot=0 ($?0)\n\
                 --   4: compare ge (value)";
     let normalized: String = explain
         .lines()

@@ -74,14 +74,40 @@ const FLAT_MODULE: &str = r#"
     };
 "#;
 
+/// Figure 3's profile view and its by-id selection (the shape of the
+/// benchmark's `getProfileByID`).
+const PROFILE_MODULE: &str = r#"
+    declare namespace p = "urn:profileDS";
+    declare namespace c = "urn:custDS";
+    declare namespace cc = "urn:ccDS";
+    declare function p:getProfile() as element(PROFILE)* {
+      for $c in c:CUSTOMER()
+      return <PROFILE>
+        <CID>{fn:data($c/CID)}</CID>
+        <ORDERS>{ for $o in c:ORDER() where $o/CID eq $c/CID return $o/OID }</ORDERS>
+        <CARDS>{ for $k in cc:CREDIT_CARD() where $k/CID eq $c/CID return $k/CCN }</CARDS>
+      </PROFILE>
+    };
+    declare function p:getProfileByID($id as xs:string) as element(PROFILE)* {
+      p:getProfile()[CID eq $id]
+    };
+"#;
+
 fn demo() -> Principal {
     Principal::new("demo", &[])
 }
 
-/// One golden record: the request's name, what it delivered, its exact
-/// counters with the wall-clock fields zeroed, and the serialized items
-/// (`seen` for streamed requests, whose response carries none).
-fn record(out: &mut String, name: &str, resp: &QueryResponse, seen: Option<&[Item]>) {
+/// One golden record: the request's name, what it delivered, how many
+/// plans the server's compiler built for it, its exact counters with
+/// the wall-clock fields zeroed, and the serialized items (`seen` for
+/// streamed requests, whose response carries none).
+fn record(
+    out: &mut String,
+    name: &str,
+    compiled: u64,
+    resp: &QueryResponse,
+    seen: Option<&[Item]>,
+) {
     let mut stats = *resp.per_query_stats();
     stats.ppk_prefetch_wait_ns = 0;
     stats.admission_wait_ns = 0;
@@ -90,7 +116,7 @@ fn record(out: &mut String, name: &str, resp: &QueryResponse, seen: Option<&[Ite
     let items = seen.unwrap_or(resp.items());
     writeln!(
         out,
-        "== {name}\ndelivered: {}\n{stats:#?}\nresult: {}\n",
+        "== {name}\ndelivered: {}\ncompiled: {compiled}\n{stats:#?}\nresult: {}\n",
         resp.delivered(),
         serialize_sequence(items)
     )
@@ -104,12 +130,22 @@ fn work_counters_match_the_golden() {
         b.materialize(flat.clone(), MatViewPolicy::PatchOrInvalidate)
     });
     w.server.deploy(FLAT_MODULE).expect("deploys");
+    w.server.deploy(PROFILE_MODULE).expect("deploys");
     let mut out = String::new();
+    // plans built by the server's own compiler (a request that
+    // overrides a compile knob compiles under a derived one)
+    let compiled = || w.server.compiler().stats().queries_compiled;
     type Tune = for<'a> fn(QueryRequest<'a>) -> QueryRequest<'a>;
     let adhoc: &[(&str, &str, Tune)] = &[
         (
             "point_lookup",
             r#"for $c in c:CUSTOMER() where $c/CID eq "C0007" return $c/LAST_NAME"#,
+            |r| r,
+        ),
+        (
+            // the shape the record above compiled, another literal
+            "same_shape_second_literal",
+            r#"for $c in c:CUSTOMER() where $c/CID eq "C0011" return $c/LAST_NAME"#,
             |r| r,
         ),
         (
@@ -174,12 +210,33 @@ fn work_counters_match_the_golden() {
     ];
     for (name, body, tune) in adhoc {
         let q = format!("{PROLOG}\n{body}");
+        let before = compiled();
         let resp = w
             .server
             .execute(tune(QueryRequest::new(&q).principal(demo())))
             .expect("executes");
-        record(&mut out, name, &resp, None);
+        record(&mut out, name, compiled() - before, &resp, None);
     }
+
+    // a view called with an argument plans like the text with the
+    // argument as a literal: CUSTOMER ⟕ ORDER in one statement, the
+    // cards in a second
+    let before = compiled();
+    let resp = w
+        .server
+        .execute(
+            QueryRequest::call(QName::new("urn:profileDS", "getProfileByID"))
+                .args(vec![vec![Item::str("C0007")]])
+                .principal(demo()),
+        )
+        .expect("calls");
+    record(
+        &mut out,
+        "view_call_with_argument",
+        compiled() - before,
+        &resp,
+        None,
+    );
 
     // a streamed run whose sink stops on its fifth item
     let q = format!("{PROLOG} for $c in c:CUSTOMER() return <C>{{ $c/CID, $c/FIRST_NAME }}</C>");
@@ -188,19 +245,27 @@ fn work_counters_match_the_golden() {
         seen.push(item);
         seen.len() < 5
     };
+    let before = compiled();
     let resp = w
         .server
         .execute(QueryRequest::new(&q).principal(demo()).stream_to(&mut sink))
         .expect("streams");
-    record(&mut out, "streamed_early_stop", &resp, Some(&seen));
+    record(
+        &mut out,
+        "streamed_early_stop",
+        compiled() - before,
+        &resp,
+        Some(&seen),
+    );
 
     // a materialized data-service call, cold (recompute + fill) then warm
     for name in ["materialized_call_cold", "materialized_call_warm"] {
+        let before = compiled();
         let resp = w
             .server
             .execute(QueryRequest::call(flat.clone()).principal(demo()))
             .expect("calls");
-        record(&mut out, name, &resp, None);
+        record(&mut out, name, compiled() - before, &resp, None);
     }
 
     check_golden(false, &out);
