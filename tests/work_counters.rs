@@ -10,11 +10,23 @@
 //! request for three requests over loopback, from the exact counters of
 //! `Client::wire_stats` and `WireListener::wire_stats`.
 //!
+//! Each record also carries `warm_allocs`: the heap allocations of one
+//! *warm repeat* of the request, counted by this binary's counting
+//! `#[global_allocator]` over the whole process (the two tests take
+//! turns, so nothing else runs). The request is repeated 20 times after
+//! the recorded run; when the repeats disagree — helper threads racing
+//! the caller — the record says `unstable` instead of a number. Helper
+//! threads' allocations count too, and libtest's output capture adds
+//! one to every thread a request spawns (PP-k prefetch), so compare and
+//! bless in the harness's default mode, not under `--nocapture`.
+//!
 //! Re-bless (only when a counter's meaning changes on purpose):
 //! `WORK_COUNTERS_BLESS=1 cargo test --test work_counters`
 
 mod common;
 
+use aldsp::relational::server::STATEMENT_LOG_CAP;
+use aldsp::relational::{RelationalServer, ScalarExpr, Select, SqlValue, TableRef};
 use aldsp::security::Principal;
 use aldsp::xdm::item::Item;
 use aldsp::xdm::xml::serialize_sequence;
@@ -24,8 +36,82 @@ use aldsp_client::Client;
 use aldsp_protocol::{WireOptions, WireStats};
 use aldsp_server::{serve, WireConfig};
 use common::{world, world_tuned, PROLOG};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Heap allocations of the whole process, whichever thread makes them:
+/// `alloc`, `alloc_zeroed` and `realloc` count one each.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every method hands its arguments to `System` unchanged and
+// returns what `System` returns, so `System`'s contract is this
+// allocator's; the counter is a relaxed atomic outside allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Warm repeats measured per request.
+const REPEATS: usize = 20;
+
+/// The `warm_allocs` value of a request already executed once: the
+/// allocation count every one of `REPEATS` further runs agrees on, or
+/// `unstable` when they do not.
+fn warm_allocs(mut run: impl FnMut()) -> String {
+    let counts: Vec<u64> = (0..REPEATS)
+        .map(|_| {
+            let before = ALLOCS.load(Relaxed);
+            run();
+            ALLOCS.load(Relaxed) - before
+        })
+        .collect();
+    if counts.iter().all(|n| *n == counts[0]) {
+        counts[0].to_string()
+    } else {
+        "unstable".into()
+    }
+}
+
+/// Fill a source's statement log — a bounded ring that until then
+/// grows by doubling, one stray allocation every so many statements —
+/// so that a warm repeat finds it in its steady state.
+fn fill_statement_log(source: &RelationalServer, table: &str) {
+    let one =
+        Select::new(TableRef::table(table, "t1")).column(ScalarExpr::lit(SqlValue::Int(1)), "c1");
+    for _ in 0..STATEMENT_LOG_CAP {
+        source.execute_select(&one, &[]).expect("selects");
+    }
+}
+
+/// Held by each test for its whole body: the allocation counter is
+/// process-wide and the golden file is shared, so the tests take turns.
+fn alone() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -38,9 +124,6 @@ const WIRE_MARK: &str = "#### wire\n";
 /// Compare `got` with its half of the golden file — or, blessing,
 /// rewrite that half and leave the other as it is.
 fn check_golden(wire: bool, got: &str) {
-    // the two tests share the file; only blessing writes it
-    static FILE: Mutex<()> = Mutex::new(());
-    let _file = FILE.lock().unwrap_or_else(|e| e.into_inner());
     let bless = std::env::var_os("WORK_COUNTERS_BLESS").is_some();
     let golden = match std::fs::read_to_string(GOLDEN) {
         Ok(text) => text,
@@ -61,7 +144,8 @@ fn check_golden(wire: bool, got: &str) {
     let want = if wire { wire_half } else { engine_half };
     assert!(
         got == want,
-        "work counters drifted from tests/golden/work_counters.txt\n--- got ---\n{got}"
+        "work counters drifted from tests/golden/work_counters.txt \
+         (`--nocapture` moves the warm_allocs of thread-spawning requests)\n--- got ---\n{got}"
     );
 }
 
@@ -98,25 +182,30 @@ fn demo() -> Principal {
 }
 
 /// One golden record: the request's name, what it delivered, how many
-/// plans the server's compiler built for it, its exact counters with
-/// the wall-clock fields zeroed, and the serialized items (`seen` for
-/// streamed requests, whose response carries none).
+/// plans the server's compiler built for it, the allocations of a warm
+/// repeat, its exact counters with the wall-clock fields zeroed, and the
+/// serialized items (the second half of what `run` returns, for a
+/// streamed request whose response carries none). `run` executes the
+/// request: once for the record, then `REPEATS` times warm.
 fn record(
     out: &mut String,
     name: &str,
-    compiled: u64,
-    resp: &QueryResponse,
-    seen: Option<&[Item]>,
+    compiled: impl Fn() -> u64,
+    mut run: impl FnMut() -> (QueryResponse, Option<Vec<Item>>),
 ) {
+    let before = compiled();
+    let (resp, seen) = run();
+    let compiled = compiled() - before;
+    let warm = warm_allocs(|| drop(run()));
     let mut stats = *resp.per_query_stats();
     stats.ppk_prefetch_wait_ns = 0;
     stats.admission_wait_ns = 0;
     stats.permit_wait_ns = 0;
     stats.worker_busy_ns = 0;
-    let items = seen.unwrap_or(resp.items());
+    let items = seen.as_deref().unwrap_or(resp.items());
     writeln!(
         out,
-        "== {name}\ndelivered: {}\ncompiled: {compiled}\n{stats:#?}\nresult: {}\n",
+        "== {name}\ndelivered: {}\ncompiled: {compiled}\nwarm_allocs: {warm}\n{stats:#?}\nresult: {}\n",
         resp.delivered(),
         serialize_sequence(items)
     )
@@ -125,12 +214,15 @@ fn record(
 
 #[test]
 fn work_counters_match_the_golden() {
+    let _turn = alone();
     let flat = QName::new("urn:flatDS", "getFlat");
     let w = world_tuned(30, |b| {
         b.materialize(flat.clone(), MatViewPolicy::PatchOrInvalidate)
     });
     w.server.deploy(FLAT_MODULE).expect("deploys");
     w.server.deploy(PROFILE_MODULE).expect("deploys");
+    fill_statement_log(&w.db1, "CUSTOMER");
+    fill_statement_log(&w.db2, "CREDIT_CARD");
     let mut out = String::new();
     // plans built by the server's own compiler (a request that
     // overrides a compile knob compiles under a derived one)
@@ -210,62 +302,42 @@ fn work_counters_match_the_golden() {
     ];
     for (name, body, tune) in adhoc {
         let q = format!("{PROLOG}\n{body}");
-        let before = compiled();
-        let resp = w
-            .server
-            .execute(tune(QueryRequest::new(&q).principal(demo())))
-            .expect("executes");
-        record(&mut out, name, compiled() - before, &resp, None);
+        record(&mut out, name, compiled, || {
+            let request = tune(QueryRequest::new(&q).principal(demo()));
+            (w.server.execute(request).expect("executes"), None)
+        });
     }
 
     // a view called with an argument plans like the text with the
     // argument as a literal: CUSTOMER ⟕ ORDER in one statement, the
     // cards in a second
-    let before = compiled();
-    let resp = w
-        .server
-        .execute(
-            QueryRequest::call(QName::new("urn:profileDS", "getProfileByID"))
-                .args(vec![vec![Item::str("C0007")]])
-                .principal(demo()),
-        )
-        .expect("calls");
-    record(
-        &mut out,
-        "view_call_with_argument",
-        compiled() - before,
-        &resp,
-        None,
-    );
+    record(&mut out, "view_call_with_argument", compiled, || {
+        let request = QueryRequest::call(QName::new("urn:profileDS", "getProfileByID"))
+            .args(vec![vec![Item::str("C0007")]])
+            .principal(demo());
+        (w.server.execute(request).expect("calls"), None)
+    });
 
     // a streamed run whose sink stops on its fifth item
     let q = format!("{PROLOG} for $c in c:CUSTOMER() return <C>{{ $c/CID, $c/FIRST_NAME }}</C>");
-    let mut seen = Vec::new();
-    let mut sink = |item: Item| {
-        seen.push(item);
-        seen.len() < 5
-    };
-    let before = compiled();
-    let resp = w
-        .server
-        .execute(QueryRequest::new(&q).principal(demo()).stream_to(&mut sink))
-        .expect("streams");
-    record(
-        &mut out,
-        "streamed_early_stop",
-        compiled() - before,
-        &resp,
-        Some(&seen),
-    );
+    record(&mut out, "streamed_early_stop", compiled, || {
+        let mut seen = Vec::new();
+        let mut sink = |item: Item| {
+            seen.push(item);
+            seen.len() < 5
+        };
+        let request = QueryRequest::new(&q).principal(demo()).stream_to(&mut sink);
+        let resp = w.server.execute(request).expect("streams");
+        (resp, Some(seen))
+    });
 
-    // a materialized data-service call, cold (recompute + fill) then warm
+    // a materialized data-service call, cold (recompute + fill) then
+    // warm; a repeat of either is a warm hit
     for name in ["materialized_call_cold", "materialized_call_warm"] {
-        let before = compiled();
-        let resp = w
-            .server
-            .execute(QueryRequest::call(flat.clone()).principal(demo()))
-            .expect("calls");
-        record(&mut out, name, compiled() - before, &resp, None);
+        record(&mut out, name, compiled, || {
+            let request = QueryRequest::call(flat.clone()).principal(demo());
+            (w.server.execute(request).expect("calls"), None)
+        });
     }
 
     check_golden(false, &out);
@@ -276,10 +348,15 @@ fn work_counters_match_the_golden() {
 /// before writing it, so both snapshots are complete once the client
 /// holds the reply. How many reads the client needs for a reply longer
 /// than its buffer depends on how the kernel hands the bytes over, so
-/// for the scan that one number is bounded, not recorded.
+/// for the scan that one number is bounded, not recorded. `warm_allocs`
+/// here covers client, session thread and engine together.
 #[test]
 fn wire_counters_match_the_golden() {
+    // taken first, so released last: the listener's threads are gone
+    // before the other test starts counting
+    let _turn = alone();
     let w = world(2000);
+    fill_statement_log(&w.db1, "CUSTOMER");
     let listener = serve("127.0.0.1:0", Arc::new(w.server), WireConfig::default()).expect("bind");
     let mut c = Client::connect(listener.local_addr(), "demo", &[]).expect("connect");
     let options = WireOptions::default();
@@ -301,17 +378,22 @@ fn wire_counters_match_the_golden() {
         )
     };
     for name in ["prepared_point_lookup", "list_of_20", "scan_of_2000"] {
+        let run = |c: &mut Client| {
+            match name {
+                "prepared_point_lookup" => c.execute_prepared(point.handle, &options),
+                "list_of_20" => c.execute(&list, &options),
+                _ => c.execute(&scan, &options),
+            }
+            .expect("executes")
+        };
         let (server, client) = (listener.wire_stats(), c.wire_stats());
-        let reply = match name {
-            "prepared_point_lookup" => c.execute_prepared(point.handle, &options),
-            "list_of_20" => c.execute(&list, &options),
-            _ => c.execute(&scan, &options),
-        }
-        .expect("executes");
+        let reply = run(&mut c);
         let (server, client) = (
             listener.wire_stats().since(&server),
             c.wire_stats().since(&client),
         );
+        // both ends of the loopback connection allocate in this process
+        let warm = warm_allocs(|| drop(run(&mut c)));
         let client_reads = if server.writes == 1 {
             client.reads.to_string()
         } else {
@@ -320,7 +402,7 @@ fn wire_counters_match_the_golden() {
         };
         writeln!(
             out,
-            "== {name}\ndelivered: {}\nclient: {}\nserver: {}\n",
+            "== {name}\ndelivered: {}\nwarm_allocs: {warm}\nclient: {}\nserver: {}\n",
             reply.delivered,
             side(&client, client_reads),
             side(&server, server.reads.to_string()),
