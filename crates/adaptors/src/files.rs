@@ -59,11 +59,6 @@ impl XmlFileSource {
         &self.name
     }
 
-    /// Replace the content (simulating file updates).
-    pub fn set_content(&self, c: FileContent) {
-        *self.content.write() = c;
-    }
-
     /// Read and validate, producing typed elements.
     pub fn read(&self) -> Result<Sequence> {
         let text = self.content.read().read()?;
@@ -121,11 +116,6 @@ impl CsvFileSource {
     /// The registration name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Replace the content.
-    pub fn set_content(&self, c: FileContent) {
-        *self.content.write() = c;
     }
 
     /// Read and type each record.

@@ -9,6 +9,8 @@
 //! release), and an [`AdaptorRegistry`] that resolves the connection /
 //! service / registration names carried in pragma metadata.
 
+#![forbid(unsafe_code)]
+
 pub mod files;
 pub mod native;
 pub mod registry;

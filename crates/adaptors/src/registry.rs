@@ -66,15 +66,10 @@ impl AdaptorRegistry {
     }
 
     /// Cap in-flight requests per source (0 disables gating). PP-k
-    /// prefetch threads and parallel scans acquire the same permits as
+    /// prefetch threads and async branches acquire the same permits as
     /// foreground roundtrips, so the cap holds across a whole query.
     pub fn set_source_cap(&self, cap: usize) {
         self.gates.set_cap(cap);
-    }
-
-    /// The configured per-source in-flight cap (0 = unlimited).
-    pub fn source_cap(&self) -> usize {
-        self.gates.cap()
     }
 
     /// Acquire this source's gate permit, waiting no longer than the

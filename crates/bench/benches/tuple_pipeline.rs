@@ -14,7 +14,7 @@
 
 use aldsp::security::Principal;
 use aldsp::{ExecutionOptions, PushdownLevel};
-use aldsp_bench::fixtures::{build_world, build_world_tuned, run, run_parallel, WorldSize, PROLOG};
+use aldsp_bench::fixtures::{build_world, build_world_tuned, run, WorldSize, PROLOG};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const ORDERS_PER_CUSTOMER: usize = 4;
@@ -57,20 +57,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(&label), &rows, |b, _| {
             b.iter(|| black_box(run(&world.server, &user, &q)))
         });
-        // the workers dimension: the same query through the morsel
-        // pool (byte-identity is pinned by tests/parallel.rs; here we
-        // only measure)
-        for workers in [2usize, 4] {
-            let s = *run_parallel(&world.server, &user, &q, workers).per_query_stats();
-            assert!(
-                s.morsels_executed > 0,
-                "workers={workers} never engaged the morsel pool"
-            );
-            let label = format!("grouped_flwor_{}k_w{workers}", rows / 1000);
-            group.bench_with_input(BenchmarkId::from_parameter(&label), &rows, |b, _| {
-                b.iter(|| black_box(run_parallel(&world.server, &user, &q, workers)))
-            });
-        }
     }
 
     // expression-VM hot paths in isolation: pushdown stays off so the

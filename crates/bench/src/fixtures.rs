@@ -6,7 +6,7 @@
 //! Sizes are parameters so benches can sweep; data is generated
 //! deterministically from a seed so runs are reproducible.
 
-use aldsp::adaptors::{NativeFunction, SimulatedWebService};
+use aldsp::adaptors::SimulatedWebService;
 use aldsp::metadata::{WebServiceDescription, WebServiceOperation};
 use aldsp::relational::{
     Catalog, Database, Dialect, RelationalServer, SqlType, SqlValue, TableSchema,
@@ -336,34 +336,11 @@ fn multiplicity(customer: usize, avg: usize) -> usize {
     }
 }
 
-/// Helper for native-function registration in examples.
-pub fn native_pair() -> (NativeFunction, NativeFunction) {
-    aldsp::adaptors::native::int2date_pair()
-}
-
 /// Execute `source` as `user` (no bindings, no tracing) — the benches'
 /// one-liner for the common materialized case.
 pub fn run(server: &AldspServer, user: &Principal, source: &str) -> QueryResponse {
     server
         .execute(QueryRequest::new(source).principal(user.clone()))
-        .expect("query executes")
-}
-
-/// [`run`] with morsel-driven parallelism at `workers` workers — the
-/// benches' multi-core dimension. Everything else stays at the
-/// server's defaults.
-pub fn run_parallel(
-    server: &AldspServer,
-    user: &Principal,
-    source: &str,
-    workers: usize,
-) -> QueryResponse {
-    server
-        .execute(
-            QueryRequest::new(source)
-                .principal(user.clone())
-                .execution(ExecutionOptions::new().workers(workers)),
-        )
         .expect("query executes")
 }
 

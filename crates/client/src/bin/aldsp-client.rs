@@ -8,6 +8,8 @@
 //! Prints the reassembled result text on stdout and the delivered
 //! count on stderr; exits non-zero on any typed server error.
 
+#![forbid(unsafe_code)]
+
 use aldsp_client::Client;
 use aldsp_protocol::WireOptions;
 use std::process::ExitCode;

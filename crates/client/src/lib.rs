@@ -12,6 +12,8 @@
 //! its buffer costs one `read` however many frames it holds.
 //! [`Client::wire_stats`] reports the exact counts.
 
+#![forbid(unsafe_code)]
+
 use aldsp_protocol as proto;
 use aldsp_protocol::{
     code, ClientMsg, FrameReader, FrameWriter, ServerMsg, WireCounters, WireError, WireOptions,

@@ -86,9 +86,6 @@ pub struct Options {
     pub mutation: Option<Mutation>,
     /// Per-connection SQL dialects (§4.3).
     pub dialects: HashMap<String, Dialect>,
-    /// Use the partially-optimized-view cache (§4.2)? Disable to measure
-    /// its benefit.
-    pub view_cache: bool,
     /// PP-k block size (§4.2: "by default, ALDSP uses a medium-sized k
     /// value (20) that has been empirically shown to work well").
     pub ppk_block_size: usize,
@@ -117,7 +114,6 @@ impl Default for Options {
             pushdown: PushdownLevel::default(),
             mutation: None,
             dialects: HashMap::new(),
-            view_cache: true,
             ppk_block_size: 20,
             ppk_local_method: crate::ir::LocalJoinMethod::IndexNestedLoop,
             ppk_prefetch_depth: 1,
@@ -148,10 +144,6 @@ pub struct CompiledQuery {
     /// `node_id` (empty when compiled with `vm: false`). Shared so each
     /// execution references the compiled code without copying it.
     pub programs: Arc<crate::program::ProgramSet>,
-    /// Parallel-eligibility marks for the plan's FLWORs (morsel-driven
-    /// execution regions), keyed by FLWOR `node_id`. Shared so each
-    /// execution references the analysis without re-deriving it.
-    pub parallel: Arc<crate::parallel::ParallelPlan>,
     /// Middleware join decisions (hash-join bulk fetches with
     /// build-side choice), keyed by `(flwor node_id, clause index)`.
     /// Shared so each execution references the plan without copying the
@@ -288,10 +280,9 @@ impl Compiler {
             if let Some(body) = &mut f.body {
                 let mut tenv: typecheck::TypeEnv = f.params.iter().cloned().collect();
                 typecheck::typecheck(&mut ctx, body, &mut tenv);
-                if self.options.view_cache {
-                    rules::optimize(&mut ctx, body);
-                    self.stats.lock().partial_optimizations += 1;
-                }
+                // the partially-optimized-view cache (§4.2)
+                rules::optimize(&mut ctx, body);
+                self.stats.lock().partial_optimizations += 1;
             }
             deployed.push(name.clone());
             self.views.lock().insert(name, f);
@@ -421,10 +412,10 @@ impl Compiler {
     /// rules to fixpoint) → re-infer types → **predicate placement**
     /// (global duplicate elimination and contradiction pruning) →
     /// **SQL pushdown** → query-constant parameters recorded → frame
-    /// layout → node ids → bytecode lowering → **join planning** and
-    /// parallel analysis over the final shape. Debug builds assert each
-    /// rewriting pass is idempotent (re-running it is a no-op), which is
-    /// what lets them run once instead of inside one shared fixpoint.
+    /// layout → node ids → bytecode lowering → **join planning** over
+    /// the final shape. Debug builds assert each rewriting pass is
+    /// idempotent (re-running it is a no-op), which is what lets them
+    /// run once instead of inside one shared fixpoint.
     ///
     /// `externals` are the plan's external variables with their static
     /// types, in slot order; `diags` what parsing already reported.
@@ -467,10 +458,9 @@ impl Compiler {
         } else {
             crate::program::ProgramSet::default()
         };
-        // join planning and parallel eligibility are properties of the
-        // final plan shape and need the node ids assigned just above
+        // join planning is a property of the final plan shape and needs
+        // the node ids assigned just above
         let joins = crate::joins::analyze(&ctx, &plan);
-        let parallel = crate::parallel::analyze(&plan);
         diags.append(&mut ctx.diags);
         if fail_fast && !diags.is_empty() {
             return Err(diags);
@@ -483,7 +473,6 @@ impl Compiler {
             pushdown: self.options.pushdown,
             diagnostics: diags,
             programs: Arc::new(programs),
-            parallel: Arc::new(parallel),
             joins: Arc::new(joins),
         }))
     }

@@ -46,12 +46,6 @@ pub struct ExplainContext<'a> {
     /// subtree root, so lowering-coverage regressions are visible in
     /// review. `None` leaves the plan text unchanged.
     pub programs: Option<&'a crate::program::ProgramSet>,
-    /// The plan's parallel-eligibility marks (from
-    /// [`crate::CompiledQuery::parallel`]): rendered as a
-    /// `-- parallel:` header listing each FLWOR region that morsel-
-    /// driven execution may fan out, so parallelizability regressions
-    /// are visible in review. `None` leaves the plan text unchanged.
-    pub parallel: Option<&'a crate::parallel::ParallelPlan>,
     /// The plan's middleware-join decisions (from
     /// [`crate::CompiledQuery::joins`]): rendered as a `-- join:` header
     /// listing, per marked join, the chosen strategy, estimated build /
@@ -97,9 +91,6 @@ pub fn explain_plan(plan: &CExpr, ctx: &ExplainContext<'_>) -> String {
     }
     if let Some(p) = ctx.programs {
         let _ = writeln!(out, "-- vm: {p}");
-    }
-    if let Some(p) = ctx.parallel {
-        let _ = writeln!(out, "-- parallel: {p}");
     }
     if let Some(j) = ctx.joins {
         let _ = writeln!(out, "-- join: {j}");

@@ -12,13 +12,14 @@
 //! The optimized tree ([`ir::CExpr`]) *is* the executable plan; the
 //! `aldsp-runtime` crate interprets it.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod context;
 pub mod explain;
 pub mod frames;
 pub mod ir;
 pub mod joins;
-pub mod parallel;
 pub mod program;
 pub mod rules;
 pub mod sqlgen;
@@ -33,7 +34,6 @@ pub use explain::{explain_plan, ExplainContext, PlanShape};
 pub use frames::FrameLayout;
 pub use ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec, NO_SLOT};
 pub use joins::{JoinMark, JoinPlan, JoinStrategy};
-pub use parallel::{ParTail, ParallelMark, ParallelPlan};
 pub use program::{Op, Program, ProgramSet};
 
 use aldsp_relational::Select;
@@ -782,7 +782,7 @@ mod param_neutral_tests {
     }
 
     /// The plan's shape: clause lines, SQL text, PP-k specs and the
-    /// join/parallel headers, with node ids, parameter counts and SQL
+    /// join header, with node ids, parameter counts and SQL
     /// literals normalized away; parameter expression subtrees (and the
     /// middleware expressions, which differ by `Const` ↔ `Var`) left out.
     fn shape(c: &Compiler, q: &CompiledQuery) -> String {
@@ -796,7 +796,6 @@ mod param_neutral_tests {
                 matview: None,
                 pushdown: q.pushdown,
                 programs: None,
-                parallel: Some(&q.parallel),
                 joins: Some(&q.joins),
                 shape: None,
             },
@@ -809,8 +808,7 @@ mod param_neutral_tests {
             let kept = clause
                 || l.starts_with("sql> ")
                 || l.starts_with("ppk: ")
-                || l.starts_with("-- join:")
-                || l.starts_with("-- parallel:");
+                || l.starts_with("-- join:");
             if kept {
                 out.push_str(&normalize(l));
                 out.push('\n');

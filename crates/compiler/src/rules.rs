@@ -1166,18 +1166,6 @@ pub fn is_pure(e: &CExpr) -> bool {
     pure
 }
 
-/// Is this expression free of data-source accesses? (Used by let-content
-/// projection and cost heuristics.)
-pub fn is_cheap(e: &CExpr) -> bool {
-    let mut cheap = true;
-    e.walk(&mut |n| {
-        if matches!(&n.kind, CKind::PhysicalCall { .. } | CKind::UserCall { .. }) {
-            cheap = false;
-        }
-    });
-    cheap
-}
-
 #[cfg(test)]
 mod rules_tests {
     use crate::tests::compile;

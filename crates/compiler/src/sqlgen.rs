@@ -118,7 +118,7 @@ pub fn push_down(ctx: &mut Context<'_>, e: &mut CExpr) {
 
 /// Record on every `SqlFor` of the finished plan which of its
 /// parameters are query-constant ([`Context::is_query_const`]) — what
-/// join planning, parallel analysis, EXPLAIN and the runtime read
+/// join planning, EXPLAIN and the runtime read
 /// instead of asking "any parameter?".
 pub fn record_query_consts(ctx: &Context<'_>, e: &mut CExpr) {
     if let CKind::Flwor { clauses, .. } = &mut e.kind {

@@ -161,12 +161,6 @@ pub fn translate_functions(ctx: &mut Context<'_>, env: &ModuleEnv, module: &Modu
     }
 }
 
-/// Translate a standalone expression (an ad-hoc query).
-pub fn translate_query(ctx: &mut Context<'_>, env: &ModuleEnv, e: &Expr) -> CExpr {
-    let mut scope = Scope::new();
-    translate_expr(ctx, env, &mut scope, e)
-}
-
 /// Translate an expression with external variables pre-bound.
 pub fn translate_query_with_vars(
     ctx: &mut Context<'_>,

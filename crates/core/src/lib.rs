@@ -21,6 +21,8 @@
 //!   result (§7), applied *after* caches so plans and cached results
 //!   stay shared across users.
 
+#![forbid(unsafe_code)]
+
 pub use aldsp_adaptors as adaptors;
 pub use aldsp_compiler as compiler;
 pub use aldsp_matview as matview;
@@ -200,7 +202,7 @@ fn map_rt_error(e: aldsp_runtime::RtError) -> ServerError {
 ///
 /// ```ignore
 /// let server = ServerBuilder::new()
-///     .execution(ExecutionOptions::new().workers(4).morsel_size(2048))
+///     .execution(ExecutionOptions::new().ppk_prefetch_depth(2))
 ///     .build();
 /// ```
 ///
@@ -210,14 +212,6 @@ fn map_rt_error(e: aldsp_runtime::RtError) -> ServerError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ExecutionOptions {
-    /// Worker threads a query may occupy, including the calling thread:
-    /// `1` (the default) is sequential execution; `0` means one worker
-    /// per available CPU. Engages morsel-driven parallelism for plan
-    /// regions the compiler marked partitionable.
-    pub workers: usize,
-    /// Scan rows per morsel — the unit of work parallel workers claim
-    /// (default 1024).
-    pub morsel_size: usize,
     /// How many PP-k blocks may be prefetched ahead of the local join
     /// (0 disables prefetch; the default 1 double-buffers).
     pub ppk_prefetch_depth: usize,
@@ -236,8 +230,6 @@ pub struct ExecutionOptions {
 impl Default for ExecutionOptions {
     fn default() -> ExecutionOptions {
         ExecutionOptions {
-            workers: 1,
-            morsel_size: 1024,
             ppk_prefetch_depth: 1,
             pushdown: PushdownLevel::default(),
             trace_level: TraceLevel::Off,
@@ -247,21 +239,17 @@ impl Default for ExecutionOptions {
 }
 
 impl ExecutionOptions {
-    /// The defaults: sequential, morsels of 1024, PP-k double
-    /// buffering, full pushdown, no tracing.
+    /// The defaults: PP-k double buffering, full pushdown, no tracing,
+    /// cost-based join methods.
     pub fn new() -> ExecutionOptions {
         ExecutionOptions::default()
     }
 
-    /// Set [`ExecutionOptions::workers`] (`0` = one per available CPU).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Set [`ExecutionOptions::morsel_size`] (clamped to at least 1).
-    pub fn morsel_size(mut self, rows: usize) -> Self {
-        self.morsel_size = rows.max(1);
+    /// Accepted and ignored: a query runs on one thread (the morsel
+    /// pool this sized is gone, DESIGN.md §4c). Kept only because
+    /// `crates/benchmark` still calls it (ROADMAP item 2 hands its
+    /// removal to the next `[benchmark]` PR).
+    pub fn workers(self, _n: usize) -> Self {
         self
     }
 
@@ -287,16 +275,6 @@ impl ExecutionOptions {
     pub fn join_strategy(mut self, strategy: JoinStrategy) -> Self {
         self.join_strategy = strategy;
         self
-    }
-
-    /// The worker count with `0 = auto` resolved against the machine.
-    fn effective_workers(&self) -> usize {
-        match self.workers {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
     }
 }
 
@@ -585,7 +563,6 @@ impl ServerBuilder {
             ppk_prefetch_depth: self.execution.ppk_prefetch_depth,
             vm: self.vm,
             join_strategy: self.execution.join_strategy,
-            ..Default::default()
         };
         let mut compiler = Compiler::new(metadata.clone(), options);
         let mut inverse_registry = aldsp_compiler::InverseRegistry::default();
@@ -794,10 +771,10 @@ impl<'a> QueryRequest<'a> {
     }
 
     /// Override the server's default [`ExecutionOptions`] for this
-    /// request — the whole set at once. Runtime knobs (workers, morsel
-    /// size, trace level) apply directly; compile-affecting knobs
-    /// (pushdown, PP-k prefetch depth) recompile under the override and
-    /// cache the plan under an options-qualified key.
+    /// request — the whole set at once. The trace level applies
+    /// directly; compile-affecting knobs (pushdown, PP-k prefetch depth,
+    /// join strategy) recompile under the override and cache the plan
+    /// under an options-qualified key.
     pub fn execution(mut self, options: ExecutionOptions) -> Self {
         self.execution = Some(options);
         self
@@ -1238,8 +1215,6 @@ impl AldspServer {
                     bindings,
                     trace,
                     budget,
-                    workers: exec.effective_workers(),
-                    morsel_size: exec.morsel_size,
                     sink: if streaming { Some(&mut on_raw) } else { None },
                 },
             )
@@ -1698,7 +1673,6 @@ impl AldspServer {
             matview,
             pushdown: plan.pushdown,
             programs: Some(&plan.programs),
-            parallel: Some(&plan.parallel),
             joins: Some(&plan.joins),
             shape: match &planned.literals {
                 Literals::Call => None,
@@ -1849,7 +1823,6 @@ mod plan_cache_tests {
                 pushdown: Default::default(),
                 diagnostics: vec![],
                 programs: Arc::new(Default::default()),
-                parallel: Arc::new(Default::default()),
                 joins: Arc::new(Default::default()),
             }),
             literals: Literals::Call,

@@ -37,6 +37,8 @@
 //! stored, so a racing recompute can never install a stale answer over
 //! an invalidation.
 
+#![forbid(unsafe_code)]
+
 use aldsp_updates::lineage::Lineage;
 use aldsp_updates::sdo::{locate, rewrite_value, Path};
 use aldsp_updates::SourceDelta;

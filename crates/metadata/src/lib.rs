@@ -8,6 +8,8 @@
 //! functions per foreign key), and [`registry`] is the lookup surface
 //! shared by the compiler, optimizer and runtime.
 
+#![forbid(unsafe_code)]
+
 pub mod introspect;
 pub mod model;
 pub mod registry;

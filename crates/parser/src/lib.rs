@@ -11,6 +11,8 @@
 //! and the paper's two-mode error handling (§4.1): fail-fast for runtime
 //! compilation, recover-and-collect for the design-time XQuery editor.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod parser;

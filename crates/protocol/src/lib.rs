@@ -65,6 +65,8 @@
 //!
 //! [`serialize_sequence`]: https://www.w3.org/TR/xslt-xquery-serialization/
 
+#![forbid(unsafe_code)]
+
 mod framing;
 
 pub use framing::{
@@ -76,7 +78,9 @@ use std::io::{Read, Write};
 /// Protocol version spoken by this build. A [`ClientMsg::Hello`]
 /// carrying any other value is answered with a
 /// [`code::VERSION_MISMATCH`] error frame and the connection is closed.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Version 2 dropped two `u32` fields from [`WireExec`]; a version-1
+/// peer is refused here rather than mis-framed at its first override.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on `len` (kind byte + payload). Announcing more is
 /// rejected before allocating — a 4-byte header must not be able to
@@ -85,6 +89,11 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// Upper bound on roles in a handshake (sanity bound, not a feature).
 pub const MAX_ROLES: usize = 64;
+
+/// Upper bound on [`WireExec::ppk_prefetch_depth`]: the engine runs one
+/// thread per staged PP-k block, so a peer must not be able to name the
+/// count freely. Measured depths stop paying at 2–4 (EXPERIMENTS.md).
+pub const MAX_PPK_PREFETCH_DEPTH: u32 = 8;
 
 /// Typed wire error codes carried by [`ServerMsg::Error`] frames.
 ///
@@ -231,11 +240,7 @@ pub struct WireOptions {
 /// The wire form of the server's `ExecutionOptions`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireExec {
-    /// Worker threads (`0` = one per CPU, `1` = sequential).
-    pub workers: u32,
-    /// Scan rows per morsel.
-    pub morsel_size: u32,
-    /// PP-k prefetch depth.
+    /// PP-k prefetch depth, at most [`MAX_PPK_PREFETCH_DEPTH`].
     pub ppk_prefetch_depth: u32,
     /// One of the [`pushdown`] constants.
     pub pushdown: u8,
@@ -246,8 +251,6 @@ pub struct WireExec {
 impl Default for WireExec {
     fn default() -> WireExec {
         WireExec {
-            workers: 1,
-            morsel_size: 1024,
             ppk_prefetch_depth: 1,
             pushdown: pushdown::FULL,
             join_strategy: join::AUTO,
@@ -391,8 +394,6 @@ fn put_options(buf: &mut Vec<u8>, o: &WireOptions) {
         None => buf.push(0),
         Some(e) => {
             buf.push(1);
-            put_u32(buf, e.workers);
-            put_u32(buf, e.morsel_size);
             put_u32(buf, e.ppk_prefetch_depth);
             buf.push(e.pushdown);
             buf.push(e.join_strategy);
@@ -462,8 +463,6 @@ impl<'a> Reader<'a> {
         let exec = match self.u8()? {
             0 => None,
             1 => Some(WireExec {
-                workers: self.u32()?,
-                morsel_size: self.u32()?,
                 ppk_prefetch_depth: self.u32()?,
                 pushdown: self.u8()?,
                 join_strategy: self.u8()?,
@@ -842,8 +841,6 @@ mod tests {
                 batch: true,
                 memory_budget: 1 << 20,
                 exec: Some(WireExec {
-                    workers: 4,
-                    morsel_size: 2,
                     ppk_prefetch_depth: 0,
                     pushdown: pushdown::JOINS,
                     join_strategy: join::HASH,

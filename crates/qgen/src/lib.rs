@@ -21,6 +21,8 @@
 //! DIFFTEST_SEED_START=<seed> DIFFTEST_SEEDS=1 cargo test -p aldsp --test difftest
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod gen;
 pub mod model;

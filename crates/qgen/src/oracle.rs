@@ -58,74 +58,36 @@ pub struct CellSpec {
     /// the walker so every VM cell is checked against uncompiled
     /// evaluation.
     pub vm: bool,
-    /// Worker threads for morsel-driven parallel execution (1 =
-    /// sequential). Multi-worker cells run unbudgeted — a budget trip
-    /// mid-fan-out may surface at a different tuple than sequential
-    /// execution, and the oracle pins *successful* outputs.
-    pub workers: usize,
     /// Middleware join-method selection for the join planner
     /// ([`JoinStrategy::Auto`] = cost-based; forced levels pin every
     /// strategy's output to the naive reference).
     pub join_strategy: JoinStrategy,
 }
 
-/// The default 14-cell matrix from the roadmap: pushdown {off, joins,
-/// full} × representative prefetch/streaming/budget/VM settings, the
-/// workers {1, 4} axis — multi-worker cells must be byte-identical
-/// to the single-threaded reference, pinning the morsel merge's
-/// determinism — and the forced join-strategy axis. The multi-worker cells keep pushdown at joins/full:
-/// parallel regions anchor on a pushed SQL scan, so a pushdown-off
-/// plan never fans out (its scans are plain source calls). Cell 0 is the naive reference: no pushdown *and* no
-/// expression VM, so every other cell's bytecode programs are
-/// differentially checked against pure tree-walking.
+/// The default 12-cell matrix from the roadmap: pushdown {off, joins,
+/// full} × representative prefetch/streaming/budget/VM settings, and
+/// the forced join-strategy axis. Cell 0 is the naive reference: no
+/// pushdown *and* no expression VM, so every other cell's bytecode
+/// programs are differentially checked against pure tree-walking.
 pub fn default_matrix() -> Vec<CellSpec> {
-    let cell =
-        |name, pushdown, prefetch_depth, streaming, memory_budget, vm, workers, join| CellSpec {
-            name,
-            pushdown,
-            prefetch_depth,
-            streaming,
-            memory_budget,
-            vm,
-            workers,
-            join_strategy: join,
-        };
+    let cell = |name, pushdown, prefetch_depth, streaming, memory_budget, vm, join| CellSpec {
+        name,
+        pushdown,
+        prefetch_depth,
+        streaming,
+        memory_budget,
+        vm,
+        join_strategy: join,
+    };
     let auto = JoinStrategy::Auto;
     vec![
-        cell("off", PushdownLevel::Off, 0, false, None, false, 1, auto),
-        cell("off+vm", PushdownLevel::Off, 0, false, None, true, 1, auto),
-        cell(
-            "off+stream",
-            PushdownLevel::Off,
-            0,
-            true,
-            None,
-            true,
-            1,
-            auto,
-        ),
-        cell("joins", PushdownLevel::Joins, 0, false, None, true, 1, auto),
-        cell(
-            "joins+pp2",
-            PushdownLevel::Joins,
-            2,
-            true,
-            None,
-            true,
-            1,
-            auto,
-        ),
-        cell("full", PushdownLevel::Full, 0, false, None, true, 1, auto),
-        cell(
-            "full+pp2",
-            PushdownLevel::Full,
-            2,
-            false,
-            None,
-            true,
-            1,
-            auto,
-        ),
+        cell("off", PushdownLevel::Off, 0, false, None, false, auto),
+        cell("off+vm", PushdownLevel::Off, 0, false, None, true, auto),
+        cell("off+stream", PushdownLevel::Off, 0, true, None, true, auto),
+        cell("joins", PushdownLevel::Joins, 0, false, None, true, auto),
+        cell("joins+pp2", PushdownLevel::Joins, 2, true, None, true, auto),
+        cell("full", PushdownLevel::Full, 0, false, None, true, auto),
+        cell("full+pp2", PushdownLevel::Full, 2, false, None, true, auto),
         cell(
             "full+stream",
             PushdownLevel::Full,
@@ -133,7 +95,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             true,
             None,
             true,
-            1,
             auto,
         ),
         cell(
@@ -143,27 +104,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             false,
             Some(64 << 20),
             true,
-            1,
-            auto,
-        ),
-        cell(
-            "full+mt4",
-            PushdownLevel::Full,
-            0,
-            false,
-            None,
-            true,
-            4,
-            auto,
-        ),
-        cell(
-            "joins+mt4",
-            PushdownLevel::Joins,
-            0,
-            false,
-            None,
-            true,
-            4,
             auto,
         ),
         // the join-strategy axis: every middleware join method must be
@@ -175,7 +115,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             false,
             None,
             true,
-            1,
             JoinStrategy::Hash,
         ),
         cell(
@@ -185,7 +124,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             false,
             None,
             true,
-            1,
             JoinStrategy::NestedLoop,
         ),
         cell(
@@ -195,7 +133,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             false,
             None,
             true,
-            1,
             JoinStrategy::Hash,
         ),
     ]
@@ -295,14 +232,11 @@ impl Oracle {
         if let Some(b) = spec.memory_budget {
             req = req.memory_budget(b);
         }
-        if spec.workers != 1 || spec.join_strategy != JoinStrategy::Auto {
-            // a tiny morsel size so the small fixture actually fans
-            // out; compile knobs repeat the cell's own settings (the
+        if spec.join_strategy != JoinStrategy::Auto {
+            // compile knobs repeat the cell's own settings (the
             // override replaces the whole set)
             req = req.execution(
                 ExecutionOptions::new()
-                    .workers(spec.workers)
-                    .morsel_size(2)
                     .pushdown(spec.pushdown)
                     .ppk_prefetch_depth(spec.prefetch_depth)
                     .join_strategy(spec.join_strategy),
@@ -347,12 +281,6 @@ impl Oracle {
         Ok(reference)
     }
 
-    /// Materialized reference items (for fault-trial prefix checks).
-    pub fn reference_items(&self, query: &str) -> Result<Vec<Item>, ServerError> {
-        let server = &self.cells[0].1;
-        self.literal_items(server, &literal_plan(server, query)?)
-    }
-
     /// Run a literal plan on `server`'s runtime, security-filtered for
     /// the oracle's principal as `execute` would.
     fn literal_items(
@@ -393,7 +321,6 @@ impl Oracle {
                 matview: None,
                 pushdown: plan.pushdown,
                 programs: None,
-                parallel: None,
                 joins: None,
                 shape: None,
             },

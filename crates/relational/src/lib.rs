@@ -13,6 +13,8 @@
 //! and failover experiments exercise the same trade-offs as the paper's
 //! testbed.
 
+#![forbid(unsafe_code)]
+
 mod access;
 pub mod catalog;
 pub mod dialect;

@@ -370,11 +370,6 @@ impl Database {
     pub(crate) fn shares_table(&self, other: &Database, name: &str) -> bool {
         Arc::ptr_eq(&self.tables[name], &other.tables[name])
     }
-
-    /// Total rows across all tables (diagnostics).
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
-    }
 }
 
 #[cfg(test)]

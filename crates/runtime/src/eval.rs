@@ -24,7 +24,6 @@ use aldsp_adaptors::{AdaptorError, AdaptorRegistry};
 use aldsp_compiler::frames::FrameLayout;
 use aldsp_compiler::ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec};
 use aldsp_compiler::joins::{JoinMark, JoinPlan};
-use aldsp_compiler::parallel::{ParTail, ParallelMark, ParallelPlan};
 use aldsp_compiler::program::{Program, ProgramSet};
 use aldsp_compiler::CompiledQuery;
 use aldsp_metadata::Registry;
@@ -99,9 +98,6 @@ pub struct RuntimeInner {
     pub cache: FunctionCache,
     /// Execution counters.
     pub stats: ExecStats,
-    /// The shared morsel worker pool (threads spawn on first parallel
-    /// execution; a single-threaded server never starts any).
-    pub pool: crate::parallel::WorkerPool,
 }
 
 /// Per-execution context threaded through the interpreter: the shared
@@ -131,19 +127,10 @@ pub struct ExecCtx {
     /// subtree-root `node_id` (empty when the plan was compiled with
     /// the VM disabled).
     pub programs: Arc<ProgramSet>,
-    /// The executing plan's parallel-eligibility marks (empty when the
-    /// plan predates the analysis or was built by hand).
-    pub parallel: Arc<ParallelPlan>,
     /// The executing plan's middleware-join decisions (empty when the
     /// plan predates the join-planning pass or was built by hand; every
     /// unmarked `SqlFor` runs as a nested-loop probe).
     pub joins: Arc<JoinPlan>,
-    /// Worker count for morsel-driven regions; 1 executes everything on
-    /// the calling thread (the default, and the behavior every
-    /// stats/trace assertion in the test suite pins).
-    pub workers: usize,
-    /// Rows per morsel when a region fans out.
-    pub morsel_size: usize,
     /// Per-buffered-tuple memory charge, precomputed from the frame
     /// width (a wider tuple frame holds more state per buffered row).
     tuple_mem: u64,
@@ -151,11 +138,10 @@ pub struct ExecCtx {
 
 impl ExecCtx {
     /// The per-execution context for running `plan` under `req`: the
-    /// plan's frame layout, programs, parallel marks and join decisions,
-    /// plus the request's trace sink, budget and worker tuning (zeros
-    /// are normalized to the sequential minimum). The plan's
-    /// fallback-subtree count is a static property, so it is recorded
-    /// here once per execution rather than re-counted while running.
+    /// plan's frame layout, programs and join decisions, plus the
+    /// request's trace sink and budget. The plan's fallback-subtree
+    /// count is a static property, so it is recorded here once per
+    /// execution rather than re-counted while running.
     pub fn for_plan(
         rt: Arc<RuntimeInner>,
         plan: &CompiledQuery,
@@ -171,10 +157,7 @@ impl ExecCtx {
             budget: req.budget.clone(),
             frame: Arc::clone(&plan.frame),
             programs: Arc::clone(&plan.programs),
-            parallel: Arc::clone(&plan.parallel),
             joins: Arc::clone(&plan.joins),
-            workers: req.workers.max(1),
-            morsel_size: req.morsel_size.max(1),
             // a wider tuple frame holds more state per buffered row
             tuple_mem: TUPLE_MEM_BYTES + 8 * u64::from(plan.frame.width()),
         };
@@ -1153,35 +1136,14 @@ fn call_physical(cx: &ExecCtx, name: &QName, args: &[Sequence], node: u32) -> Rt
 // ---- the FLWOR tuple pipeline -------------------------------------------------
 
 /// Run a clause list as a streaming tuple pipeline rooted at `base`.
-///
-/// Morsel-driven path: when the compiler marked this FLWOR's leading
-/// clauses as a partitionable region (`compiler::parallel`) and the
-/// execution asked for more than one worker, the region runs first —
-/// the scan executes once, its rows split into fixed-size morsels that
-/// workers claim from a shared queue and push through their own copy of
-/// the map pipeline, with the tail operator run per partition and
-/// merged deterministically. Every merge reproduces what the sequential
-/// operator would have produced over the concatenated input, so results
-/// are byte-identical to single-threaded execution; clauses after the
-/// region, and the FLWOR's return expression, run sequentially
-/// downstream as always. Tracing forces the sequential path — its
-/// per-clause row/wall accounting is defined over one stream.
 pub fn flwor_tuples<'a>(
     cx: &'a ExecCtx,
     flwor_id: u32,
     clauses: &'a [Clause],
     base: &Env,
 ) -> TupleIter<'a> {
-    let mark = if cx.workers > 1 && cx.trace.is_none() {
-        cx.parallel.mark(flwor_id)
-    } else {
-        None
-    };
-    let (mut it, done): (TupleIter<'a>, usize) = match mark {
-        Some(mark) => (parallel_region(cx, clauses, mark, base), mark.clauses),
-        None => (Box::new(std::iter::once(Ok(base.clone()))), 0),
-    };
-    for (i, c) in clauses.iter().enumerate().skip(done) {
+    let mut it: TupleIter<'a> = Box::new(std::iter::once(Ok(base.clone())));
+    for (i, c) in clauses.iter().enumerate() {
         it = apply_clause(cx, flwor_id, i, c, it, base.clone());
     }
     if cx.budget.is_some() {
@@ -1193,290 +1155,6 @@ pub fn flwor_tuples<'a>(
         }));
     }
     it
-}
-
-// ---- morsel-driven parallel execution ---------------------------------------------
-
-fn parallel_region<'a>(
-    cx: &'a ExecCtx,
-    clauses: &'a [Clause],
-    mark: ParallelMark,
-    base: &Env,
-) -> TupleIter<'a> {
-    let Clause::SqlFor {
-        connection,
-        select,
-        params,
-        binds,
-        ..
-    } = &clauses[0]
-    else {
-        return one_err(RtError::Plan("parallel region not rooted at a scan".into()));
-    };
-    let bind_slots: Arc<[u32]> = match binds
-        .iter()
-        .map(|(v, _)| cx.slot_of(v))
-        .collect::<RtResult<Vec<u32>>>()
-    {
-        Ok(s) => s.into(),
-        Err(e) => return one_err(e),
-    };
-    // the uncorrelated scan executes exactly once, up front (whatever
-    // parameters it has are query-constant)
-    let rows = match eval_sql_params(cx, params, base)
-        .and_then(|vals| exec_sql(cx, connection, select, &vals))
-    {
-        Ok(rs) => Arc::new(rs.rows),
-        Err(e) => return one_err(e),
-    };
-    // per-tuple map clauses between the scan and the tail operator
-    let maps_end = match mark.tail {
-        ParTail::Map => mark.clauses,
-        ParTail::Group | ParTail::Sort => mark.clauses - 1,
-    };
-    let maps = &clauses[1..maps_end];
-    let ranges = crate::parallel::morsel_ranges(rows.len(), cx.morsel_size);
-    let extra_workers = cx.workers.min(ranges.len()).saturating_sub(1);
-    // one pipeline per morsel: bind the morsel's rows under the FLWOR's
-    // base tuple, then apply the map clauses (each morsel owns its
-    // iterators and VM state; the row buffer is shared read-only)
-    let pipeline = move |range: std::ops::Range<usize>| -> TupleIter<'a> {
-        let rows = Arc::clone(&rows);
-        let slots = Arc::clone(&bind_slots);
-        let env = base.clone();
-        let mut it: TupleIter<'a> =
-            Box::new(range.map(move |i| Ok(bind_row(&env, &slots, &rows[i]))));
-        for c in maps {
-            // morsel pipelines address no real (flwor, clause) key: no
-            // trace key, and join marks never target parallel map clauses
-            it = build_clause(cx, 0, 0, None, c, it, base.clone());
-        }
-        it
-    };
-    if extra_workers == 0 {
-        // nothing to fan out (empty scan, one morsel, or one worker):
-        // run the whole region sequentially over the fetched rows
-        let it = pipeline(0..ranges.last().map(|r| r.end).unwrap_or(0));
-        return match mark.tail {
-            ParTail::Map => it,
-            ParTail::Group | ParTail::Sort => {
-                build_clause(cx, 0, 0, None, &clauses[mark.clauses - 1], it, base.clone())
-            }
-        };
-    }
-    match mark.tail {
-        ParTail::Map => parallel_map(cx, &ranges, extra_workers, &pipeline),
-        ParTail::Group => {
-            let Clause::GroupBy {
-                bindings,
-                keys,
-                carry,
-                ..
-            } = &clauses[mark.clauses - 1]
-            else {
-                return one_err(RtError::Plan(
-                    "parallel group tail is not a group-by".into(),
-                ));
-            };
-            parallel_group(
-                cx,
-                &ranges,
-                extra_workers,
-                &pipeline,
-                bindings,
-                keys,
-                carry,
-                base,
-            )
-        }
-        ParTail::Sort => {
-            let Clause::OrderBy(specs) = &clauses[mark.clauses - 1] else {
-                return one_err(RtError::Plan(
-                    "parallel sort tail is not an order-by".into(),
-                ));
-            };
-            parallel_sort(cx, &ranges, extra_workers, &pipeline, specs)
-        }
-    }
-}
-
-/// Evaluate one closure per morsel across the worker pool (the caller
-/// participates as a worker) and return the results in morsel order.
-fn run_morsels<T, F>(
-    cx: &ExecCtx,
-    ranges: &[std::ops::Range<usize>],
-    extra_workers: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    use std::sync::Mutex;
-    let queue = crate::parallel::MorselQueue::new(ranges.len());
-    let outs: Vec<Mutex<Option<T>>> = ranges.iter().map(|_| Mutex::new(None)).collect();
-    let work = || {
-        let t0 = std::time::Instant::now();
-        let mut claimed = false;
-        while let Some(m) = queue.claim() {
-            claimed = true;
-            let r = f(ranges[m].clone());
-            *outs[m].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            cx.inc(|s| &s.morsels_executed);
-        }
-        if claimed {
-            cx.add(|s| &s.worker_busy_ns, t0.elapsed().as_nanos() as u64);
-        }
-    };
-    cx.rt.pool.run(extra_workers, &work);
-    outs.into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every morsel is claimed before the pool job completes")
-        })
-        .collect()
-}
-
-/// All partition results, or — when any partition failed — the earliest
-/// partition's error (the first error sequential execution would have
-/// hit), with every successful partition's memory charge released.
-fn collect_parts<P>(
-    cx: &ExecCtx,
-    results: Vec<RtResult<P>>,
-    charged: impl Fn(&P) -> u64,
-) -> RtResult<Vec<P>> {
-    let mut first_err: Option<RtError> = None;
-    let mut parts = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(p) => parts.push(p),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        for p in &parts {
-            cx.release_mem(charged(p));
-        }
-        return Err(e);
-    }
-    Ok(parts)
-}
-
-/// Map tail: morsel outputs concatenate in input order. Each morsel
-/// stops at its own first error; the earliest erroring morsel ends the
-/// merged stream exactly where the sequential pipeline's consumer
-/// (which stops at the first error) would have stopped.
-fn parallel_map<'a, F>(
-    cx: &'a ExecCtx,
-    ranges: &[std::ops::Range<usize>],
-    extra_workers: usize,
-    pipeline: &F,
-) -> TupleIter<'a>
-where
-    F: Fn(std::ops::Range<usize>) -> TupleIter<'a> + Sync,
-{
-    let parts: Vec<Vec<RtResult<Env>>> = run_morsels(cx, ranges, extra_workers, |range| {
-        if let Err(e) = cx.check_budget() {
-            return vec![Err(e)];
-        }
-        let mut out = Vec::new();
-        for t in pipeline(range) {
-            let bad = t.is_err();
-            out.push(t);
-            if bad {
-                break;
-            }
-        }
-        out
-    });
-    let mut merged: Vec<RtResult<Env>> = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    'outer: for part in parts {
-        for t in part {
-            let bad = t.is_err();
-            merged.push(t);
-            if bad {
-                break 'outer;
-            }
-        }
-    }
-    Box::new(merged.into_iter())
-}
-
-/// Group tail: each partition groups independently ([`group_partition`],
-/// the very code the sequential operator runs), partitions merge
-/// pairwise by key, and the merged groups emit in key order.
-#[allow(clippy::too_many_arguments)]
-fn parallel_group<'a, F>(
-    cx: &'a ExecCtx,
-    ranges: &[std::ops::Range<usize>],
-    extra_workers: usize,
-    pipeline: &F,
-    bindings: &'a [(String, String)],
-    keys: &'a [(CExpr, String)],
-    carry: &'a [(String, String)],
-    base: &Env,
-) -> TupleIter<'a>
-where
-    F: Fn(std::ops::Range<usize>) -> TupleIter<'a> + Sync,
-{
-    let slots = match GroupSlots::resolve(cx, bindings, keys, carry) {
-        Ok(s) => s,
-        Err(e) => return one_err(e),
-    };
-    // one *operator* ran, however many partitions it fanned out to
-    cx.inc(|s| &s.sorted_groups);
-    let results: Vec<RtResult<GroupedPart>> = run_morsels(cx, ranges, extra_workers, |range| {
-        cx.check_budget()?;
-        group_partition(cx, None, &slots, keys, pipeline(range))
-    });
-    let parts = match collect_parts(cx, results, |p: &GroupedPart| p.charged) {
-        Ok(p) => p,
-        Err(e) => return one_err(e),
-    };
-    let nk = keys.len();
-    let merged = parts
-        .into_iter()
-        .reduce(|l, r| merge_grouped_parts(nk, l, r))
-        .expect("at least one morsel");
-    cx.peak(|s| &s.peak_grouped_tuples, merged.rows);
-    emit_grouped_part(cx, &slots, merged, base)
-}
-
-/// Sort tail: each partition sorts stably ([`sort_partition`], the
-/// sequential operator's code), then partitions merge with ties going
-/// to the earlier partition — a global stable sort.
-fn parallel_sort<'a, F>(
-    cx: &'a ExecCtx,
-    ranges: &[std::ops::Range<usize>],
-    extra_workers: usize,
-    pipeline: &F,
-    specs: &'a [OrderSpec],
-) -> TupleIter<'a>
-where
-    F: Fn(std::ops::Range<usize>) -> TupleIter<'a> + Sync,
-{
-    let results: Vec<RtResult<SortedPart>> = run_morsels(cx, ranges, extra_workers, |range| {
-        cx.check_budget()?;
-        sort_partition(cx, None, specs, pipeline(range))
-    });
-    let parts = match collect_parts(cx, results, |p: &SortedPart| p.charged) {
-        Ok(p) => p,
-        Err(e) => return one_err(e),
-    };
-    let merged = parts
-        .into_iter()
-        .reduce(|l, r| merge_sorted_parts(specs, l, r))
-        .expect("at least one morsel");
-    Box::new(Charged {
-        cx,
-        bytes: merged.charged,
-        inner: Box::new(merged.rows.into_iter().map(|(_, e)| Ok(e))),
-    })
 }
 
 /// Counts tuples flowing *into* a traced clause; the plain `u64` is
@@ -1770,9 +1448,9 @@ impl Drop for Charged<'_> {
 
 // ---- order by -------------------------------------------------------------------
 
-/// One sorted partition: rows with their evaluated sort keys, plus the
-/// buffered-tuple memory the partition holds charged against the budget
-/// (released by whoever ends up owning the rows).
+/// The sorted input: rows with their evaluated sort keys, plus the
+/// buffered-tuple memory they hold charged against the budget (released
+/// when the stream over the rows is dropped).
 struct SortedPart {
     rows: Vec<(Vec<Option<AtomicValue>>, Env)>,
     charged: u64,
@@ -1796,8 +1474,8 @@ fn cmp_spec_keys(
     Ordering::Equal
 }
 
-/// Materialize and stably sort one partition of the input. On error the
-/// partition's own charges are released before returning.
+/// Materialize and stably sort the input. On error the charges made so
+/// far are released before returning.
 fn sort_partition(
     cx: &ExecCtx,
     tkey: Option<TraceKey>,
@@ -1835,33 +1513,6 @@ fn sort_partition(
     }
     rows.sort_by(|(a, _), (b, _)| cmp_spec_keys(specs, a, b));
     Ok(SortedPart { rows, charged })
-}
-
-/// Merge two sorted partitions where `left` holds the earlier input
-/// rows: ties go left, which is exactly what one stable sort over the
-/// concatenated input would have produced.
-fn merge_sorted_parts(specs: &[OrderSpec], left: SortedPart, right: SortedPart) -> SortedPart {
-    let mut rows = Vec::with_capacity(left.rows.len() + right.rows.len());
-    let mut li = left.rows.into_iter().peekable();
-    let mut ri = right.rows.into_iter().peekable();
-    loop {
-        match (li.peek(), ri.peek()) {
-            (Some((lk, _)), Some((rk, _))) => {
-                if cmp_spec_keys(specs, lk, rk) == Ordering::Greater {
-                    rows.push(ri.next().expect("peeked"));
-                } else {
-                    rows.push(li.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => rows.push(li.next().expect("peeked")),
-            (None, Some(_)) => rows.push(ri.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    SortedPart {
-        rows,
-        charged: left.charged + right.charged,
-    }
 }
 
 fn order_by<'a>(
@@ -1946,8 +1597,8 @@ impl GroupSlots {
     }
 }
 
-/// One scalar site per grouping key, owned by the operator (or the
-/// partition) that evaluates them.
+/// One scalar site per grouping key, owned by the operator that
+/// evaluates them.
 fn key_sites<'a>(
     cx: &'a ExecCtx,
     tkey: Option<TraceKey>,
@@ -2109,11 +1760,10 @@ impl Drop for StreamingGroups<'_> {
 
 /// The fallback: materialize, sort by the keys, then stream-group —
 /// "in the worst case, ALDSP falls back on sorting for grouping" (§4.2).
-/// One grouped partition, ready to emit or merge: the kept first-row
-/// key cells (`nk` per group), the groups in **key-sorted order** with
-/// their accumulators and carried first-row values, the input row count
-/// (for the memory high-water mark), and the buffered-tuple charge the
-/// partition holds.
+/// The grouped input, ready to emit: the kept first-row key cells (`nk`
+/// per group), the groups in **key-sorted order** with their
+/// accumulators and carried first-row values, the input row count (for
+/// the memory high-water mark), and the buffered-tuple charge held.
 struct GroupedPart {
     flat_keys: Vec<Option<AtomicValue>>,
     /// `(index into flat_keys rows, group)`, sorted by key.
@@ -2128,17 +1778,11 @@ struct SortedGroupAcc {
     carried: Vec<Sequence>,
 }
 
-/// Compare two groups' key rows across (possibly different) partitions.
-fn cmp_group_keys(
-    nk: usize,
-    a_keys: &[Option<AtomicValue>],
-    a: usize,
-    b_keys: &[Option<AtomicValue>],
-    b: usize,
-) -> Ordering {
-    for (x, y) in a_keys[a * nk..(a + 1) * nk]
+/// Compare key rows `a` and `b` of `keys` (`nk` cells per row).
+fn cmp_group_keys(nk: usize, keys: &[Option<AtomicValue>], a: usize, b: usize) -> Ordering {
+    for (x, y) in keys[a * nk..(a + 1) * nk]
         .iter()
-        .zip(&b_keys[b * nk..(b + 1) * nk])
+        .zip(&keys[b * nk..(b + 1) * nk])
     {
         let ord = cmp_keys(x, y, true);
         if ord != Ordering::Equal {
@@ -2148,75 +1792,22 @@ fn cmp_group_keys(
     Ordering::Equal
 }
 
-/// Merge two grouped partitions where `left` holds the earlier input
-/// rows. Equal keys combine into one group: accumulators concatenate
-/// left-then-right (partitions are contiguous input ranges, so that is
-/// input order), and the kept key cells and carried values come from
-/// the left — the group's overall first row. The result is exactly the
-/// partition [`group_partition`] would have built over the concatenated
-/// input.
-fn merge_grouped_parts(nk: usize, left: GroupedPart, right: GroupedPart) -> GroupedPart {
-    let mut flat_keys: Vec<Option<AtomicValue>> = Vec::new();
-    let mut entries: Vec<(u32, SortedGroupAcc)> = Vec::new();
-    let mut li = left.entries.into_iter().peekable();
-    let mut ri = right.entries.into_iter().peekable();
-    let push = |flat_keys: &mut Vec<Option<AtomicValue>>,
-                entries: &mut Vec<(u32, SortedGroupAcc)>,
-                src: &[Option<AtomicValue>],
-                first: u32,
-                acc: SortedGroupAcc| {
-        let row = (flat_keys.len() / nk.max(1)) as u32;
-        flat_keys.extend_from_slice(&src[first as usize * nk..(first as usize + 1) * nk]);
-        entries.push((row, acc));
-    };
-    loop {
-        let ord = match (li.peek(), ri.peek()) {
-            (Some(&(lf, _)), Some(&(rf, _))) => cmp_group_keys(
-                nk,
-                &left.flat_keys,
-                lf as usize,
-                &right.flat_keys,
-                rf as usize,
-            ),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => break,
-        };
-        match ord {
-            Ordering::Less => {
-                let (f, acc) = li.next().expect("peeked");
-                push(&mut flat_keys, &mut entries, &left.flat_keys, f, acc);
-            }
-            Ordering::Greater => {
-                let (f, acc) = ri.next().expect("peeked");
-                push(&mut flat_keys, &mut entries, &right.flat_keys, f, acc);
-            }
-            Ordering::Equal => {
-                let (lf, mut lacc) = li.next().expect("peeked");
-                let (_, racc) = ri.next().expect("peeked");
-                for (a, r) in lacc.accums.iter_mut().zip(racc.accums) {
-                    a.extend(r);
-                }
-                push(&mut flat_keys, &mut entries, &left.flat_keys, lf, lacc);
-            }
-        }
-    }
-    GroupedPart {
-        flat_keys,
-        entries,
-        rows: left.rows + right.rows,
-        charged: left.charged + right.charged,
-    }
-}
-
-/// Emit a grouped partition's groups in key order over `base`, holding
-/// its memory charge until the stream is dropped.
-fn emit_grouped_part<'a>(
+/// Group the whole input, then emit the groups in key order over
+/// `base`, holding the memory charge until the stream is dropped.
+fn sorted_group_by<'a>(
     cx: &'a ExecCtx,
+    tkey: Option<TraceKey>,
     slots: &GroupSlots,
-    part: GroupedPart,
-    base: &Env,
+    keys: &'a [(CExpr, String)],
+    input: TupleIter<'a>,
+    base: Env,
 ) -> TupleIter<'a> {
+    cx.inc(|s| &s.sorted_groups);
+    let part = match group_partition(cx, tkey, slots, keys, input) {
+        Ok(p) => p,
+        Err(e) => return one_err(e),
+    };
+    cx.peak(|s| &s.peak_grouped_tuples, part.rows);
     let nk = slots.aliases.len();
     let mut out: Vec<Env> = Vec::with_capacity(part.entries.len());
     for (first, acc) in part.entries {
@@ -2246,25 +1837,8 @@ fn emit_grouped_part<'a>(
     })
 }
 
-fn sorted_group_by<'a>(
-    cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
-    slots: &GroupSlots,
-    keys: &'a [(CExpr, String)],
-    input: TupleIter<'a>,
-    base: Env,
-) -> TupleIter<'a> {
-    cx.inc(|s| &s.sorted_groups);
-    let part = match group_partition(cx, tkey, slots, keys, input) {
-        Ok(p) => p,
-        Err(e) => return one_err(e),
-    };
-    cx.peak(|s| &s.peak_grouped_tuples, part.rows);
-    emit_grouped_part(cx, slots, part, &base)
-}
-
-/// Group one partition of the input into a [`GroupedPart`]. On error
-/// the partition's own charges are released before returning.
+/// Group the input into a [`GroupedPart`]. On error the charges made so
+/// far are released before returning.
 fn group_partition(
     cx: &ExecCtx,
     tkey: Option<TraceKey>,
@@ -2298,8 +1872,6 @@ fn group_partition(
         cx.release_mem(charged);
         Err(e)
     };
-    let cmp_key_rows =
-        |fk: &[Option<AtomicValue>], a: usize, b: usize| cmp_group_keys(nk, fk, a, fk, b);
     for tuple in input {
         let env = match tuple {
             Ok(e) => e,
@@ -2321,14 +1893,14 @@ fn group_partition(
         }
         let gid = match prev_gid {
             Some(g)
-                if cmp_key_rows(&flat_keys, staged, group_first[g as usize] as usize)
+                if cmp_group_keys(nk, &flat_keys, staged, group_first[g as usize] as usize)
                     == Ordering::Equal =>
             {
                 g
             }
             _ => {
                 match uniq.binary_search_by(|&(first, _)| {
-                    cmp_key_rows(&flat_keys, first as usize, staged)
+                    cmp_group_keys(nk, &flat_keys, first as usize, staged)
                 }) {
                     Ok(pos) => uniq[pos].1,
                     Err(pos) => {

@@ -9,10 +9,11 @@
 //! (`fn-bea:fail-over` / `fn-bea:timeout`, §5.6). Execution statistics
 //! expose the observable behavior the paper's design claims are about.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod env;
 pub mod eval;
-pub mod parallel;
 pub mod stats;
 pub mod trace;
 pub mod vm;
@@ -20,7 +21,6 @@ pub mod vm;
 pub use cache::FunctionCache;
 pub use env::{Env, EnvWriter};
 pub use eval::{ExecCtx, RtError, RtResult, RuntimeInner};
-pub use parallel::{morsel_ranges, MorselQueue, WorkerPool};
 pub use stats::{ExecStats, StatsSnapshot};
 pub use trace::{NodeTrace, QueryTrace, TraceCollector, TraceKey, TraceLevel};
 pub use vm::ExprVM;
@@ -50,8 +50,8 @@ pub struct Execution {
 }
 
 /// Everything one execution of a compiled plan may vary. The default is
-/// an unbound, untraced, ungoverned, sequential, materialized run;
-/// streaming is a sink choice, not a second API.
+/// an unbound, untraced, ungoverned, materialized run; streaming is a
+/// sink choice, not a second API.
 pub struct ExecRequest<'a> {
     /// External-variable bindings by name (unbound externals default to
     /// the empty sequence; an unbound lifted literal is a typed
@@ -66,13 +66,6 @@ pub struct ExecRequest<'a> {
     /// ends the run with the typed error after whatever prefix the sink
     /// already received.
     pub budget: Option<Arc<QueryBudget>>,
-    /// Workers the query may occupy, including the calling thread;
-    /// above 1, plan regions the compiler marked partitionable run
-    /// morsel-parallel on the shared pool. Results are byte-identical
-    /// regardless.
-    pub workers: usize,
-    /// Scan rows per morsel for parallel regions.
-    pub morsel_size: usize,
     /// Hand result items to this sink as the tuple pipeline produces
     /// them instead of collecting them (§2.2's incremental consumption);
     /// returning `false` stops execution early.
@@ -85,8 +78,6 @@ impl Default for ExecRequest<'_> {
             bindings: Vec::new(),
             trace: TraceLevel::Off,
             budget: None,
-            workers: 1,
-            morsel_size: 1024,
             sink: None,
         }
     }
@@ -107,7 +98,6 @@ impl Runtime {
                 adaptors,
                 cache: FunctionCache::new(),
                 stats: ExecStats::default(),
-                pool: parallel::WorkerPool::new(),
             }),
         }
     }
@@ -152,9 +142,7 @@ impl Runtime {
         };
         let result = (|| -> RtResult<()> {
             match &query.plan.kind {
-                // a FLWOR root streams tuple by tuple (a parallel region
-                // materializes its own output, but clauses past it and
-                // the return expression still stream)
+                // a FLWOR root streams tuple by tuple
                 aldsp_compiler::CKind::Flwor { clauses, ret } => {
                     for tuple in eval::flwor_tuples(&cx, query.plan.node_id, clauses, &env) {
                         if !emit(eval::eval(&cx, ret, &tuple?)?) {
@@ -828,53 +816,6 @@ mod tests {
         );
         let st = w.runtime.stats();
         assert!(st.streaming_groups + st.sorted_groups >= 1);
-    }
-
-    #[test]
-    fn parallel_execution_is_byte_identical_and_uses_the_pool() {
-        // one query per partitionable tail: grouped pre-aggregation,
-        // parallel sort with merge, and plain per-morsel map; morsel
-        // size 1 over three ORDER rows forces real fan-out
-        let queries = [
-            r#"for $o in c:ORDER()
-               let $oid := $o/OID
-               group $oid as $ids by fn:substring($o/CID, 1, 2) as $k
-               return <G key="{$k}">{ fn:count($ids) }</G>"#,
-            r#"for $o in c:ORDER()
-               order by fn:substring($o/CID, 1, 2) descending, $o/OID ascending
-               return $o/OID"#,
-            r#"for $o in c:ORDER()
-               let $a := $o/AMOUNT
-               where fn:count($a) ge 1
-               return <O>{ $o/OID, $a }</O>"#,
-        ];
-        for query in queries {
-            let w = world();
-            let q = w
-                .compiler
-                .compile_query(&format!("{PROLOG}\n{query}"))
-                .unwrap_or_else(|d| panic!("compile failed: {d:?}"));
-            assert!(
-                !q.parallel.is_empty(),
-                "expected a parallel mark for: {query}\nplan: {:#?}",
-                q.plan
-            );
-            let expect = as_xml(&w.runtime.execute(&q, &[]).unwrap());
-            for workers in [2usize, 4] {
-                let req = ExecRequest {
-                    workers,
-                    morsel_size: 1,
-                    ..Default::default()
-                };
-                let ex = w.runtime.run(&q, req).unwrap();
-                assert_eq!(as_xml(&ex.items), expect, "workers={workers}: {query}");
-                assert!(
-                    ex.per_query_stats.morsels_executed > 0,
-                    "workers={workers} never claimed a morsel: {query}"
-                );
-            }
-            assert!(w.runtime.inner().pool.threads_spawned() > 0);
-        }
     }
 
     #[test]

@@ -93,13 +93,10 @@ counters! {
     /// evaluated them (a static plan property, recorded once per
     /// execution).
     vm_fallback_subtrees,
-    /// Morsels claimed and evaluated by the parallel worker pool
-    /// (single-threaded execution leaves this at zero).
+    /// Always zero: what it counted, the intra-query worker pool, is
+    /// gone. Declared only because `crates/benchmark` still reads it
+    /// (ROADMAP item 2 hands its removal to the next `[benchmark]` PR).
     morsels_executed,
-    /// Nanoseconds workers spent evaluating morsels, summed across
-    /// workers (so it can exceed wall-clock time — that excess *is* the
-    /// parallelism).
-    worker_busy_ns,
     /// Reads served from a materialized data service's live cache.
     matview_hits,
     /// Materialized entries surgically invalidated by the write path

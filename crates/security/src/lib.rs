@@ -17,6 +17,8 @@
 //!
 //! An [`AuditLog`] records access decisions (§7's auditing service).
 
+#![forbid(unsafe_code)]
+
 use aldsp_xdm::item::{Item, Sequence};
 use aldsp_xdm::node::{Node, NodeKind, NodeRef};
 use aldsp_xdm::value::AtomicValue;

@@ -14,6 +14,8 @@
 //! `--port 0` (the default) binds an ephemeral port; the actual
 //! address is printed as `aldspd listening on 127.0.0.1:<port>`.
 
+#![forbid(unsafe_code)]
+
 use aldsp_server::{serve, WireConfig};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;

@@ -39,6 +39,8 @@
 //! [`proto::FrameReader`]. [`WireListener::wire_stats`] counts the
 //! calls, frames and bytes exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod demo;
 
 use aldsp::security::Principal;
@@ -679,7 +681,9 @@ fn contained<T>(
     })
 }
 
-/// Lift a wire execution override into typed [`ExecutionOptions`].
+/// Lift a wire execution override into typed [`ExecutionOptions`],
+/// refusing codes this build does not know and a prefetch depth over
+/// the cap.
 fn decode_exec(e: &proto::WireExec) -> Result<ExecutionOptions, &'static str> {
     let pushdown = match e.pushdown {
         proto::pushdown::OFF => PushdownLevel::Off,
@@ -693,9 +697,10 @@ fn decode_exec(e: &proto::WireExec) -> Result<ExecutionOptions, &'static str> {
         proto::join::HASH => JoinStrategy::Hash,
         _ => return Err("unknown join strategy on the wire"),
     };
+    if e.ppk_prefetch_depth > proto::MAX_PPK_PREFETCH_DEPTH {
+        return Err("PP-k prefetch depth on the wire exceeds MAX_PPK_PREFETCH_DEPTH");
+    }
     Ok(ExecutionOptions::new()
-        .workers(e.workers as usize)
-        .morsel_size((e.morsel_size as usize).max(1))
         .ppk_prefetch_depth(e.ppk_prefetch_depth as usize)
         .pushdown(pushdown)
         .join_strategy(join_strategy))
@@ -750,5 +755,22 @@ mod tests {
         }
         e.join_strategy = proto::join::HASH;
         assert!(decode_exec(&e).is_ok());
+    }
+
+    #[test]
+    fn exec_decoding_caps_the_prefetch_depth() {
+        let mut e = proto::WireExec {
+            ppk_prefetch_depth: proto::MAX_PPK_PREFETCH_DEPTH,
+            ..proto::WireExec::default()
+        };
+        let at_cap = decode_exec(&e).expect("the cap itself is allowed");
+        assert_eq!(
+            at_cap.ppk_prefetch_depth,
+            proto::MAX_PPK_PREFETCH_DEPTH as usize
+        );
+        for depth in [proto::MAX_PPK_PREFETCH_DEPTH + 1, u32::MAX] {
+            e.ppk_prefetch_depth = depth;
+            assert!(decode_exec(&e).is_err(), "depth {depth}");
+        }
     }
 }

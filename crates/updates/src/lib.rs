@@ -11,6 +11,8 @@
 //! clause) and applies them atomically via two-phase commit across the
 //! affected sources only.
 
+#![forbid(unsafe_code)]
+
 pub mod lineage;
 pub mod sdo;
 pub mod submit;

@@ -76,11 +76,6 @@ impl Lineage {
     pub fn entry(&self, path: &Path) -> Option<&LineageEntry> {
         self.entries.iter().find(|e| &e.path == path)
     }
-
-    /// Tables with a fully-exposed primary key (updatable targets).
-    pub fn updatable_tables(&self) -> Vec<(String, String)> {
-        self.keys.keys().cloned().collect()
-    }
 }
 
 /// Per-field-variable source info collected from `SqlFor` clauses.

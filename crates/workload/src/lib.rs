@@ -23,6 +23,8 @@
 //! The crate is a leaf: it depends only on `std`, so `relational`,
 //! `adaptors`, `runtime`, and `core` can all use it without cycles.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -100,7 +102,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 /// Per-query resource envelope: optional wall-clock deadline, optional
 /// memory cap, and counters accumulated across every thread working on the
-/// query (foreground pipeline, PP-k prefetchers, parallel scans).
+/// query (foreground pipeline, PP-k prefetchers, `fn-bea:async` branches).
 ///
 /// Shared as `Arc<QueryBudget>`; all methods take `&self`.
 pub struct QueryBudget {
@@ -254,70 +256,6 @@ impl QueryBudget {
 
     pub fn permit_wait_ns(&self) -> u64 {
         self.permit_wait_ns.load(Ordering::Relaxed)
-    }
-}
-
-/// RAII handle for a worker's share of one query's memory budget.
-///
-/// Morsel-driven execution runs several workers against the *same*
-/// [`QueryBudget`]: admission control promised the query one memory
-/// cap, and parallelism must not multiply it. Each worker charges its
-/// buffered state through its own `ChargeScope`; all scopes hit the
-/// shared atomic `mem_used`, so the cap bounds the query's **total**
-/// across workers, and the first worker to overflow gets the typed
-/// [`WorkloadError::BudgetExceeded`]. Dropping a scope releases exactly
-/// what it still holds — a worker that aborts (error, panic, budget
-/// trip on a sibling) cannot leak its charges — while [`take`]
-/// transfers held bytes to whoever owns the merged result so the
-/// charges live as long as the buffered data does.
-///
-/// With no budget attached (`None`), every operation is a no-op, so
-/// operators charge unconditionally without branching on budget
-/// presence.
-///
-/// [`take`]: ChargeScope::take
-#[derive(Debug)]
-pub struct ChargeScope<'a> {
-    budget: Option<&'a QueryBudget>,
-    held: u64,
-}
-
-impl<'a> ChargeScope<'a> {
-    /// A scope charging against `budget` (or a no-op scope for `None`).
-    pub fn new(budget: Option<&'a QueryBudget>) -> ChargeScope<'a> {
-        ChargeScope { budget, held: 0 }
-    }
-
-    /// Charge `bytes` against the shared budget, recording them so this
-    /// scope's drop (or [`take`](ChargeScope::take)) accounts for them.
-    pub fn charge(&mut self, bytes: u64) -> Result<(), WorkloadError> {
-        if let Some(b) = self.budget {
-            b.charge(bytes)?;
-            self.held += bytes;
-        }
-        Ok(())
-    }
-
-    /// Bytes this scope currently holds.
-    pub fn held(&self) -> u64 {
-        self.held
-    }
-
-    /// Transfer ownership of the held bytes to the caller: the scope
-    /// forgets them (its drop releases nothing) and the caller becomes
-    /// responsible for releasing them against the same budget.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.held)
-    }
-}
-
-impl Drop for ChargeScope<'_> {
-    fn drop(&mut self) {
-        if let Some(b) = self.budget {
-            if self.held > 0 {
-                b.release(self.held);
-            }
-        }
     }
 }
 
@@ -860,38 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn charge_scope_releases_on_drop() {
-        let b = QueryBudget::new(None, Some(1024));
-        {
-            let mut scope = ChargeScope::new(Some(&b));
-            scope.charge(256).unwrap();
-            scope.charge(256).unwrap();
-            assert_eq!(scope.held(), 512);
-            assert_eq!(b.used_memory_bytes(), 512);
-        }
-        assert_eq!(b.used_memory_bytes(), 0);
-        assert_eq!(b.peak_memory_bytes(), 512);
-    }
-
-    #[test]
-    fn charge_scope_take_transfers_ownership() {
-        let b = QueryBudget::new(None, Some(1024));
-        let taken = {
-            let mut scope = ChargeScope::new(Some(&b));
-            scope.charge(512).unwrap();
-            scope.take()
-        };
-        // the scope dropped but the bytes were transferred, not released
-        assert_eq!(taken, 512);
-        assert_eq!(b.used_memory_bytes(), 512);
-        b.release(taken);
-        assert_eq!(b.used_memory_bytes(), 0);
-    }
-
-    #[test]
-    fn workers_share_one_cap_through_scopes() {
-        // four "workers" charging one budget: the cap bounds their sum,
-        // and the failed charge rolls back so the others can continue
+    fn threads_share_one_cap() {
+        // four threads of one query (foreground, prefetchers) charging
+        // one budget: the cap bounds their sum, and a failed charge
+        // rolls back so the others can continue
         let b = QueryBudget::new(None, Some(950));
         let trips = Arc::new(AtomicUsize::new(0));
         thread::scope(|s| {
@@ -899,30 +809,24 @@ mod tests {
                 let b = &b;
                 let trips = Arc::clone(&trips);
                 s.spawn(move || {
-                    let mut scope = ChargeScope::new(Some(b));
+                    let mut held = 0;
                     for _ in 0..100 {
-                        if scope.charge(10).is_err() {
+                        if b.charge(10).is_err() {
                             trips.fetch_add(1, Ordering::SeqCst);
-                            return;
+                            break;
                         }
+                        held += 10;
                     }
+                    b.release(held);
                 });
             }
         });
-        // each worker alone demands 100 × 10 = 1000 bytes against a
+        // each thread alone demands 100 × 10 = 1000 bytes against a
         // 950-byte cap: however the threads interleave someone must
-        // trip, the total never exceeded the cap, and every scope's
-        // drop returned what it held
+        // trip, the total never exceeded the cap, and every release
+        // returned what was held
         assert!(trips.load(Ordering::SeqCst) >= 1);
         assert!(b.peak_memory_bytes() <= 950);
         assert_eq!(b.used_memory_bytes(), 0);
-    }
-
-    #[test]
-    fn charge_scope_without_budget_is_noop() {
-        let mut scope = ChargeScope::new(None);
-        scope.charge(u64::MAX).unwrap();
-        assert_eq!(scope.held(), 0);
-        assert_eq!(scope.take(), 0);
     }
 }

@@ -10,7 +10,6 @@ use crate::node::NodeRef;
 use crate::value::{ArithOp, AtomicValue};
 use crate::{Result, XdmError};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// One XQuery item: an atomic value or a node.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,14 +56,6 @@ impl Item {
         match self {
             Item::Node(n) => Some(n),
             Item::Atomic(_) => None,
-        }
-    }
-
-    /// Is this item atomic?
-    pub fn as_atomic(&self) -> Option<&AtomicValue> {
-        match self {
-            Item::Atomic(v) => Some(v),
-            Item::Node(_) => None,
         }
     }
 }
@@ -248,11 +239,6 @@ pub fn arithmetic(a: &[Item], op: ArithOp, b: &[Item]) -> Result<Option<AtomicVa
         return Err(XdmError::NotSingleton(bv.len()));
     }
     Ok(Some(av[0].arithmetic(op, &bv[0])?))
-}
-
-/// Build a one-item sequence holding a string — common in tests.
-pub fn seq_str(s: &str) -> Sequence {
-    vec![Item::Atomic(AtomicValue::String(Arc::from(s)))]
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //!   intersection) that powers ALDSP's optimistic static typing (§3.1,
 //!   §4.1) ([`types`]).
 
+#![forbid(unsafe_code)]
+
 pub mod item;
 pub mod node;
 pub mod qname;

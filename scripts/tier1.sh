@@ -9,10 +9,10 @@ cargo fmt --all --check
 cargo clippy --all-targets -- -D warnings
 cargo build --release
 cargo test -q
-# 50-seed differential smoke: random FLWGOR queries under the full
-# pushdown/prefetch/streaming/budget matrix plus the wire cell, which
-# replays the same seeds through aldsp-client against a loopback
-# aldspd (nightly runs 2,000 seeds)
+# 50-seed differential smoke: random FLWGOR queries under the 12-cell
+# pushdown/prefetch/streaming/budget/join-method matrix plus the wire
+# cell, which replays the same seeds through aldsp-client against a
+# loopback aldspd (nightly runs 2,000 seeds)
 ./scripts/difftest.sh 50
 # benches must at least compile (they are exercised manually /
 # via scripts/bench_json.sh, not run in CI)

@@ -285,6 +285,45 @@ fn unknown_handle_is_typed_and_the_session_survives() {
     c.goodbye().expect("clean close");
 }
 
+/// An execution override is outside input: a PP-k prefetch depth over
+/// the cap (the engine runs one thread per staged block) is refused
+/// like an unknown pushdown level, before the engine runs.
+#[test]
+fn prefetch_depth_over_the_cap_is_malformed_and_the_session_survives() {
+    let w = wired(60, |b| b);
+    let mut c = Client::connect(w.addr(), "demo", &[]).expect("connect");
+    // a cross-source nested join: three PP-k blocks against the cards
+    let q = format!(
+        "{PROLOG} for $c in c:CUSTOMER()
+         return <P>{{ $c/CID, for $k in cc:CREDIT_CARD() where $k/CID eq $c/CID return $k/CCN }}</P>"
+    );
+    let depth = |ppk_prefetch_depth| WireOptions {
+        exec: Some(WireExec {
+            ppk_prefetch_depth,
+            ..WireExec::default()
+        }),
+        ..WireOptions::default()
+    };
+    let before = w.server.stats();
+    let err = c
+        .execute(&q, &depth(proto::MAX_PPK_PREFETCH_DEPTH + 1))
+        .expect_err("depth over the cap");
+    assert_eq!(err.code(), Some(code::MALFORMED), "{err}");
+    let after = w.server.stats();
+    assert_eq!(
+        (after.sql_statements, after.ppk_prefetched_blocks),
+        (before.sql_statements, before.ppk_prefetched_blocks),
+        "refused before any statement or prefetch thread"
+    );
+    // the cap itself is served, on the same session
+    let r = c
+        .execute(&q, &depth(proto::MAX_PPK_PREFETCH_DEPTH))
+        .expect("session survived");
+    assert_eq!(r.items.len(), 60);
+    assert_eq!(w.server.stats().ppk_blocks, after.ppk_blocks + 3);
+    c.goodbye().expect("clean close");
+}
+
 // ---- wire results match the in-process engine -------------------------------
 
 #[test]
@@ -524,7 +563,7 @@ fn client_disconnect_mid_stream_leaves_the_server_healthy() {
 /// The paper's post-cache security property, end to end over
 /// concurrent connections: ONE plan handle shared by two principals,
 /// redaction applied per-session after the cache, byte-stable results
-/// under parallel execution (`workers > 1`).
+/// while both sessions run at once.
 #[test]
 fn concurrent_sessions_share_one_handle_with_per_principal_redaction() {
     let mut policy = SecurityPolicy::new();
@@ -565,15 +604,8 @@ fn concurrent_sessions_share_one_handle_with_per_principal_redaction() {
     assert!(pc.shared, "second principal sees the shared handle");
     assert_eq!(w.listener.handles().len(), 1);
 
-    // run both sessions concurrently, parallel execution stressed
-    let options = WireOptions {
-        exec: Some(WireExec {
-            workers: 4,
-            morsel_size: 2,
-            ..WireExec::default()
-        }),
-        ..WireOptions::default()
-    };
+    // run both sessions concurrently
+    let options = WireOptions::default();
     let barrier = Arc::new(Barrier::new(2));
     let run = |mut client: Client, handle: u64, options: WireOptions, barrier: Arc<Barrier>| {
         std::thread::spawn(move || {

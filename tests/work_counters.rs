@@ -201,7 +201,6 @@ fn record(
     stats.ppk_prefetch_wait_ns = 0;
     stats.admission_wait_ns = 0;
     stats.permit_wait_ns = 0;
-    stats.worker_busy_ns = 0;
     let items = seen.as_deref().unwrap_or(resp.items());
     writeln!(
         out,
@@ -290,14 +289,6 @@ fn work_counters_match_the_golden() {
              where $k/CID eq $c/CID
              return <R>{ $c/CID, $k/CCN }</R>",
             |r| r.execution(ExecutionOptions::new().join_strategy(JoinStrategy::Hash)),
-        ),
-        (
-            "parallel_workers_4",
-            "for $o in c:ORDER()
-             let $tag := fn:concat($o/CID, \"-\", $o/OID)
-             where fn:string-length($tag) ge 6
-             return <T>{ $tag }</T>",
-            |r| r.execution(ExecutionOptions::new().workers(4).morsel_size(4)),
         ),
     ];
     for (name, body, tune) in adhoc {
