@@ -1441,8 +1441,10 @@ impl AldspServer {
         out: &mut dyn std::io::Write,
     ) -> Result<u64, ServerError> {
         let mut io_err: Option<std::io::Error> = None;
+        let mut text = String::new();
         let mut sink = |item: Item| {
-            let text = aldsp_xdm::xml::serialize_sequence(&[item]);
+            text.clear();
+            aldsp_xdm::xml::write_item(&item, &mut text);
             out.write_all(text.as_bytes())
                 .map_err(|e| io_err = Some(e))
                 .is_ok()

@@ -44,7 +44,7 @@ use aldsp_updates::sdo::{locate, rewrite_value, Path};
 use aldsp_updates::SourceDelta;
 use aldsp_xdm::item::{Item, Sequence};
 use aldsp_xdm::value::AtomicValue;
-use aldsp_xdm::xml::serialize_sequence;
+use aldsp_xdm::xml::write_key;
 use aldsp_xdm::QName;
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Ordering;
@@ -264,13 +264,10 @@ impl MatViewRegistry {
         })
     }
 
-    /// The cache key for one argument vector.
+    /// The cache key for one argument vector (see [`write_key`]).
     pub fn arg_key(args: &[Sequence]) -> String {
         let mut key = String::new();
-        for a in args {
-            key.push('\u{1}');
-            key.push_str(&serialize_sequence(a));
-        }
+        write_key(args, &mut key);
         key
     }
 
@@ -499,6 +496,7 @@ mod tests {
     use super::*;
     use aldsp_xdm::node::Node;
     use aldsp_xdm::value::AtomicValue as V;
+    use aldsp_xdm::xml::serialize_sequence;
 
     fn profile(cid: &str, last: &str) -> Item {
         Item::Node(Node::element(

@@ -510,19 +510,11 @@ fn frame(buf: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> std
 
 /// The text of an [`ServerMsg::Item`] frame under construction: the
 /// tail of the frame buffer, so a serializer writes the item where it
-/// will be sent from. Only `str`s and `char`s can be appended, which
-/// keeps the field valid UTF-8.
+/// will be sent from. Only `str`s can be appended, which keeps the
+/// field valid UTF-8.
 pub struct ItemText<'a>(&'a mut Vec<u8>);
 
 impl ItemText<'_> {
-    /// Append one character.
-    pub fn push(&mut self, c: char) {
-        match c.len_utf8() {
-            1 => self.0.push(c as u8),
-            _ => self.push_str(c.encode_utf8(&mut [0; 4])),
-        }
-    }
-
     /// Append a string slice.
     pub fn push_str(&mut self, s: &str) {
         self.0.extend_from_slice(s.as_bytes());
@@ -1018,7 +1010,7 @@ mod tests {
         let mut by_message = in_place.clone();
         encode_item(&mut in_place, true, |t| {
             t.push_str("caf");
-            t.push('\u{e9}');
+            t.push_str("\u{e9}");
         })
         .unwrap();
         ServerMsg::Item {

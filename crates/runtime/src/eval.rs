@@ -739,7 +739,7 @@ fn attr_string(cx: &ExecCtx, value: &CExpr, env: &Env) -> RtResult<Option<String
     for p in parts {
         match &p.kind {
             CKind::Const(v) => {
-                s.push_str(&v.string_value());
+                v.write_lexical(&mut s);
                 any = true;
             }
             _ => {
@@ -751,7 +751,7 @@ fn attr_string(cx: &ExecCtx, value: &CExpr, env: &Env) -> RtResult<Option<String
                     if i > 0 {
                         s.push(' ');
                     }
-                    s.push_str(&v.string_value());
+                    v.write_lexical(&mut s);
                 }
             }
         }
@@ -886,7 +886,7 @@ pub(crate) fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
             let mut s = String::new();
             for a in args {
                 for item in atomize(a.as_slice()) {
-                    s.push_str(&item.string_value());
+                    item.write_lexical(&mut s);
                 }
             }
             Val::One(Item::str(&s))

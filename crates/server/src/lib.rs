@@ -366,10 +366,6 @@ struct Reply<'a> {
 struct FrameText<'a, 'b>(&'a mut proto::ItemText<'b>);
 
 impl XmlSink for FrameText<'_, '_> {
-    fn push(&mut self, c: char) {
-        self.0.push(c)
-    }
-
     fn push_str(&mut self, s: &str) {
         self.0.push_str(s)
     }

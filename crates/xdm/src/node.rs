@@ -226,7 +226,7 @@ impl Node {
 
 fn collect_text(node: &Node, out: &mut String) {
     match node.kind() {
-        NodeKind::Text { value } => out.push_str(&value.string_value()),
+        NodeKind::Text { value } => value.write_lexical(out),
         _ => {
             for c in node.children() {
                 collect_text(c, out);

@@ -484,3 +484,35 @@ fn invalidation_storm_smoke() {
 fn invalidation_storm_full() {
     invalidation_storm(12, 4, 200);
 }
+
+#[test]
+fn argument_vectors_that_serialize_alike_get_their_own_entries() {
+    const COUNT_MODULE: &str = r#"
+        declare namespace tns = "urn:countDS";
+        declare function tns:count($xs as xs:string*) as xs:integer { fn:count($xs) };
+        declare function tns:twin($xs as xs:string*) as xs:integer { fn:count($xs) };
+    "#;
+    let count = QName::new("urn:countDS", "count");
+    let w = world_tuned(2, |b| {
+        b.materialize(count.clone(), MatViewPolicy::PatchOrInvalidate)
+    });
+    w.server.deploy(COUNT_MODULE).expect("deploys");
+    let call = |f: &str, arg: Vec<Item>| {
+        let r = w
+            .server
+            .execute(
+                QueryRequest::call(QName::new("urn:countDS", f))
+                    .args(vec![arg])
+                    .principal(Principal::new("demo", &[])),
+            )
+            .expect("executes");
+        serialize_sequence(r.items())
+    };
+    let spaced = || vec![Item::str("a b")];
+    let pair = || vec![Item::str("a"), Item::str("b")];
+    assert_eq!(call("count", spaced()), "1");
+    // ("a", "b") serializes as "a b", but it is another argument
+    assert_eq!(call("count", pair()), call("twin", pair()));
+    assert_eq!(call("count", pair()), "2");
+    assert_eq!(call("count", spaced()), "1");
+}
