@@ -70,7 +70,10 @@ for side in parent change; do
     [[ $side == change ]] && ref=$change_ref
     rm -rf "$work/$side/src"
     mkdir -p "$work/$side/src"
-    git archive "$ref" | tar -x -C "$work/$side/src"
+    # -m stamps the files with the extraction time: `git archive` gives
+    # them the commit's time, and cargo, which judges freshness by mtime,
+    # would keep a target built from a newer commit as up to date
+    git archive "$ref" | tar -x -m -C "$work/$side/src"
     echo "bench_pair.sh: building $side ($ref)" >&2
     (cd "$work/$side/src" &&
         CARGO_TARGET_DIR="$work/$side/target" cargo build --release --quiet -p aldsp-benchmark)
