@@ -149,11 +149,20 @@ impl ExprVM {
                 Op::Seq(n) => {
                     let start = self.stack.len() - n as usize;
                     let total: usize = self.stack[start..].iter().map(|v| v.as_slice().len()).sum();
-                    let mut out: Sequence = Vec::with_capacity(total);
-                    for v in self.stack.drain(start..) {
-                        v.append_to(&mut out);
-                    }
-                    self.stack.push(Val::of(out));
+                    let v = if total <= 1 {
+                        // at most one item: pass its operand on as it is
+                        self.stack
+                            .drain(start..)
+                            .find(|v| !v.as_slice().is_empty())
+                            .unwrap_or(Val::Empty)
+                    } else {
+                        let mut out: Sequence = Vec::with_capacity(total);
+                        for v in self.stack.drain(start..) {
+                            v.append_to(&mut out);
+                        }
+                        Val::of(out)
+                    };
+                    self.stack.push(v);
                 }
                 Op::Range => {
                     let hi = self.stack.pop().expect("range hi");

@@ -4,13 +4,14 @@
 
 mod common;
 
+use aldsp::relational::LatencyModel;
 use aldsp::security::Principal;
 use aldsp::xdm::item::Item;
 use aldsp::xdm::value::AtomicValue;
 use aldsp::xdm::xml::serialize_sequence;
 use aldsp::xdm::QName;
-use aldsp::{CallCriteria, QueryRequest};
-use common::{world, PROLOG};
+use aldsp::{CallCriteria, ExecutionOptions, QueryRequest};
+use common::{world, world_tuned, PROLOG};
 
 const PROFILE_MODULE: &str = r#"
     declare namespace tns = "urn:profileDS";
@@ -248,6 +249,40 @@ fn streaming_delivery_and_early_stop() {
         .expect("query")
         .into_items();
     assert_eq!(all, serialize_sequence(&materialized));
+}
+
+/// A stream stopped after its first item joins the PP-k helpers still
+/// fetching blocks ahead of it: every block roundtrip the query issued
+/// has reached db2 when the reply returns, and none lands afterwards.
+#[test]
+fn early_stop_leaves_no_ppk_helper_running() {
+    let w = world_tuned(12, |b| {
+        b.ppk_block_size(1)
+            .execution(ExecutionOptions::new().ppk_prefetch_depth(4))
+    });
+    // one backend slot: the n-th concurrent block fetch takes n x 30 ms,
+    // so the helpers staged ahead finish well after the first block
+    w.db2.set_latency(LatencyModel::saturating(30_000, 1));
+    let q = format!(
+        "{PROLOG}
+         for $c in c:CUSTOMER()
+         return <P>{{ $c/CID,
+           for $k in cc:CREDIT_CARD() where $k/CID eq $c/CID return $k/CCN }}</P>"
+    );
+    let mut sink = |_item: Item| false; // stop after the first item
+    let delivered = w
+        .server
+        .execute(QueryRequest::new(&q).principal(demo()).stream_to(&mut sink))
+        .expect("streams")
+        .delivered();
+    assert_eq!(delivered, 1);
+    let at_reply = w.db2.stats().roundtrips;
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    assert_eq!(
+        w.db2.stats().roundtrips,
+        at_reply,
+        "a prefetch helper outlived the join"
+    );
 }
 
 /// A `&mut String` as an `io::Write` shim for the test.
