@@ -51,8 +51,10 @@ counters! {
     ppk_blocks,
     /// Tuples that flowed through PP-k operators.
     ppk_outer_tuples,
-    /// PP-k blocks whose fetch was issued by a prefetch thread (i.e.
-    /// overlapped with local-join work rather than fetched on demand).
+    /// PP-k blocks whose fetch ran on a helper thread (i.e. overlapped
+    /// with local-join work rather than fetched on demand). A lone block
+    /// the outer input ended inside has nothing to overlap and is
+    /// fetched on the query's own thread, so it is not counted here.
     ppk_prefetched_blocks,
     /// Nanoseconds the PP-k consumer spent blocked waiting for an
     /// in-flight prefetched block to arrive.
