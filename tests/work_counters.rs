@@ -290,6 +290,15 @@ fn work_counters_match_the_golden() {
              return <R>{ $c/CID, $k/CCN }</R>",
             |r| r.execution(ExecutionOptions::new().join_strategy(JoinStrategy::Hash)),
         ),
+        (
+            // `fn:substring` is not pushable, so the group runs in the
+            // middleware; its partition is only counted
+            "count_only_group_by",
+            "for $c in c:CUSTOMER()
+             group $c as $g by fn:substring($c/CID, 5, 2) as $k
+             return <G><K>{$k}</K><N>{fn:count($g)}</N></G>",
+            |r| r,
+        ),
     ];
     for (name, body, tune) in adhoc {
         let q = format!("{PROLOG}\n{body}");
