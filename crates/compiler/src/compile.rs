@@ -71,6 +71,10 @@ pub enum Mutation {
     /// so the wire tests can prove that a panicking compile costs its
     /// request, not the session or the server.
     PanicInPushdown,
+    /// Regroup a nullable column, not a never-NULL one, for a group
+    /// partition that is only counted — tuples whose value is NULL drop
+    /// out of `fn:count`.
+    RegroupNullableColumn,
 }
 
 /// Compiler configuration.

@@ -146,7 +146,6 @@ struct PushedVar {
     connection: String,
     element: QName,
     columns: Vec<(String, AtomicType, bool)>, // (name, xml type, nullable)
-    #[allow(dead_code)]
     primary_key: Vec<String>,
 }
 
@@ -379,6 +378,7 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
             continue;
         }
         // decide the fetched columns by scanning downstream usage
+        let counted = counted_partitions(&region, &clauses[j..], ret);
         let mut usage: HashMap<String, ColumnUsage> = HashMap::new();
         for (v, _) in region.vars.iter() {
             usage.insert(v.clone(), ColumnUsage::default());
@@ -387,9 +387,26 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
             if consumed.contains(&idx) {
                 continue;
             }
-            collect_usage_clause(c, &mut usage);
+            collect_usage_clause(c, &counted, &mut usage);
         }
         collect_usage(ret, &mut usage);
+        // a counted partition regroups one column that has a value on
+        // every tuple: `(to, column)`
+        let mut regrouped: Vec<(String, String)> = Vec::new();
+        for (from, to) in counted {
+            let (Some(pv), Some(u)) = (region.vars.get(&from), usage.get_mut(&from)) else {
+                continue;
+            };
+            match regroup_column(ctx, pv, &u.cols) {
+                Some(col) => {
+                    if !u.cols.contains(&col) {
+                        u.cols.push(col.clone());
+                    }
+                    regrouped.push((to, col));
+                }
+                None => u.whole = true,
+            }
+        }
         // materialize the SqlFor clause
         let sql_for = build_sql_for(ctx, &mut region, &usage);
         let Some((sql_for, rewrites)) = sql_for else {
@@ -406,7 +423,6 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
                 kept.push(c);
             }
         }
-        if consumed.contains(&(clauses.len())) { /* unreachable */ }
         *clauses = kept;
         // rewrite downstream references
         for c in clauses.iter_mut().skip(i + 1) {
@@ -415,12 +431,19 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
         rewrite_refs(ret, &rewrites);
         // group-by bindings that regroup a whole pushed row need the row
         // value as a variable: bind a reconstruction let after the SqlFor
-        // (it is dropped as dead code if grouping pushes fully)
+        // (when the group then pushes to SQL, the let is left unread and
+        // dropped as dead code); a counted partition regroups its
+        // column's field variable instead
         let mut row_lets: Vec<Clause> = Vec::new();
         for c in clauses.iter_mut().skip(i + 1) {
             if let Clause::GroupBy { bindings, .. } = c {
-                for (from, _) in bindings.iter_mut() {
+                for (from, to) in bindings.iter_mut() {
                     if let Some(rw) = rewrites.iter().find(|r| &r.var == from) {
+                        if let Some((_, col)) = regrouped.iter().find(|(t, _)| t == to) {
+                            let field = rw.fields.iter().find(|f| &f.0 == col);
+                            *from = field.expect("a regrouped column is fetched").1.clone();
+                            continue;
+                        }
                         let row_var = ctx.fresh(&format!("{}_row", rw.var));
                         row_lets.push(Clause::Let {
                             var: row_var.clone(),
@@ -499,7 +522,104 @@ struct ColumnUsage {
     whole: bool,
 }
 
-fn collect_usage_clause(c: &Clause, usage: &mut HashMap<String, ColumnUsage>) {
+/// The `(from, to)` bindings of the `group` clauses in `tail` that
+/// regroup a variable of `region` into a partition whose cardinality is
+/// all that is read downstream. A group whose keys are all columns of
+/// the region is left out: `push_trailing_group_by` pushes it with
+/// `COUNT(*)` when it ends the FLWOR (Table 1(e)), and its plan stays as
+/// it is. Allocates nothing when no `group` clause follows the region.
+fn counted_partitions(region: &Region, tail: &[Clause], ret: &CExpr) -> Vec<(String, String)> {
+    let mut counted = Vec::new();
+    for (g, c) in tail.iter().enumerate() {
+        let Clause::GroupBy { bindings, keys, .. } = c else {
+            continue;
+        };
+        if keys.iter().all(|(k, _)| col_expr(region, k).is_some()) {
+            continue;
+        }
+        for (from, to) in bindings {
+            if region.vars.contains_key(from)
+                && tail[g + 1..].iter().all(|c| clause_only_counted(c, to))
+                && only_counted(ret, to)
+            {
+                counted.push((from.clone(), to.clone()));
+            }
+        }
+    }
+    counted
+}
+
+/// Is every use of `var` in `e` the sole argument of `fn:count`,
+/// `fn:exists` or `fn:empty`?
+fn only_counted(e: &CExpr, var: &str) -> bool {
+    match &e.kind {
+        CKind::Builtin {
+            op: Builtin::Count | Builtin::Exists | Builtin::Empty,
+            args,
+        } if matches!(args.as_slice(), [a] if matches!(&a.kind, CKind::Var { name, .. } if name == var)) => {
+            true
+        }
+        CKind::Var { name, .. } => name != var,
+        CKind::Flwor { clauses, ret } => {
+            clauses.iter().all(|c| clause_only_counted(c, var)) && only_counted(ret, var)
+        }
+        _ => {
+            let mut only = true;
+            e.for_each_child(&mut |c| only = only && only_counted(c, var));
+            only
+        }
+    }
+}
+
+/// [`only_counted`] for a clause, whose `group` bindings name the
+/// variables they regroup.
+fn clause_only_counted(c: &Clause, var: &str) -> bool {
+    match c {
+        Clause::For { source: e, .. } | Clause::Let { value: e, .. } | Clause::Where(e) => {
+            only_counted(e, var)
+        }
+        Clause::GroupBy {
+            keys,
+            bindings,
+            carry,
+            ..
+        } => {
+            keys.iter().all(|(k, _)| only_counted(k, var))
+                && !bindings.iter().chain(carry).any(|(from, _)| from == var)
+        }
+        Clause::OrderBy(specs) => specs.iter().all(|s| only_counted(&s.expr, var)),
+        Clause::SqlFor { params, ppk, .. } => params
+            .iter()
+            .chain(ppk.iter().flat_map(|p| &p.outer_keys))
+            .all(|e| only_counted(e, var)),
+    }
+}
+
+/// The column a counted partition of `pv` regroups. It is never NULL,
+/// so it has exactly one value per tuple and every count stays the
+/// same. A column `read` already fetches comes first, then the primary
+/// key; `None` when every column is nullable.
+fn regroup_column(ctx: &Context<'_>, pv: &PushedVar, read: &[String]) -> Option<String> {
+    let names = || pv.columns.iter().map(|(c, _, _)| c);
+    if ctx.options.mutation == Some(crate::compile::Mutation::RegroupNullableColumn) {
+        let nullable = |c: &&String| matches!(pv.column(c), Some((_, _, true)));
+        if let Some(c) = names().find(nullable) {
+            return Some(c.clone());
+        }
+    }
+    let never_null = |c: &&String| matches!(pv.column(c), Some((_, _, false)));
+    read.iter()
+        .chain(&pv.primary_key)
+        .chain(names())
+        .find(never_null)
+        .cloned()
+}
+
+fn collect_usage_clause(
+    c: &Clause,
+    counted: &[(String, String)],
+    usage: &mut HashMap<String, ColumnUsage>,
+) {
     match c {
         Clause::For { source, .. } => collect_usage(source, usage),
         Clause::Let { value, .. } => collect_usage(value, usage),
@@ -513,7 +633,10 @@ fn collect_usage_clause(c: &Clause, usage: &mut HashMap<String, ColumnUsage>) {
             for (k, _) in keys {
                 collect_usage(k, usage);
             }
-            for (from, _) in bindings.iter().chain(carry.iter()) {
+            for (from, to) in bindings.iter().chain(carry.iter()) {
+                if counted.iter().any(|(_, t)| t == to) {
+                    continue;
+                }
                 if let Some(u) = usage.get_mut(from) {
                     u.whole = true;
                 }
@@ -1239,7 +1362,6 @@ fn hoist_dependent_joins(
         }
         drain_pending_insertions(clauses);
         if !hoisted {
-            clear_marker(ret, &path_marker);
             break;
         }
     }
@@ -1330,11 +1452,6 @@ fn replace_marked(e: &mut CExpr, marker: &crate::ir::Span, replacement: &CExpr) 
         }
     });
     done
-}
-
-fn clear_marker(_e: &mut CExpr, _marker: &crate::ir::Span) {
-    // nothing to clear — the search is deterministic, so a failed hoist
-    // simply terminates the loop (see caller)
 }
 
 /// Same-connection merge: extend the outer select with a LEFT OUTER JOIN

@@ -1029,6 +1029,13 @@ impl PlanCache {
         self.state.lock().shapes.insert(shape, None);
     }
 
+    /// Forget every plan, in the text front and the shape map alike.
+    fn clear(&self) {
+        let mut st = self.state.lock();
+        st.texts.entries.clear();
+        st.shapes.entries.clear();
+    }
+
     fn stats(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.hits, st.misses)
@@ -1063,10 +1070,15 @@ pub type UpdateOverride =
 impl AldspServer {
     /// Deploy a data-service module (XQuery function declarations);
     /// functions are partially optimized and cached for reuse (§4.2).
+    /// A successful deploy drops every cached query plan, since any of
+    /// them may have unfolded a function it replaces.
     pub fn deploy(&self, source: &str) -> Result<Vec<QName>, ServerError> {
-        self.compiler
+        let deployed = self
+            .compiler
             .deploy_module(source)
-            .map_err(ServerError::Compile)
+            .map_err(ServerError::Compile)?;
+        self.plan_cache.clear();
+        Ok(deployed)
     }
 
     /// Execute a [`QueryRequest`] — the one entry point for ad-hoc

@@ -6,7 +6,9 @@
 //! cross-source equality joins, pushable comparison predicates,
 //! inverse-function (transformed-value) predicates, existential
 //! semi-joins, order-by with mixed directions, single-block grouping
-//! with aggregates, and conditional / nested construction in return
+//! with aggregates (by a column, which can push to SQL, or by a
+//! `fn:substring` of a string column, which cannot, so the group runs
+//! in the middleware), and conditional / nested construction in return
 //! clauses.
 //!
 //! Every generated query is **order-total by construction**: queries
@@ -168,6 +170,10 @@ pub enum Tail {
     GroupBy {
         /// Group key column (non-nullable).
         column: String,
+        /// Group by `fn:substring($v0/COL, 1, 4)` of a string column
+        /// instead: a key SQL cannot compute, so the group runs in the
+        /// middleware.
+        substring: bool,
         /// Optionally also `sum()` this non-nullable integer column.
         agg_sum: Option<String>,
     },
@@ -467,13 +473,16 @@ pub fn generate(model: &CatalogModel, seed: u64) -> GenQuery {
                 let t = model.table(f.source, &f.table);
                 let keys = key_columns(t);
                 let sums = sum_columns(t);
+                let key = pick(rng, &keys);
+                let agg_sum = if !sums.is_empty() && rng.gen_bool(0.5) {
+                    Some(pick(rng, &sums).name.clone())
+                } else {
+                    None
+                };
                 Tail::GroupBy {
-                    column: pick(rng, &keys).name.clone(),
-                    agg_sum: if !sums.is_empty() && rng.gen_bool(0.5) {
-                        Some(pick(rng, &sums).name.clone())
-                    } else {
-                        None
-                    },
+                    column: key.name.clone(),
+                    substring: key.ty == ColTy::Str && rng.gen_bool(0.5),
+                    agg_sum,
                 }
             }
             r if r < 65 => order_by(rng, model, &fors),
@@ -649,8 +658,17 @@ impl GenQuery {
                     .collect();
                 q.push_str(&format!("order by {}\n", ks.join(", ")));
             }
-            Tail::GroupBy { column, agg_sum } => {
-                q.push_str(&format!("group $v0 as $p by $v0/{column} as $k\n"));
+            Tail::GroupBy {
+                column,
+                substring,
+                agg_sum,
+            } => {
+                let key = if *substring {
+                    format!("fn:substring($v0/{column}, 1, 4)")
+                } else {
+                    format!("$v0/{column}")
+                };
+                q.push_str(&format!("group $v0 as $p by {key} as $k\n"));
                 q.push_str("order by $k\n");
                 let mut body = String::from("<g><k>{ $k }</k><c>{ count($p) }</c>");
                 if let Some(s) = agg_sum {

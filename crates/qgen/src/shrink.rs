@@ -88,10 +88,12 @@ fn candidates(model: &CatalogModel, q: &GenQuery) -> Vec<GenQuery> {
         Tail::GroupBy {
             agg_sum: Some(_),
             column,
+            substring,
         } => {
             let mut c = q.clone();
             c.tail = Tail::GroupBy {
                 column: column.clone(),
+                substring: *substring,
                 agg_sum: None,
             };
             out.push(c);

@@ -301,6 +301,24 @@ fn planted_rewrite_bug_caught_within_100_seeds() {
     panic!("mutation smoke test: DropPushedPredicate survived 100 seeds undetected");
 }
 
+/// A second planted bug, in the middleware group's usage analysis: a
+/// partition that is only counted regroups a nullable column, so tuples
+/// whose value is NULL drop out of `fn:count`. The generator's
+/// `fn:substring` group keys must expose it within 100 seeds.
+#[test]
+fn planted_count_only_regroup_bug_caught_within_100_seeds() {
+    let model = model();
+    let honest = world(WORLD_N).server;
+    let mutant = world_tuned(WORLD_N, |b| b.mutation(Mutation::RegroupNullableColumn)).server;
+    for seed in 0..100 {
+        let text = generate(&model, seed).render(&model);
+        if run(&honest, &text) != run(&mutant, &text) {
+            return; // caught
+        }
+    }
+    panic!("mutation smoke test: RegroupNullableColumn survived 100 seeds undetected");
+}
+
 // ---- fault injection --------------------------------------------------------
 
 /// Seeded fault schedules (transient errors, latency spikes under

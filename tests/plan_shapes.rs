@@ -41,6 +41,32 @@ fn compiled(server: &AldspServer) -> u64 {
     server.compiler().stats().queries_compiled
 }
 
+/// A redeploy drops every cached plan: a text run before it, and a new
+/// text of a shape compiled before it, both answer the new body.
+#[test]
+fn redeploy_serves_the_new_body_not_a_cached_plan() {
+    let w = world(12);
+    let module = |col: &str| {
+        format!(
+            "{PROLOG}
+             declare namespace t = \"urn:t\";
+             declare function t:f() as element(X)* {{
+               for $c in c:CUSTOMER() where $c/CID eq \"C0003\"
+               return <X><V>{{fn:data($c/{col})}}</V></X>
+             }};"
+        )
+    };
+    let call = "declare namespace t = \"urn:t\"; t:f()";
+    let filtered = |v: &str| format!("declare namespace t = \"urn:t\"; t:f()[V ne \"{v}\"]");
+    w.server.deploy(&module("CID")).expect("deploys");
+    assert_eq!(run(&w.server, call), "<X><V>C0003</V></X>");
+    assert_eq!(run(&w.server, &filtered("a")), "<X><V>C0003</V></X>");
+    w.server.deploy(&module("LAST_NAME")).expect("redeploys");
+    // the exact-text front, then the shape map behind it
+    assert_eq!(run(&w.server, call), "<X><V>Jones</V></X>");
+    assert_eq!(run(&w.server, &filtered("b")), "<X><V>Jones</V></X>");
+}
+
 #[test]
 fn texts_that_differ_in_lifted_literals_share_one_plan() {
     let w = world(12);
