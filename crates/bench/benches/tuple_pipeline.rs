@@ -9,8 +9,9 @@
 //! variable-resolution cost of the tuple representation dominates.
 //! Cases run at 10k and 100k source rows; `BENCH_PR6.json` records the
 //! medians via `scripts/bench_json.sh` (`BENCH_PR4.json` holds the
-//! pre-VM baseline). Two further 100k cases isolate the expression
-//! VM's hot paths: a predicate-heavy scan and a computed-key sort.
+//! baseline before the since-removed expression VM). Two further 100k
+//! cases isolate the scalar evaluator's hot paths: a predicate-heavy
+//! scan and a computed-key sort.
 
 use aldsp::security::Principal;
 use aldsp::{ExecutionOptions, PushdownLevel};
@@ -59,9 +60,9 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // expression-VM hot paths in isolation: pushdown stays off so the
-    // predicates and sort keys run in the middleware (compiled to
-    // bytecode programs), not at the source
+    // scalar-evaluator hot paths in isolation: pushdown stays off so
+    // the predicates and sort keys run in the middleware, not at the
+    // source
     let world = build_world_tuned(
         WorldSize {
             customers: 100_000 / ORDERS_PER_CUSTOMER,

@@ -101,10 +101,6 @@ pub struct Options {
     /// flight on background threads while the local join consumes the
     /// current block, overlapping source latency with local work.
     pub ppk_prefetch_depth: usize,
-    /// Lower scalar expression subtrees to bytecode programs for the
-    /// runtime's expression VM (differential-testing knob; on in every
-    /// real configuration).
-    pub vm: bool,
     /// Middleware join-method selection for the join-planning pass:
     /// cost-based by default, with forced levels for the differential
     /// harness (every level returns byte-identical results).
@@ -121,7 +117,6 @@ impl Default for Options {
             ppk_block_size: 20,
             ppk_local_method: crate::ir::LocalJoinMethod::IndexNestedLoop,
             ppk_prefetch_depth: 1,
-            vm: true,
             join_strategy: crate::joins::JoinStrategy::default(),
         }
     }
@@ -144,10 +139,6 @@ pub struct CompiledQuery {
     pub pushdown: PushdownLevel,
     /// Diagnostics gathered during compilation (empty in fail-fast mode).
     pub diagnostics: Vec<Diagnostic>,
-    /// Bytecode programs for the plan's scalar subtrees, keyed by root
-    /// `node_id` (empty when compiled with `vm: false`). Shared so each
-    /// execution references the compiled code without copying it.
-    pub programs: Arc<crate::program::ProgramSet>,
     /// Middleware join decisions (hash-join bulk fetches with
     /// build-side choice), keyed by `(flwor node_id, clause index)`.
     /// Shared so each execution references the plan without copying the
@@ -416,7 +407,7 @@ impl Compiler {
     /// rules to fixpoint) → re-infer types → **predicate placement**
     /// (global duplicate elimination and contradiction pruning) →
     /// **SQL pushdown** → query-constant parameters recorded → frame
-    /// layout → node ids → bytecode lowering → **join planning** over
+    /// layout → node ids → **join planning** over
     /// the final shape. Debug builds assert each rewriting pass is
     /// idempotent (re-running it is a no-op), which is what lets them
     /// run once instead of inside one shared fixpoint.
@@ -456,12 +447,7 @@ impl Compiler {
         // slots are derived from the final plan: every rewrite above is
         // name-based and slot-agnostic
         let frame = frames::layout(&mut plan, &external_vars);
-        let node_count = plan.assign_node_ids();
-        let programs = if ctx.options.vm {
-            crate::program::lower_plan(&plan, node_count)
-        } else {
-            crate::program::ProgramSet::default()
-        };
+        plan.assign_node_ids();
         // join planning is a property of the final plan shape and needs
         // the node ids assigned just above
         let joins = crate::joins::analyze(&ctx, &plan);
@@ -476,7 +462,6 @@ impl Compiler {
             frame: Arc::new(frame),
             pushdown: self.options.pushdown,
             diagnostics: diags,
-            programs: Arc::new(programs),
             joins: Arc::new(joins),
         }))
     }

@@ -76,7 +76,7 @@ pub const LIFTED_PREFIX: &str = "?";
 pub struct Context<'r> {
     /// Source metadata (physical functions, schemas).
     pub registry: &'r Registry,
-    /// The compiler's knobs (mode, dialects, PP-k, pushdown level, VM,
+    /// The compiler's knobs (mode, dialects, PP-k, pushdown level,
     /// join strategy): declared and defaulted once, in [`Options`].
     pub options: &'r Options,
     /// Collected diagnostics.

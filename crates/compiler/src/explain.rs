@@ -40,12 +40,6 @@ pub struct ExplainContext<'a> {
     /// `-- pushdown:` header so the differential oracle — and a human
     /// reading the plan — can confirm which path produced a result.
     pub pushdown: crate::compile::PushdownLevel,
-    /// The plan's compiled expression programs (from
-    /// [`crate::CompiledQuery::programs`]): rendered as a `-- vm:`
-    /// header plus a `-- program:` disassembly under each covered
-    /// subtree root, so lowering-coverage regressions are visible in
-    /// review. `None` leaves the plan text unchanged.
-    pub programs: Option<&'a crate::program::ProgramSet>,
     /// The plan's middleware-join decisions (from
     /// [`crate::CompiledQuery::joins`]): rendered as a `-- join:` header
     /// listing, per marked join, the chosen strategy, estimated build /
@@ -89,9 +83,6 @@ pub fn explain_plan(plan: &CExpr, ctx: &ExplainContext<'_>) -> String {
     if let Some(m) = &ctx.matview {
         let _ = writeln!(out, "-- matview: {m}");
     }
-    if let Some(p) = ctx.programs {
-        let _ = writeln!(out, "-- vm: {p}");
-    }
     if let Some(j) = ctx.joins {
         let _ = writeln!(out, "-- join: {j}");
     }
@@ -115,25 +106,6 @@ fn indent(out: &mut String, depth: usize) {
 }
 
 fn render_expr(e: &CExpr, ctx: &ExplainContext<'_>, depth: usize, out: &mut String) {
-    render_expr_node(e, ctx, depth, out);
-    // A compiled subtree root gets its disassembly right under the
-    // subtree it replaces at execution time.
-    if let Some(prog) = ctx.programs.and_then(|p| p.lookup(e.node_id)) {
-        indent(out, depth + 1);
-        let _ = writeln!(
-            out,
-            "-- program: ops={} stack={}",
-            prog.ops.len(),
-            prog.max_stack
-        );
-        for (i, op) in prog.ops.iter().enumerate() {
-            indent(out, depth + 1);
-            let _ = writeln!(out, "--   {i}: {}", prog.render_op(op));
-        }
-    }
-}
-
-fn render_expr_node(e: &CExpr, ctx: &ExplainContext<'_>, depth: usize, out: &mut String) {
     indent(out, depth);
     let _ = write!(out, "#{} ", e.node_id);
     match &e.kind {

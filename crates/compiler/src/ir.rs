@@ -584,21 +584,19 @@ impl CExpr {
         }
     }
 
-    /// Number every node pre-order starting at 1 (0 stays "unassigned")
-    /// and return the count assigned. Run once on the finished plan; the
+    /// Number every node pre-order starting at 1 (0 stays "unassigned").
+    /// Run once on the finished plan; the
     /// ids are stable for the life of the [`crate::CompiledQuery`] and
     /// key both EXPLAIN lines and runtime trace records. Clauses have no
     /// id of their own: they are addressed as
     /// `(owning Flwor node_id, clause index)`.
-    pub fn assign_node_ids(&mut self) -> u32 {
+    pub fn assign_node_ids(&mut self) {
         fn go(e: &mut CExpr, next: &mut u32) {
             e.node_id = *next;
             *next += 1;
             e.for_each_child_mut(&mut |c| go(c, next));
         }
-        let mut next = 1u32;
-        go(self, &mut next);
-        next - 1
+        go(self, &mut 1);
     }
 
     /// The free variables of this expression.

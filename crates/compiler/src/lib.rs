@@ -20,7 +20,6 @@ pub mod explain;
 pub mod frames;
 pub mod ir;
 pub mod joins;
-pub mod program;
 pub mod rules;
 pub mod sqlgen;
 pub mod translate;
@@ -34,7 +33,6 @@ pub use explain::{explain_plan, ExplainContext, PlanShape};
 pub use frames::FrameLayout;
 pub use ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec, NO_SLOT};
 pub use joins::{JoinMark, JoinPlan, JoinStrategy};
-pub use program::{Op, Program, ProgramSet};
 
 use aldsp_relational::Select;
 
@@ -795,7 +793,6 @@ mod param_neutral_tests {
                 governor: None,
                 matview: None,
                 pushdown: q.pushdown,
-                programs: None,
                 joins: Some(&q.joins),
                 shape: None,
             },

@@ -293,7 +293,6 @@ pub struct ServerBuilder {
     admission: GovernorConfig,
     default_memory_budget: Option<u64>,
     source_concurrency_cap: usize,
-    vm: bool,
     materialized: Vec<(QName, MatViewPolicy)>,
 }
 
@@ -319,7 +318,6 @@ impl ServerBuilder {
             admission: GovernorConfig::default(),
             default_memory_budget: None,
             source_concurrency_cap: 0,
-            vm: true,
             materialized: Vec::new(),
         }
     }
@@ -344,13 +342,12 @@ impl ServerBuilder {
         self
     }
 
-    /// Toggle the expression VM (on by default): compile scalar
-    /// expression subtrees to bytecode programs executed by
-    /// [`aldsp_runtime::ExprVM`] instead of the tree-walker. Turning it
-    /// off forces pure tree-walking everywhere — same results, useful
-    /// as a differential oracle and for isolating regressions.
-    pub fn vm(mut self, on: bool) -> Self {
-        self.vm = on;
+    /// Accepted and ignored: the tree-walker is the one scalar
+    /// evaluator (the bytecode expression VM this toggled is gone,
+    /// DESIGN.md §4b). Kept only because `crates/benchmark` still calls
+    /// it (ROADMAP item 15 hands its removal to the next `[benchmark]`
+    /// PR).
+    pub fn vm(self, _on: bool) -> Self {
         self
     }
 
@@ -561,7 +558,6 @@ impl ServerBuilder {
             ppk_block_size: self.ppk_block_size,
             ppk_local_method: self.ppk_local_method,
             ppk_prefetch_depth: self.execution.ppk_prefetch_depth,
-            vm: self.vm,
             join_strategy: self.execution.join_strategy,
         };
         let mut compiler = Compiler::new(metadata.clone(), options);
@@ -1686,7 +1682,6 @@ impl AldspServer {
             governor,
             matview,
             pushdown: plan.pushdown,
-            programs: Some(&plan.programs),
             joins: Some(&plan.joins),
             shape: match &planned.literals {
                 Literals::Call => None,
@@ -1836,7 +1831,6 @@ mod plan_cache_tests {
                 frame: Arc::new(Default::default()),
                 pushdown: Default::default(),
                 diagnostics: vec![],
-                programs: Arc::new(Default::default()),
                 joins: Arc::new(Default::default()),
             }),
             literals: Literals::Call,

@@ -53,57 +53,40 @@ pub struct CellSpec {
     /// the answer is exactly the kind of bug the oracle exists to
     /// catch.
     pub memory_budget: Option<u64>,
-    /// Run compiled expression subtrees on the bytecode VM (`true`) or
-    /// force the pure tree-walker (`false`). The reference cell keeps
-    /// the walker so every VM cell is checked against uncompiled
-    /// evaluation.
-    pub vm: bool,
     /// Middleware join-method selection for the join planner
     /// ([`JoinStrategy::Auto`] = cost-based; forced levels pin every
     /// strategy's output to the naive reference).
     pub join_strategy: JoinStrategy,
 }
 
-/// The default 12-cell matrix from the roadmap: pushdown {off, joins,
-/// full} × representative prefetch/streaming/budget/VM settings, and
-/// the forced join-strategy axis. Cell 0 is the naive reference: no
-/// pushdown *and* no expression VM, so every other cell's bytecode
-/// programs are differentially checked against pure tree-walking.
+/// The default 11-cell matrix from the roadmap: pushdown {off, joins,
+/// full} × representative prefetch/streaming/budget settings, and the
+/// forced join-strategy axis. Cell 0 is the naive reference: no
+/// pushdown, no prefetch, no streaming.
 pub fn default_matrix() -> Vec<CellSpec> {
-    let cell = |name, pushdown, prefetch_depth, streaming, memory_budget, vm, join| CellSpec {
+    let cell = |name, pushdown, prefetch_depth, streaming, memory_budget, join| CellSpec {
         name,
         pushdown,
         prefetch_depth,
         streaming,
         memory_budget,
-        vm,
         join_strategy: join,
     };
     let auto = JoinStrategy::Auto;
     vec![
-        cell("off", PushdownLevel::Off, 0, false, None, false, auto),
-        cell("off+vm", PushdownLevel::Off, 0, false, None, true, auto),
-        cell("off+stream", PushdownLevel::Off, 0, true, None, true, auto),
-        cell("joins", PushdownLevel::Joins, 0, false, None, true, auto),
-        cell("joins+pp2", PushdownLevel::Joins, 2, true, None, true, auto),
-        cell("full", PushdownLevel::Full, 0, false, None, true, auto),
-        cell("full+pp2", PushdownLevel::Full, 2, false, None, true, auto),
-        cell(
-            "full+stream",
-            PushdownLevel::Full,
-            2,
-            true,
-            None,
-            true,
-            auto,
-        ),
+        cell("off", PushdownLevel::Off, 0, false, None, auto),
+        cell("off+stream", PushdownLevel::Off, 0, true, None, auto),
+        cell("joins", PushdownLevel::Joins, 0, false, None, auto),
+        cell("joins+pp2", PushdownLevel::Joins, 2, true, None, auto),
+        cell("full", PushdownLevel::Full, 0, false, None, auto),
+        cell("full+pp2", PushdownLevel::Full, 2, false, None, auto),
+        cell("full+stream", PushdownLevel::Full, 2, true, None, auto),
         cell(
             "full+budget",
             PushdownLevel::Full,
             0,
             false,
             Some(64 << 20),
-            true,
             auto,
         ),
         // the join-strategy axis: every middleware join method must be
@@ -114,7 +97,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             0,
             false,
             None,
-            true,
             JoinStrategy::Hash,
         ),
         cell(
@@ -123,7 +105,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             0,
             false,
             None,
-            true,
             JoinStrategy::NestedLoop,
         ),
         cell(
@@ -132,7 +113,6 @@ pub fn default_matrix() -> Vec<CellSpec> {
             2,
             false,
             None,
-            true,
             JoinStrategy::Hash,
         ),
     ]
@@ -320,7 +300,6 @@ impl Oracle {
                 governor: None,
                 matview: None,
                 pushdown: plan.pushdown,
-                programs: None,
                 joins: None,
                 shape: None,
             },

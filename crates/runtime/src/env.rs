@@ -14,7 +14,7 @@
 //! inline with **zero** heap allocation; only genuine multi-item
 //! sequences go behind an `Arc`.
 
-use crate::vm::Val;
+use crate::val::Val;
 use aldsp_xdm::item::{Item, Sequence};
 use std::sync::Arc;
 

@@ -19,12 +19,11 @@ use crate::cache::FunctionCache;
 use crate::env::Env;
 use crate::stats::ExecStats;
 use crate::trace::{NodeTrace, TraceCollector, TraceKey, TraceLevel};
-use crate::vm::{atomize_first_val, single_integer_val, ExprVM, Val};
+use crate::val::{atomize_first_val, single_integer_val, Val};
 use aldsp_adaptors::{AdaptorError, AdaptorRegistry};
 use aldsp_compiler::frames::FrameLayout;
 use aldsp_compiler::ir::{Builtin, CExpr, CKind, Clause, LocalJoinMethod, OrderSpec, PpkSpec};
 use aldsp_compiler::joins::{JoinMark, JoinPlan};
-use aldsp_compiler::program::{Program, ProgramSet};
 use aldsp_compiler::CompiledQuery;
 use aldsp_metadata::Registry;
 use aldsp_relational::{ppk_block_predicate, ResultSet, Select, SqlType, SqlValue};
@@ -123,10 +122,6 @@ pub struct ExecCtx {
     /// frame slots once, when a pipeline is constructed — never per
     /// tuple.
     pub frame: Arc<FrameLayout>,
-    /// The executing plan's compiled expression programs, keyed by
-    /// subtree-root `node_id` (empty when the plan was compiled with
-    /// the VM disabled).
-    pub programs: Arc<ProgramSet>,
     /// The executing plan's middleware-join decisions (empty when the
     /// plan predates the join-planning pass or was built by hand; every
     /// unmarked `SqlFor` runs as a nested-loop probe).
@@ -138,16 +133,14 @@ pub struct ExecCtx {
 
 impl ExecCtx {
     /// The per-execution context for running `plan` under `req`: the
-    /// plan's frame layout, programs and join decisions, plus the
-    /// request's trace sink and budget. The plan's fallback-subtree
-    /// count is a static property, so it is recorded here once per
-    /// execution rather than re-counted while running.
+    /// plan's frame layout and join decisions, plus the request's trace
+    /// sink and budget.
     pub fn for_plan(
         rt: Arc<RuntimeInner>,
         plan: &CompiledQuery,
         req: &crate::ExecRequest<'_>,
     ) -> ExecCtx {
-        let cx = ExecCtx {
+        ExecCtx {
             rt,
             local: Arc::new(ExecStats::default()),
             trace: match req.trace {
@@ -156,18 +149,10 @@ impl ExecCtx {
             },
             budget: req.budget.clone(),
             frame: Arc::clone(&plan.frame),
-            programs: Arc::clone(&plan.programs),
             joins: Arc::clone(&plan.joins),
             // a wider tuple frame holds more state per buffered row
             tuple_mem: TUPLE_MEM_BYTES + 8 * u64::from(plan.frame.width()),
-        };
-        if plan.programs.fallback_subtrees > 0 {
-            cx.add(
-                |s| &s.vm_fallback_subtrees,
-                u64::from(plan.programs.fallback_subtrees),
-            );
         }
-        cx
     }
 
     /// Resolve a clause binder to its frame slot. Binders always have a
@@ -241,110 +226,13 @@ impl ExecCtx {
 
 type TupleIter<'a> = Box<dyn Iterator<Item = RtResult<Env>> + 'a>;
 
-/// The one spelling of the unbound-variable plan error, for the
-/// walker's `Var` arm and the VM's `var` op alike.
-pub(crate) fn unbound_variable(name: &str) -> RtError {
+fn unbound_variable(name: &str) -> RtError {
     RtError::Plan(format!("unbound variable ${name}"))
 }
 
-/// `fn:data` is idempotent, so `data(data(x))` ≡ `data(x)`: helpers that
-/// atomize their operand anyway can skip interposed `Data` nodes (and
-/// their per-call result vectors) entirely.
-fn skip_data(mut e: &CExpr) -> &CExpr {
-    while let CKind::Data(inner) = &e.kind {
-        e = inner;
-    }
-    e
-}
-
-std::thread_local! {
-    /// The generic `eval` probe's VM. Program ops never re-enter
-    /// `eval` (uncovered shapes are not lowered), so the borrow is
-    /// never already held when a probe fires.
-    static PROBE_VM: std::cell::RefCell<ExprVM> = std::cell::RefCell::new(ExprVM::new());
-}
-
-/// Run a compiled program from the generic `eval` probe. Hot clause
-/// sites (where/let/keys) own their VM and batch their op counts; this
-/// path serves the long tail (return expressions, SQL parameters,
-/// quantifier bodies), so a per-call stats flush is acceptable.
-fn run_probe(cx: &ExecCtx, prog: &Program, env: &Env) -> RtResult<Val> {
-    PROBE_VM.with(|vm| {
-        let mut ops = 0u64;
-        let r = vm.borrow_mut().run(prog, env, &mut ops);
-        cx.add(|s| &s.vm_ops_executed, ops);
-        r
-    })
-}
-
-/// One scalar expression a clause evaluates per tuple — a `let` value,
-/// a `where` condition, an order or group key: the expression, its
-/// compiled program when lowering covered it, and the clause-owned VM
-/// (reusable stack, executed-op count and, only when traced, VM wall
-/// time — both flushed once on drop, never per tuple). [`Self::eval`]
-/// is the only place a clause chooses between VM and walker.
-struct ScalarSite<'a> {
-    cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
-    expr: &'a CExpr,
-    prog: Option<Arc<Program>>,
-    vm: ExprVM,
-    ops: u64,
-    ns: u64,
-}
-
-impl<'a> ScalarSite<'a> {
-    fn new(cx: &'a ExecCtx, tkey: Option<TraceKey>, expr: &'a CExpr) -> ScalarSite<'a> {
-        ScalarSite {
-            cx,
-            tkey,
-            expr,
-            prog: cx.programs.lookup(expr.node_id).cloned(),
-            vm: ExprVM::new(),
-            ops: 0,
-            ns: 0,
-        }
-    }
-
-    /// The untraced compiled path pays a single `tkey.is_some()` branch
-    /// per run.
-    #[inline]
-    fn eval(&mut self, env: &Env) -> RtResult<Val> {
-        let Some(prog) = &self.prog else {
-            return eval(self.cx, self.expr, env);
-        };
-        if self.tkey.is_some() {
-            let t0 = std::time::Instant::now();
-            let r = self.vm.run(prog, env, &mut self.ops);
-            self.ns += t0.elapsed().as_nanos() as u64;
-            r
-        } else {
-            self.vm.run(prog, env, &mut self.ops)
-        }
-    }
-}
-
-impl Drop for ScalarSite<'_> {
-    fn drop(&mut self) {
-        if self.ops > 0 {
-            self.cx.add(|s| &s.vm_ops_executed, self.ops);
-        }
-        if self.ns > 0 {
-            self.cx.trace_record(
-                self.tkey,
-                NodeTrace {
-                    vm_ns: self.ns,
-                    ..Default::default()
-                },
-            );
-        }
-    }
-}
-
 /// A constant positional predicate (`$x[3]`) is a direct index: item
-/// `n` (1-based) or nothing. Shared by the tree-walker's `Filter` arm
-/// and the VM's `PickConst` op, so both paths are one code path.
-pub(crate) fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
+/// `n` (1-based) or nothing.
+fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
     usize::try_from(n)
         .ok()
         .filter(|&n| n >= 1)
@@ -354,11 +242,6 @@ pub(crate) fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
 
 /// Evaluate an expression to a sequence value.
 pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
-    // the compile-once/execute-many fast path: subtrees the program
-    // lowering covered run on the VM, everything else walks the tree
-    if let Some(prog) = cx.programs.lookup(e.node_id) {
-        return run_probe(cx, prog, env);
-    }
     match &e.kind {
         CKind::Const(v) => Ok(Val::One(Item::Atomic(v.clone()))),
         CKind::Var { name, slot } => env.slot_value(*slot).ok_or_else(|| unbound_variable(name)),
@@ -445,15 +328,32 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
         }
         CKind::Data(inner) => {
             let v = eval(cx, inner, env)?;
-            Ok(Val::of(
-                atomize(v.as_slice())
-                    .into_iter()
-                    .map(Item::Atomic)
-                    .collect(),
-            ))
+            Ok(match v.as_slice() {
+                // the pipeline's hot shape: one node, one typed value
+                [Item::Node(n)] => n
+                    .typed_value()
+                    .map_or(Val::Empty, |a| Val::One(Item::Atomic(a))),
+                // atomizing an all-atomic value is the value itself
+                s if s.iter().all(|i| matches!(i, Item::Atomic(_))) => v,
+                s => Val::of(atomize(s).into_iter().map(Item::Atomic).collect()),
+            })
         }
         CKind::ChildStep { input, name } => {
             let v = eval(cx, input, env)?;
+            // the pipeline's hot shape — one node, a named child that
+            // occurs 0 or 1 times — builds no vector
+            if let ([Item::Node(n)], Some(q)) = (v.as_slice(), name) {
+                let mut it = n.child_elements(q);
+                return Ok(match (it.next(), it.next()) {
+                    (None, _) => Val::Empty,
+                    (Some(first), None) => Val::One(Item::Node(first.clone())),
+                    (Some(first), Some(second)) => {
+                        let mut out = vec![Item::Node(first.clone()), Item::Node(second.clone())];
+                        out.extend(it.cloned().map(Item::Node));
+                        Val::Owned(out)
+                    }
+                });
+            }
             let mut out = Vec::new();
             for item in v.as_slice() {
                 if let Item::Node(n) = item {
@@ -500,8 +400,7 @@ pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
         } => {
             let v = eval(cx, input, env)?;
             // a constant positional predicate (`$x[3]`) is a direct
-            // index — no per-item context binding or predicate eval;
-            // same helper the VM's PickConst op lowers to
+            // index — no per-item context binding or predicate eval
             if *positional {
                 if let CKind::Const(c) = &predicate.kind {
                     if let Ok(AtomicValue::Integer(n)) = c.cast_to(AtomicType::Integer) {
@@ -609,10 +508,24 @@ fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Val> {
     };
     let mut out = Vec::new();
     if !parts.iter().any(is_async) {
+        // at most one non-empty part is passed on as it is; the items
+        // are copied into `out` only once a second one arrives
+        let mut only: Option<Val> = None;
         for p in parts {
-            eval(cx, p, env)?.append_to(&mut out);
+            let v = eval(cx, p, env)?;
+            if v.as_slice().is_empty() {
+                continue;
+            }
+            if out.is_empty() && only.is_none() {
+                only = Some(v);
+                continue;
+            }
+            if let Some(first) = only.take() {
+                first.append_to(&mut out);
+            }
+            v.append_to(&mut out);
         }
-        return Ok(Val::of(out));
+        return Ok(only.unwrap_or_else(|| Val::of(out)));
     }
     let mut slots: Vec<Option<RtResult<Val>>> = (0..parts.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -648,7 +561,7 @@ fn eval_sequence(cx: &ExecCtx, parts: &[CExpr], env: &Env) -> RtResult<Val> {
     Ok(Val::of(out))
 }
 
-pub(crate) fn descend(n: &NodeRef, out: &mut Vec<Item>) {
+fn descend(n: &NodeRef, out: &mut Vec<Item>) {
     for c in n.children() {
         if matches!(c.kind(), NodeKind::Element { .. }) {
             out.push(Item::Node(c.clone()));
@@ -775,8 +688,7 @@ fn eval_builtin(cx: &ExecCtx, op: Builtin, args: &[CExpr], env: &Env) -> RtResul
             }
         },
         B::Timeout => {
-            let millis =
-                single_number_arg(&eval(cx, skip_data(&args[1]), env)?)?.unwrap_or(0.0) as u64;
+            let millis = single_number_arg(&eval(cx, &args[1], env)?)?.unwrap_or(0.0) as u64;
             let (tx, rx) = std::sync::mpsc::channel();
             let prim = args[0].clone();
             let env2 = env.clone();
@@ -796,8 +708,7 @@ fn eval_builtin(cx: &ExecCtx, op: Builtin, args: &[CExpr], env: &Env) -> RtResul
             }
         }
         // every other builtin is strict: evaluate the arguments, then
-        // hand them to the same kernel the VM's `call` op uses, so the
-        // walker and compiled programs agree by construction
+        // apply the builtin to their values
         _ => {
             if args.len() <= 4 {
                 let mut buf = [Val::Empty, Val::Empty, Val::Empty, Val::Empty];
@@ -852,14 +763,10 @@ fn aggregate(op: Builtin, vals: &[AtomicValue]) -> RtResult<Val> {
     }
 }
 
-/// Apply a strict builtin to already-evaluated arguments.
-///
-/// This is the single kernel behind both the tree-walker
-/// ([`eval_builtin`]) and the expression VM's `call` op, so the two
-/// evaluation regimes cannot drift. Lazy builtins (`Async`, `FailOver`,
-/// `Timeout`) never reach here: the walker keeps dedicated arms for
-/// them and program lowering declines them.
-pub(crate) fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
+/// Apply a strict builtin to already-evaluated arguments. Lazy
+/// builtins (`Async`, `FailOver`, `Timeout`) never reach here:
+/// [`eval_builtin`] keeps dedicated arms for them.
+fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
     use Builtin as B;
     Ok(match op {
         B::Count => Val::One(Item::int(args[0].as_slice().len() as i64)),
@@ -1009,7 +916,7 @@ pub(crate) fn apply_builtin(op: Builtin, args: &[Val]) -> RtResult<Val> {
 
 /// A singleton string argument without forcing an owned `String`:
 /// borrows the payload when the argument is already a string-ish atomic
-/// (the common shape on the VM hot path, where a `data` op precedes the
+/// (the common shape on the hot path, where a `data` node precedes the
 /// call), keeps the `Arc` when a node's typed value is string-ish, and
 /// only otherwise falls back to the owned conversion. An empty argument
 /// reads as `""`, matching the `unwrap_or_default` the owned path used.
@@ -1045,8 +952,7 @@ fn str_arg(v: &Val) -> RtResult<StrArg<'_>> {
     }
 }
 
-/// Singleton string extraction from an evaluated argument (the slice
-/// twin of the walker's old expression-taking helper).
+/// Singleton string extraction from an evaluated argument.
 fn single_string_arg(v: &Val) -> RtResult<Option<String>> {
     match v.as_slice() {
         [] => Ok(None),
@@ -1308,25 +1214,21 @@ fn build_clause<'a>(
                 Ok(s) => s,
                 Err(e) => return one_err(e),
             };
-            let mut value = ScalarSite::new(cx, tkey, value);
             Box::new(input.map(move |tuple| {
                 let env = tuple?;
-                let v = value.eval(&env)?;
+                let v = eval(cx, value, &env)?;
                 Ok(env.bind_val_owned(slot, v))
             }))
         }
-        Clause::Where(cond) => {
-            let mut cond = ScalarSite::new(cx, tkey, cond);
-            Box::new(input.filter_map(move |tuple| {
-                tuple
-                    .and_then(|env| {
-                        let keep = effective_boolean_value(cond.eval(&env)?.as_slice())?;
-                        Ok(keep.then_some(env))
-                    })
-                    .transpose()
-            }))
-        }
-        Clause::OrderBy(specs) => order_by(cx, tkey, specs, input),
+        Clause::Where(cond) => Box::new(input.filter_map(move |tuple| {
+            tuple
+                .and_then(|env| {
+                    let keep = effective_boolean_value(eval(cx, cond, &env)?.as_slice())?;
+                    Ok(keep.then_some(env))
+                })
+                .transpose()
+        })),
+        Clause::OrderBy(specs) => order_by(cx, specs, input),
         Clause::GroupBy {
             bindings,
             keys,
@@ -1341,7 +1243,7 @@ fn build_clause<'a>(
                 cx.inc(|s| &s.streaming_groups);
                 Box::new(StreamingGroups {
                     cx,
-                    keys: key_sites(cx, tkey, keys),
+                    keys,
                     input,
                     slots,
                     base: flwor_base,
@@ -1349,7 +1251,7 @@ fn build_clause<'a>(
                     done: false,
                 })
             } else {
-                sorted_group_by(cx, tkey, &slots, keys, input, flwor_base)
+                sorted_group_by(cx, &slots, keys, input, flwor_base)
             }
         }
         Clause::SqlFor {
@@ -1476,16 +1378,7 @@ fn cmp_spec_keys(
 
 /// Materialize and stably sort the input. On error the charges made so
 /// far are released before returning.
-fn sort_partition(
-    cx: &ExecCtx,
-    tkey: Option<TraceKey>,
-    specs: &[OrderSpec],
-    input: TupleIter<'_>,
-) -> RtResult<SortedPart> {
-    let mut keys: Vec<ScalarSite<'_>> = specs
-        .iter()
-        .map(|s| ScalarSite::new(cx, tkey, &s.expr))
-        .collect();
+fn sort_partition(cx: &ExecCtx, specs: &[OrderSpec], input: TupleIter<'_>) -> RtResult<SortedPart> {
     let mut rows: Vec<(Vec<Option<AtomicValue>>, Env)> = Vec::new();
     let mut charged = 0u64;
     let fail = |cx: &ExecCtx, charged: u64, e: RtError| {
@@ -1503,8 +1396,8 @@ fn sort_partition(
         }
         charged += cx.tuple_mem;
         let mut key = Vec::with_capacity(specs.len());
-        for k in &mut keys {
-            match k.eval(&env) {
+        for k in specs {
+            match eval(cx, &k.expr, &env) {
                 Ok(v) => key.push(atomize_first_val(&v)),
                 Err(e) => return fail(cx, charged, e),
             }
@@ -1515,13 +1408,8 @@ fn sort_partition(
     Ok(SortedPart { rows, charged })
 }
 
-fn order_by<'a>(
-    cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
-    specs: &'a [OrderSpec],
-    input: TupleIter<'a>,
-) -> TupleIter<'a> {
-    match sort_partition(cx, tkey, specs, input) {
+fn order_by<'a>(cx: &'a ExecCtx, specs: &'a [OrderSpec], input: TupleIter<'a>) -> TupleIter<'a> {
+    match sort_partition(cx, specs, input) {
         Ok(part) => Box::new(Charged {
             cx,
             bytes: part.charged,
@@ -1597,18 +1485,6 @@ impl GroupSlots {
     }
 }
 
-/// One scalar site per grouping key, owned by the operator that
-/// evaluates them.
-fn key_sites<'a>(
-    cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
-    keys: &'a [(CExpr, String)],
-) -> Vec<ScalarSite<'a>> {
-    keys.iter()
-        .map(|(k, _)| ScalarSite::new(cx, tkey, k))
-        .collect()
-}
-
 /// The streaming group operator: "relies on input that is pre-clustered
 /// with respect to the grouping expressions. Its job is thus to simply
 /// form groups while watching for the grouping expressions to change."
@@ -1616,7 +1492,7 @@ fn key_sites<'a>(
 struct StreamingGroups<'a> {
     cx: &'a ExecCtx,
     input: TupleIter<'a>,
-    keys: Vec<ScalarSite<'a>>,
+    keys: &'a [(CExpr, String)],
     slots: GroupSlots,
     base: Env,
     current: Option<GroupAccum>,
@@ -1667,8 +1543,8 @@ impl Iterator for StreamingGroups<'_> {
                 Some(Ok(env)) => {
                     // evaluate the grouping keys on this tuple
                     let mut key = Vec::with_capacity(self.keys.len());
-                    for k in &mut self.keys {
-                        match k.eval(&env) {
+                    for (k, _) in self.keys {
+                        match eval(self.cx, k, &env) {
                             Ok(v) => key.push(atomize_first_val(&v)),
                             Err(e) => {
                                 self.done = true;
@@ -1796,14 +1672,13 @@ fn cmp_group_keys(nk: usize, keys: &[Option<AtomicValue>], a: usize, b: usize) -
 /// `base`, holding the memory charge until the stream is dropped.
 fn sorted_group_by<'a>(
     cx: &'a ExecCtx,
-    tkey: Option<TraceKey>,
     slots: &GroupSlots,
     keys: &'a [(CExpr, String)],
     input: TupleIter<'a>,
     base: Env,
 ) -> TupleIter<'a> {
     cx.inc(|s| &s.sorted_groups);
-    let part = match group_partition(cx, tkey, slots, keys, input) {
+    let part = match group_partition(cx, slots, keys, input) {
         Ok(p) => p,
         Err(e) => return one_err(e),
     };
@@ -1841,12 +1716,10 @@ fn sorted_group_by<'a>(
 /// far are released before returning.
 fn group_partition(
     cx: &ExecCtx,
-    tkey: Option<TraceKey>,
     slots: &GroupSlots,
     keys: &[(CExpr, String)],
     input: TupleIter<'_>,
 ) -> RtResult<GroupedPart> {
-    let mut keys = key_sites(cx, tkey, keys);
     // Incremental grouping instead of buffer-sort-scan: each row's key
     // is compared against the previous row's key first (clustered
     // inputs — the common shape from an ordered scan — group in O(1)
@@ -1885,8 +1758,8 @@ fn group_partition(
         rows += 1;
         // stage this row's key after the kept group keys…
         let staged = flat_keys.len() / nk;
-        for k in &mut keys {
-            match k.eval(&env) {
+        for (k, _) in keys {
+            match eval(cx, k, &env) {
                 Ok(v) => flat_keys.push(atomize_first_val(&v)),
                 Err(e) => return fail(cx, charged, e),
             }
@@ -2401,9 +2274,7 @@ impl PpkIter<'_> {
                 Some(Ok(env)) => {
                     let mut keys = Vec::with_capacity(self.spec.outer_keys.len());
                     for kexpr in &self.spec.outer_keys {
-                        // atomized below, so the `data` wrapper is skipped
-                        // and the inner expression goes through `eval`
-                        match eval(self.cx, skip_data(kexpr), &env) {
+                        match eval(self.cx, kexpr, &env) {
                             Ok(v) => keys.push(atomize_first_val(&v)),
                             Err(e) => {
                                 self.staging_err = Some(e);

@@ -16,14 +16,14 @@ pub mod env;
 pub mod eval;
 pub mod stats;
 pub mod trace;
-pub mod vm;
+pub mod val;
 
 pub use cache::FunctionCache;
 pub use env::{Env, EnvWriter};
 pub use eval::{ExecCtx, RtError, RtResult, RuntimeInner};
 pub use stats::{ExecStats, StatsSnapshot};
 pub use trace::{NodeTrace, QueryTrace, TraceCollector, TraceKey, TraceLevel};
-pub use vm::ExprVM;
+pub use val::Val;
 
 pub use aldsp_workload::{QueryBudget, WorkloadError};
 
@@ -129,7 +129,7 @@ impl Runtime {
         let mut delivered = 0u64;
         // where values leave the evaluator as plain items; `false` once
         // the sink asked to stop
-        let mut emit = |batch: vm::Val| match &mut req.sink {
+        let mut emit = |batch: Val| match &mut req.sink {
             Some(on_item) => batch.into_sequence().into_iter().all(|item| {
                 delivered += 1;
                 on_item(item)

@@ -88,12 +88,12 @@ counters! {
     permit_wait_ns,
     /// Peak bytes of budgeted operator memory held by any single query.
     peak_memory_bytes,
-    /// Bytecode ops executed by the expression VM (flushed from
-    /// per-operator local counters, not bumped per op).
+    /// Always zero: what it counted, ops of the bytecode expression VM,
+    /// is gone. Declared only because `crates/benchmark` still reads it
+    /// (ROADMAP item 15 hands its removal to the next `[benchmark]` PR).
     vm_ops_executed,
-    /// Subtree roots the program lowering declined, so the tree-walker
-    /// evaluated them (a static plan property, recorded once per
-    /// execution).
+    /// Always zero, like `vm_ops_executed`: it counted plan subtrees
+    /// the VM declined to the tree-walker, now the only evaluator.
     vm_fallback_subtrees,
     /// Always zero: what it counted, the intra-query worker pool, is
     /// gone. Declared only because `crates/benchmark` still reads it

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Differential query-correctness run (see DESIGN.md, "Differential
 # testing"). Generates N_SEEDS random FLWGOR queries and executes each
-# under the 12-cell optimizer/runtime config matrix (pushdown, PP-k
-# prefetch, streaming, budget, VM, forced join methods — every cell on
+# under the 11-cell optimizer/runtime config matrix (pushdown, PP-k
+# prefetch, streaming, budget, forced join methods — every cell on
 # one thread per query) plus seeded fault schedules, demanding
 # byte-identical results or typed errors. The
 # reference cell runs each text's literal plan; the `lifted` check

@@ -9,7 +9,7 @@ cargo fmt --all --check
 cargo clippy --all-targets -- -D warnings
 cargo build --release
 cargo test -q
-# 50-seed differential smoke: random FLWGOR queries under the 12-cell
+# 50-seed differential smoke: random FLWGOR queries under the 11-cell
 # pushdown/prefetch/streaming/budget/join-method matrix plus the wire
 # cell, which replays the same seeds through aldsp-client against a
 # loopback aldspd (nightly runs 2,000 seeds)

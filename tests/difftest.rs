@@ -86,7 +86,6 @@ fn build_cell(spec: &CellSpec) -> AldspServer {
                 .ppk_prefetch_depth(spec.prefetch_depth)
                 .join_strategy(spec.join_strategy),
         )
-        .vm(spec.vm)
     })
     .server
 }

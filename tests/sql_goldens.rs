@@ -149,7 +149,6 @@ const TABLE_1E: &str = r#"for $c in c:CUSTOMER()
            return <CUSTOMER>{ $l, count($p) }</CUSTOMER>"#;
 
 const TABLE_1E_EXPLAIN: &str = r#"-- pushdown: full
--- vm: programs=1 fallback-subtrees=2
 -- join: none
 -- shape: 0 literals lifted
 #1 FLWOR
@@ -163,11 +162,6 @@ const TABLE_1E_EXPLAIN: &str = r#"-- pushdown: full
         #4 Seq n=2
           #5 Var $l__2
           #6 Var $aggv__10
-        -- program: ops=4 stack=2
-        --   0: var slot=0 ($l__2)
-        --   1: var slot=1 ($aggv__10)
-        --   2: seq 2
-        --   3: seq 1
 "#;
 
 /// The group class of the `report_scan` workload: `fn:substring` is not
@@ -203,7 +197,6 @@ fn count_only_middleware_group_by() {
 }
 
 const COUNT_ONLY_GROUP_EXPLAIN: &str = r#"-- pushdown: full
--- vm: programs=3 fallback-subtrees=5
 -- join: none
 -- shape: 0 literals lifted
 #1 FLWOR
@@ -217,30 +210,16 @@ const COUNT_ONLY_GROUP_EXPLAIN: &str = r#"-- pushdown: full
           #5 Var $c__1#CID__4
         #6 Const 5
         #7 Const 2
-      -- program: ops=6 stack=3
-      --   0: var slot=0 ($c__1#CID__4)
-      --   1: data
-      --   2: const 5
-      --   3: const 2
-      --   4: call Substring/3
-      --   5: data
   return
     #8 ElementCtor <G> attrs=0
       #9 Seq n=2
         #10 ElementCtor <K> attrs=0
           #11 Seq n=1
             #12 Var $k__2
-            -- program: ops=2 stack=1
-            --   0: var slot=2 ($k__2)
-            --   1: seq 1
         #13 ElementCtor <N> attrs=0
           #14 Seq n=1
             #15 Builtin Count
               #16 Var $g__3
-            -- program: ops=3 stack=1
-            --   0: var slot=1 ($g__3)
-            --   1: call Count/1
-            --   2: seq 1
 "#;
 
 #[test]
