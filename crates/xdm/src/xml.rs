@@ -30,7 +30,7 @@ impl XmlSink for String {
 /// Serialize a node to XML text.
 pub fn serialize(node: &Node) -> String {
     let mut out = String::new();
-    write_node(node, &mut out);
+    write_node(node, false, &mut out);
     out
 }
 
@@ -55,7 +55,7 @@ pub fn serialize_sequence(items: &[Item]) -> String {
 pub fn write_item(item: &Item, out: &mut impl XmlSink) {
     match item {
         Item::Atomic(v) => write_escaped(v, Escape::Text, out),
-        Item::Node(n) => write_node(n, out),
+        Item::Node(n) => write_node(n, false, out),
     }
 }
 
@@ -65,8 +65,10 @@ pub fn write_item(item: &Item, out: &mut impl XmlSink) {
 /// node serialized). The text is escaped in [`Escape::Key`] mode, so
 /// no separator occurs inside it: argument and item boundaries and the
 /// type of each atomic item are kept, so `("a", "b")` is not `"a b"`,
-/// nor `1` the string `"1"`. A node is keyed by its serialization
-/// alone, so two nodes whose leaves differ only in type share a key.
+/// nor `1` the string `"1"`. A node's serialization tags each text
+/// leaf and attribute value with its type as `<?xs:name>` (escaped
+/// text never holds a `<`, markup never a `<?`), so `<a>1</a>` holding
+/// an `xs:integer` is not `<a>1</a>` holding an `xs:string`.
 pub fn write_key(args: &[Sequence], out: &mut impl XmlSink) {
     for arg in args {
         out.push_str("\u{1}");
@@ -82,6 +84,7 @@ pub fn write_key(args: &[Sequence], out: &mut impl XmlSink) {
                     out.push_str("node ");
                     write_node(
                         n,
+                        true,
                         &mut Escaped {
                             out,
                             mode: Escape::Key,
@@ -93,11 +96,13 @@ pub fn write_key(args: &[Sequence], out: &mut impl XmlSink) {
     }
 }
 
-fn write_node<S: XmlSink + ?Sized>(node: &Node, out: &mut S) {
+/// Serialize `node`; `typed` (key mode) puts each leaf value's type tag
+/// in front of it.
+fn write_node<S: XmlSink + ?Sized>(node: &Node, typed: bool, out: &mut S) {
     match node.kind() {
         NodeKind::Document { children } => {
             for c in children {
-                write_node(c, out);
+                write_node(c, typed, out);
             }
         }
         NodeKind::Element {
@@ -110,7 +115,7 @@ fn write_node<S: XmlSink + ?Sized>(node: &Node, out: &mut S) {
             for a in attributes {
                 if let NodeKind::Attribute { name, value } = a.kind() {
                     out.push_str(" ");
-                    write_attribute(name, value, out);
+                    write_attribute(name, value, typed, out);
                 }
             }
             if children.is_empty() {
@@ -118,23 +123,40 @@ fn write_node<S: XmlSink + ?Sized>(node: &Node, out: &mut S) {
             } else {
                 out.push_str(">");
                 for c in children {
-                    write_node(c, out);
+                    write_node(c, typed, out);
                 }
                 out.push_str("</");
                 write_name(name, out);
                 out.push_str(">");
             }
         }
-        NodeKind::Attribute { name, value } => write_attribute(name, value, out),
-        NodeKind::Text { value } => write_escaped(value, Escape::Text, out),
+        NodeKind::Attribute { name, value } => write_attribute(name, value, typed, out),
+        NodeKind::Text { value } => {
+            write_type_tag(value, typed, out);
+            write_escaped(value, Escape::Text, out)
+        }
     }
 }
 
-fn write_attribute<S: XmlSink + ?Sized>(name: &QName, value: &AtomicValue, out: &mut S) {
+fn write_attribute<S: XmlSink + ?Sized>(
+    name: &QName,
+    value: &AtomicValue,
+    typed: bool,
+    out: &mut S,
+) {
     write_name(name, out);
     out.push_str("=\"");
+    write_type_tag(value, typed, out);
     write_escaped(value, Escape::Attr, out);
     out.push_str("\"");
+}
+
+fn write_type_tag<S: XmlSink + ?Sized>(value: &AtomicValue, typed: bool, out: &mut S) {
+    if typed {
+        out.push_str("<?");
+        out.push_str(value.type_of().xs_name());
+        out.push_str(">");
+    }
 }
 
 /// A value's lexical form, escaped for `mode`. Only text can hold a
@@ -562,6 +584,25 @@ mod tests {
             vec![vec![Item::Atomic(V::Integer(1))]],
             vec![vec![s("1")]],
             vec![vec![Item::Node(Node::text(V::str("1")))]],
+            vec![vec![Item::Node(Node::text(V::Integer(1)))]],
+            vec![vec![Item::Node(Node::simple_element(
+                QName::local("a"),
+                V::Integer(1),
+            ))]],
+            vec![vec![Item::Node(Node::simple_element(
+                QName::local("a"),
+                V::str("1"),
+            ))]],
+            vec![vec![Item::Node(Node::element(
+                QName::local("a"),
+                vec![Node::attribute(QName::local("d"), V::Integer(1))],
+                vec![],
+            ))]],
+            vec![vec![Item::Node(Node::element(
+                QName::local("a"),
+                vec![Node::attribute(QName::local("d"), V::str("1"))],
+                vec![],
+            ))]],
             vec![vec![]],
             vec![],
         ];

@@ -11,7 +11,7 @@ use aldsp::updates::ConcurrencyPolicy;
 use aldsp::xdm::item::Item;
 use aldsp::xdm::value::AtomicValue;
 use aldsp::xdm::xml::serialize_sequence;
-use aldsp::xdm::QName;
+use aldsp::xdm::{Node, QName};
 use aldsp::{CallCriteria, MatViewPolicy, QueryRequest};
 use common::{world_tuned, World};
 
@@ -515,4 +515,38 @@ fn argument_vectors_that_serialize_alike_get_their_own_entries() {
     assert_eq!(call("count", pair()), call("twin", pair()));
     assert_eq!(call("count", pair()), "2");
     assert_eq!(call("count", spaced()), "1");
+}
+
+#[test]
+fn node_arguments_whose_leaves_differ_in_type_get_their_own_entries() {
+    const TYPED_MODULE: &str = r#"
+        declare namespace tns = "urn:typedDS";
+        declare function tns:int-leaf($x as element()) as xs:boolean {
+            fn:data($x/a) instance of xs:integer
+        };
+    "#;
+    let f = QName::new("urn:typedDS", "int-leaf");
+    let w = world_tuned(2, |b| {
+        b.materialize(f.clone(), MatViewPolicy::PatchOrInvalidate)
+    });
+    w.server.deploy(TYPED_MODULE).expect("deploys");
+    let call = |leaf: AtomicValue| {
+        let arg = Node::element(
+            QName::local("e"),
+            vec![],
+            vec![Node::simple_element(QName::local("a"), leaf)],
+        );
+        let r = w
+            .server
+            .execute(
+                QueryRequest::call(f.clone())
+                    .args(vec![vec![Item::Node(arg)]])
+                    .principal(Principal::new("demo", &[])),
+            )
+            .expect("executes");
+        serialize_sequence(r.items())
+    };
+    assert_eq!(call(AtomicValue::Integer(1)), "true");
+    // <e><a>1</a></e> serializes alike either way; its leaf type differs
+    assert_eq!(call(AtomicValue::str("1")), "false");
 }
