@@ -474,14 +474,17 @@ pub fn generate(model: &CatalogModel, seed: u64) -> GenQuery {
                 let keys = key_columns(t);
                 let sums = sum_columns(t);
                 let key = pick(rng, &keys);
-                let agg_sum = if !sums.is_empty() && rng.gen_bool(0.5) {
+                // weighted toward a middleware group that is only
+                // counted (a `fn:substring` key, no `sum`): seeds 0–49
+                // render five, so the tier-1 smoke runs that path
+                let agg_sum = if !sums.is_empty() && rng.gen_bool(0.25) {
                     Some(pick(rng, &sums).name.clone())
                 } else {
                     None
                 };
                 Tail::GroupBy {
                     column: key.name.clone(),
-                    substring: key.ty == ColTy::Str && rng.gen_bool(0.5),
+                    substring: key.ty == ColTy::Str && rng.gen_bool(0.9),
                     agg_sum,
                 }
             }
