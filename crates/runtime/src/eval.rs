@@ -226,10 +226,6 @@ impl ExecCtx {
 
 type TupleIter<'a> = Box<dyn Iterator<Item = RtResult<Env>> + 'a>;
 
-fn unbound_variable(name: &str) -> RtError {
-    RtError::Plan(format!("unbound variable ${name}"))
-}
-
 /// A constant positional predicate (`$x[3]`) is a direct index: item
 /// `n` (1-based) or nothing.
 fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
@@ -244,7 +240,9 @@ fn pick_const_positional(v: &[Item], n: i64) -> Option<Item> {
 pub fn eval(cx: &ExecCtx, e: &CExpr, env: &Env) -> RtResult<Val> {
     match &e.kind {
         CKind::Const(v) => Ok(Val::One(Item::Atomic(v.clone()))),
-        CKind::Var { name, slot } => env.slot_value(*slot).ok_or_else(|| unbound_variable(name)),
+        CKind::Var { name, slot } => env
+            .slot_value(*slot)
+            .ok_or_else(|| RtError::Plan(format!("unbound variable ${name}"))),
         CKind::Seq(parts) => eval_sequence(cx, parts, env),
         CKind::Range(a, b) => {
             let lo = single_integer_val(&eval(cx, a, env)?)?;

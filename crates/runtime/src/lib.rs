@@ -23,7 +23,6 @@ pub use env::{Env, EnvWriter};
 pub use eval::{ExecCtx, RtError, RtResult, RuntimeInner};
 pub use stats::{ExecStats, StatsSnapshot};
 pub use trace::{NodeTrace, QueryTrace, TraceCollector, TraceKey, TraceLevel};
-pub use val::Val;
 
 pub use aldsp_workload::{QueryBudget, WorkloadError};
 
@@ -129,7 +128,7 @@ impl Runtime {
         let mut delivered = 0u64;
         // where values leave the evaluator as plain items; `false` once
         // the sink asked to stop
-        let mut emit = |batch: Val| match &mut req.sink {
+        let mut emit = |batch: val::Val| match &mut req.sink {
             Some(on_item) => batch.into_sequence().into_iter().all(|item| {
                 delivered += 1;
                 on_item(item)

@@ -1,8 +1,6 @@
-//! Two edge cases of the scalar evaluator, kept from the checks that
-//! once held the bytecode expression VM to the tree-walker: the
-//! unbound-variable plan error's text, and the constant positional
-//! filter. The evaluator's answers on a wider corpus are pinned by
-//! `tests/scalar_answers.rs`.
+//! Two edge cases of the scalar evaluator: the unbound-variable plan
+//! error's text, and the constant positional filter. The evaluator's
+//! answers on a wider corpus are pinned by `tests/scalar_answers.rs`.
 
 mod common;
 
