@@ -585,11 +585,10 @@ impl CExpr {
     }
 
     /// Number every node pre-order starting at 1 (0 stays "unassigned").
-    /// Run once on the finished plan; the
-    /// ids are stable for the life of the [`crate::CompiledQuery`] and
-    /// key both EXPLAIN lines and runtime trace records. Clauses have no
-    /// id of their own: they are addressed as
-    /// `(owning Flwor node_id, clause index)`.
+    /// Run once on the finished plan; the ids are stable for the life
+    /// of the [`crate::CompiledQuery`] and key both EXPLAIN lines and
+    /// runtime trace records. Clauses have no id of their own: they are
+    /// addressed as `(owning Flwor node_id, clause index)`.
     pub fn assign_node_ids(&mut self) {
         fn go(e: &mut CExpr, next: &mut u32) {
             e.node_id = *next;

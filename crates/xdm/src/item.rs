@@ -161,18 +161,6 @@ impl CompOp {
             CompOp::Ge => ">=",
         }
     }
-
-    /// The XQuery value-comparison keyword.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            CompOp::Eq => "eq",
-            CompOp::Ne => "ne",
-            CompOp::Lt => "lt",
-            CompOp::Le => "le",
-            CompOp::Gt => "gt",
-            CompOp::Ge => "ge",
-        }
-    }
 }
 
 /// XQuery *value comparison*: both operands must atomize to singletons
@@ -322,7 +310,6 @@ mod tests {
     #[test]
     fn comp_op_sql_and_keywords() {
         assert_eq!(CompOp::Ne.sql(), "<>");
-        assert_eq!(CompOp::Ge.keyword(), "ge");
         assert!(CompOp::Le.test(Ordering::Equal));
         assert!(!CompOp::Lt.test(Ordering::Equal));
     }
