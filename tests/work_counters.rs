@@ -299,6 +299,16 @@ fn work_counters_match_the_golden() {
              return <G><K>{$k}</K><N>{fn:count($g)}</N></G>",
             |r| r,
         ),
+        (
+            // keyed by a column, but the `order by` after it keeps the
+            // group in the middleware; its partition is only counted
+            "count_only_group_then_order_by",
+            "for $c in c:CUSTOMER()
+             group $c as $g by $c/LAST_NAME as $k
+             order by $k
+             return <G><K>{$k}</K><N>{fn:count($g)}</N></G>",
+            |r| r,
+        ),
     ];
     for (name, body, tune) in adhoc {
         let q = format!("{PROLOG}\n{body}");
