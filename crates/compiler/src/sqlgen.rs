@@ -106,7 +106,7 @@ pub fn push_down(ctx: &mut Context<'_>, e: &mut CExpr) {
             push_trailing_group_by(ctx, clauses, ret);
             push_trailing_order_by(ctx, clauses);
         }
-        prune_unused_columns(clauses, ret);
+        demand(ctx, clauses, ret);
     }
     // clean up after the pattern passes, then try pagination pushdown on
     // the (possibly collapsed) node
@@ -140,13 +140,8 @@ pub fn record_query_consts(ctx: &Context<'_>, e: &mut CExpr) {
 #[derive(Debug, Clone)]
 struct PushedVar {
     alias: String,
-    #[allow(dead_code)] // kept for diagnostics/debugging of regions
-    table: String,
-    #[allow(dead_code)]
-    connection: String,
     element: QName,
     columns: Vec<(String, AtomicType, bool)>, // (name, xml type, nullable)
-    primary_key: Vec<String>,
 }
 
 impl PushedVar {
@@ -188,7 +183,6 @@ fn table_of_call(
     String,
     QName,
     Vec<(String, AtomicType, bool)>,
-    Vec<String>,
     Option<(String, Vec<(String, String)>)>,
 )> {
     let CKind::PhysicalCall { name, args } = &e.kind else {
@@ -199,14 +193,13 @@ fn table_of_call(
         SourceBinding::RelationalTable {
             connection,
             table,
-            primary_key,
             shape,
+            ..
         } => Some((
             connection.clone(),
             table.clone(),
             shape.name.clone()?,
             shape_columns(shape),
-            primary_key.clone(),
             None,
         )),
         SourceBinding::RelationalNavigation {
@@ -228,7 +221,6 @@ fn table_of_call(
                 to_table.clone(),
                 shape.name.clone()?,
                 shape_columns(shape),
-                Vec::new(),
                 Some((arg_var, key_pairs.clone())),
             ))
         }
@@ -273,9 +265,7 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
                     pos: None,
                     source,
                 } => {
-                    if let Some((conn, table, element, columns, pk, nav)) =
-                        table_of_call(ctx, source)
-                    {
+                    if let Some((conn, table, element, columns, nav)) = table_of_call(ctx, source) {
                         if conn != region.connection {
                             break;
                         }
@@ -315,11 +305,8 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
                             var.clone(),
                             PushedVar {
                                 alias,
-                                table,
-                                connection: conn,
                                 element,
                                 columns,
-                                primary_key: pk,
                             },
                         );
                         consumed.push(j);
@@ -378,7 +365,6 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
             continue;
         }
         // decide the fetched columns by scanning downstream usage
-        let counted = counted_partitions(&region, &clauses[j..], ret);
         let mut usage: HashMap<String, ColumnUsage> = HashMap::new();
         for (v, _) in region.vars.iter() {
             usage.insert(v.clone(), ColumnUsage::default());
@@ -387,26 +373,9 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
             if consumed.contains(&idx) {
                 continue;
             }
-            collect_usage_clause(c, &counted, &mut usage);
+            collect_usage_clause(c, &mut usage);
         }
         collect_usage(ret, &mut usage);
-        // a counted partition regroups one column that has a value on
-        // every tuple: `(to, column)`
-        let mut regrouped: Vec<(String, String)> = Vec::new();
-        for (from, to) in counted {
-            let (Some(pv), Some(u)) = (region.vars.get(&from), usage.get_mut(&from)) else {
-                continue;
-            };
-            match regroup_column(ctx, pv, &u.cols) {
-                Some(col) => {
-                    if !u.cols.contains(&col) {
-                        u.cols.push(col.clone());
-                    }
-                    regrouped.push((to, col));
-                }
-                None => u.whole = true,
-            }
-        }
         // materialize the SqlFor clause
         let sql_for = build_sql_for(ctx, &mut region, &usage);
         let Some((sql_for, rewrites)) = sql_for else {
@@ -431,19 +400,13 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
         rewrite_refs(ret, &rewrites);
         // group-by bindings that regroup a whole pushed row need the row
         // value as a variable: bind a reconstruction let after the SqlFor
-        // (when the group then pushes to SQL, the let is left unread and
-        // dropped as dead code); a counted partition regroups its
-        // column's field variable instead
+        // (`demand` drops it when the group pushes to SQL or regroups one
+        // field instead)
         let mut row_lets: Vec<Clause> = Vec::new();
         for c in clauses.iter_mut().skip(i + 1) {
             if let Clause::GroupBy { bindings, .. } = c {
-                for (from, to) in bindings.iter_mut() {
+                for (from, _) in bindings.iter_mut() {
                     if let Some(rw) = rewrites.iter().find(|r| &r.var == from) {
-                        if let Some((_, col)) = regrouped.iter().find(|(t, _)| t == to) {
-                            let field = rw.fields.iter().find(|f| &f.0 == col);
-                            *from = field.expect("a regrouped column is fetched").1.clone();
-                            continue;
-                        }
                         let row_var = ctx.fresh(&format!("{}_row", rw.var));
                         row_lets.push(Clause::Let {
                             var: row_var.clone(),
@@ -522,33 +485,6 @@ struct ColumnUsage {
     whole: bool,
 }
 
-/// The `(from, to)` bindings of the `group` clauses in `tail` that
-/// regroup a variable of `region` into a partition whose cardinality is
-/// all that is read downstream. A group whose keys are all columns of
-/// the region is left out: `push_trailing_group_by` pushes it with
-/// `COUNT(*)` when it ends the FLWOR (Table 1(e)), and its plan stays as
-/// it is. Allocates nothing when no `group` clause follows the region.
-fn counted_partitions(region: &Region, tail: &[Clause], ret: &CExpr) -> Vec<(String, String)> {
-    let mut counted = Vec::new();
-    for (g, c) in tail.iter().enumerate() {
-        let Clause::GroupBy { bindings, keys, .. } = c else {
-            continue;
-        };
-        if keys.iter().all(|(k, _)| col_expr(region, k).is_some()) {
-            continue;
-        }
-        for (from, to) in bindings {
-            if region.vars.contains_key(from)
-                && tail[g + 1..].iter().all(|c| clause_only_counted(c, to))
-                && only_counted(ret, to)
-            {
-                counted.push((from.clone(), to.clone()));
-            }
-        }
-    }
-    counted
-}
-
 /// Is every use of `var` in `e` the sole argument of `fn:count`,
 /// `fn:exists` or `fn:empty`?
 fn only_counted(e: &CExpr, var: &str) -> bool {
@@ -574,88 +510,41 @@ fn only_counted(e: &CExpr, var: &str) -> bool {
 /// [`only_counted`] for a clause, whose `group` bindings name the
 /// variables they regroup.
 fn clause_only_counted(c: &Clause, var: &str) -> bool {
+    let mut only = !group_froms(c).any(|from| from == var);
+    clause_exprs(c, &mut |e| only = only && only_counted(e, var));
+    only
+}
+
+/// Visit every expression a clause reads (not the variables a `group`
+/// names, see [`group_froms`]).
+fn clause_exprs<'c>(c: &'c Clause, f: &mut impl FnMut(&'c CExpr)) {
     match c {
-        Clause::For { source: e, .. } | Clause::Let { value: e, .. } | Clause::Where(e) => {
-            only_counted(e, var)
-        }
-        Clause::GroupBy {
-            keys,
-            bindings,
-            carry,
-            ..
-        } => {
-            keys.iter().all(|(k, _)| only_counted(k, var))
-                && !bindings.iter().chain(carry).any(|(from, _)| from == var)
-        }
-        Clause::OrderBy(specs) => specs.iter().all(|s| only_counted(&s.expr, var)),
+        Clause::For { source: e, .. } | Clause::Let { value: e, .. } | Clause::Where(e) => f(e),
+        Clause::GroupBy { keys, .. } => keys.iter().for_each(|(k, _)| f(k)),
+        Clause::OrderBy(specs) => specs.iter().for_each(|s| f(&s.expr)),
         Clause::SqlFor { params, ppk, .. } => params
             .iter()
             .chain(ppk.iter().flat_map(|p| &p.outer_keys))
-            .all(|e| only_counted(e, var)),
+            .for_each(f),
     }
 }
 
-/// The column a counted partition of `pv` regroups. It is never NULL,
-/// so it has exactly one value per tuple and every count stays the
-/// same. A column `read` already fetches comes first, then the primary
-/// key; `None` when every column is nullable.
-fn regroup_column(ctx: &Context<'_>, pv: &PushedVar, read: &[String]) -> Option<String> {
-    let names = || pv.columns.iter().map(|(c, _, _)| c);
-    if ctx.options.mutation == Some(crate::compile::Mutation::RegroupNullableColumn) {
-        let nullable = |c: &&String| matches!(pv.column(c), Some((_, _, true)));
-        if let Some(c) = names().find(nullable) {
-            return Some(c.clone());
-        }
-    }
-    let never_null = |c: &&String| matches!(pv.column(c), Some((_, _, false)));
-    read.iter()
-        .chain(&pv.primary_key)
-        .chain(names())
-        .find(never_null)
-        .cloned()
-}
-
-fn collect_usage_clause(
-    c: &Clause,
-    counted: &[(String, String)],
-    usage: &mut HashMap<String, ColumnUsage>,
-) {
-    match c {
-        Clause::For { source, .. } => collect_usage(source, usage),
-        Clause::Let { value, .. } => collect_usage(value, usage),
-        Clause::Where(w) => collect_usage(w, usage),
+/// The variables a `group` clause regroups or carries.
+fn group_froms(c: &Clause) -> impl Iterator<Item = &String> {
+    let (bindings, carry): (&[_], &[_]) = match c {
         Clause::GroupBy {
-            keys,
-            bindings,
-            carry,
-            ..
-        } => {
-            for (k, _) in keys {
-                collect_usage(k, usage);
-            }
-            for (from, to) in bindings.iter().chain(carry.iter()) {
-                if counted.iter().any(|(_, t)| t == to) {
-                    continue;
-                }
-                if let Some(u) = usage.get_mut(from) {
-                    u.whole = true;
-                }
-            }
-        }
-        Clause::OrderBy(specs) => {
-            for s in specs {
-                collect_usage(&s.expr, usage);
-            }
-        }
-        Clause::SqlFor { params, ppk, .. } => {
-            for p in params {
-                collect_usage(p, usage);
-            }
-            if let Some(p) = ppk {
-                for k in &p.outer_keys {
-                    collect_usage(k, usage);
-                }
-            }
+            bindings, carry, ..
+        } => (bindings, carry),
+        _ => (&[], &[]),
+    };
+    bindings.iter().chain(carry).map(|(from, _)| from)
+}
+
+fn collect_usage_clause(c: &Clause, usage: &mut HashMap<String, ColumnUsage>) {
+    clause_exprs(c, &mut |e| collect_usage(e, usage));
+    for from in group_froms(c) {
+        if let Some(u) = usage.get_mut(from) {
+            u.whole = true;
         }
     }
 }
@@ -695,7 +584,7 @@ fn try_start_region(ctx: &Context<'_>, c: &Clause) -> Option<Region> {
     else {
         return None;
     };
-    let (connection, table, element, columns, pk, nav) = table_of_call(ctx, source)?;
+    let (connection, table, element, columns, nav) = table_of_call(ctx, source)?;
     if nav.is_some() {
         return None; // navigation can't begin a region (needs its source)
     }
@@ -712,11 +601,8 @@ fn try_start_region(ctx: &Context<'_>, c: &Clause) -> Option<Region> {
         var.clone(),
         PushedVar {
             alias: "t1".into(),
-            table,
-            connection: region.connection.clone(),
             element,
             columns,
-            primary_key: pk,
         },
     );
     Some(region)
@@ -821,7 +707,6 @@ fn col_expr(region: &Region, e: &CExpr) -> Option<ScalarExpr> {
 }
 
 /// Build the final `SqlFor` clause and the downstream rewrite map.
-#[allow(clippy::type_complexity)]
 fn build_sql_for(
     ctx: &mut Context<'_>,
     region: &mut Region,
@@ -1166,7 +1051,7 @@ impl Translator<'_, '_> {
     }
 
     fn try_exists(&mut self, var: &str, source: &CExpr, satisfies: &CExpr) -> Option<ScalarExpr> {
-        let (conn, table, element, columns, pk, nav) = table_of_call(self.ctx, source)?;
+        let (conn, table, element, columns, nav) = table_of_call(self.ctx, source)?;
         if conn != self.region.connection || nav.is_some() {
             return None;
         }
@@ -1177,11 +1062,8 @@ impl Translator<'_, '_> {
             var.to_string(),
             PushedVar {
                 alias: alias.clone(),
-                table: table.clone(),
-                connection: conn,
                 element,
                 columns,
-                primary_key: pk,
             },
         );
         let inner_pred = self.try_expr(satisfies);
@@ -1933,44 +1815,28 @@ fn push_trailing_group_by(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret:
     if !carry.is_empty() {
         return; // carried values need the middleware group operator
     }
-    // keys must be pushed field vars
+    // keys must be pushed field vars; the pushed statement outputs them
+    // first, bound to the keys' variables
     let mut key_cols = Vec::new();
-    for (k, _) in keys.iter() {
-        let kv = match &k.kind {
-            CKind::Var { name: v, .. } => v,
-            CKind::Data(i) => match &i.kind {
-                CKind::Var { name: v, .. } => v,
-                _ => return,
-            },
-            _ => return,
+    let mut new_cols = Vec::new();
+    let mut new_binds = Vec::new();
+    for (k, alias) in keys.iter() {
+        let CKind::Var { name: kv, .. } = &strip_data(k).kind else {
+            return;
         };
         let Some(pos) = binds.iter().position(|(b, _)| b == kv) else {
             return;
         };
         key_cols.push(select.columns[pos].expr.clone());
+        new_cols.push(aldsp_relational::OutputColumn {
+            expr: select.columns[pos].expr.clone(),
+            alias: format!("c{}", new_cols.len() + 1),
+        });
+        new_binds.push((alias.clone(), binds[pos].1));
     }
     if bindings.is_empty() {
         // DISTINCT form (Table 1(f)) — only when the return uses keys only
         select.distinct = true;
-        // prune outputs to the keys
-        let mut new_cols = Vec::new();
-        let mut new_binds = Vec::new();
-        for (k, alias) in keys.iter() {
-            let kv = match &k.kind {
-                CKind::Var { name: v, .. } => v.clone(),
-                CKind::Data(i) => match &i.kind {
-                    CKind::Var { name: v, .. } => v.clone(),
-                    _ => unreachable!("checked above"),
-                },
-                _ => unreachable!("checked above"),
-            };
-            let pos = binds.iter().position(|(b, _)| *b == kv).expect("checked");
-            new_cols.push(aldsp_relational::OutputColumn {
-                expr: select.columns[pos].expr.clone(),
-                alias: format!("c{}", new_cols.len() + 1),
-            });
-            new_binds.push((alias.clone(), binds[pos].1));
-        }
         select.columns = new_cols;
         *binds = new_binds;
         clauses.truncate(clauses.len() - 1);
@@ -1996,24 +1862,6 @@ fn push_trailing_group_by(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret:
         }
     }
     // full push: SELECT keys, AGG(field) … GROUP BY keys
-    let mut new_cols = Vec::new();
-    let mut new_binds = Vec::new();
-    for (k, alias) in keys.iter() {
-        let kv = match &k.kind {
-            CKind::Var { name: v, .. } => v.clone(),
-            CKind::Data(i) => match &i.kind {
-                CKind::Var { name: v, .. } => v.clone(),
-                _ => unreachable!("checked above"),
-            },
-            _ => unreachable!("checked above"),
-        };
-        let pos = binds.iter().position(|(b, _)| *b == kv).expect("checked");
-        new_cols.push(aldsp_relational::OutputColumn {
-            expr: select.columns[pos].expr.clone(),
-            alias: format!("c{}", new_cols.len() + 1),
-        });
-        new_binds.push((alias.clone(), binds[pos].1));
-    }
     let mut ret_rewrites = Vec::new();
     for (gvar, op, from_pos) in &agg_rewrites {
         let func = match op {
@@ -2125,50 +1973,62 @@ fn replace_aggregate_use(e: &mut CExpr, var: &str, op: Builtin, fresh: &str) {
     e.for_each_child_mut(&mut |c| replace_aggregate_use(c, var, op, fresh));
 }
 
-/// Drop output columns whose field variables are no longer referenced
-/// (computed-projection pushdown can orphan the raw columns it replaced)
-/// — "any unused information not be fetched at all" (§4.2).
-fn prune_unused_columns(clauses: &mut [Clause], ret: &CExpr) {
-    // collect every variable still used anywhere
-    let mut used: std::collections::HashSet<String> = ret.free_vars();
+/// The demand pass, run once on a FLWOR's finished clause list: what
+/// does the rest of the FLWOR read of each pushed row? "Any unused
+/// information [is] not … fetched at all" (§4.2):
+///
+/// * a `group` binding over a row `Let` whose partition is only counted
+///   regroups one never-NULL field of the row instead — one value per
+///   tuple, so every count stays the same — preferring a field that is
+///   read anyway;
+/// * row `Let`s that nothing reads are dropped;
+/// * each plain `SqlFor` is shrunk to the binds still read. PP-k
+///   statements keep their columns (their key indices are positional),
+///   a `SELECT DISTINCT` keeps them (each is part of what is distinct),
+///   and so does a statement none of whose binds is read (each row is
+///   still one tuple).
+fn demand(ctx: &Context<'_>, clauses: &mut Vec<Clause>, ret: &CExpr) {
+    let rows: Vec<(String, Vec<(String, bool)>)> = clauses
+        .iter()
+        .filter_map(|c| match c {
+            Clause::Let { var, value } => Some((var.clone(), row_fields(value)?)),
+            _ => None,
+        })
+        .collect();
+    let is_row = |v: &str| rows.iter().any(|(r, _)| r == v);
+    // what everything but the row lets and the group bindings reads
+    let mut used = ret.free_vars();
     for c in clauses.iter() {
         match c {
-            Clause::For { source, .. } => used.extend(source.free_vars()),
-            Clause::Let { value, .. } => used.extend(value.free_vars()),
-            Clause::Where(w) => used.extend(w.free_vars()),
-            Clause::GroupBy {
-                keys,
-                bindings,
-                carry,
-                ..
-            } => {
-                for (k, _) in keys {
-                    used.extend(k.free_vars());
-                }
-                for (from, _) in bindings.iter().chain(carry.iter()) {
-                    used.insert(from.clone());
-                }
+            Clause::Let { var, .. } if is_row(var) => {}
+            c => clause_exprs(c, &mut |e| used.extend(e.free_vars())),
+        }
+    }
+    for g in 0..clauses.len() {
+        let (head, tail) = clauses.split_at_mut(g + 1);
+        let Clause::GroupBy { bindings, .. } = &mut head[g] else {
+            continue;
+        };
+        for (from, to) in bindings.iter_mut() {
+            let Some((_, fields)) = rows.iter().find(|(r, _)| r == from) else {
+                continue;
+            };
+            if !(tail.iter().all(|c| clause_only_counted(c, to)) && only_counted(ret, to)) {
+                continue;
             }
-            Clause::OrderBy(specs) => {
-                for s in specs {
-                    used.extend(s.expr.free_vars());
-                }
-            }
-            Clause::SqlFor { params, ppk, .. } => {
-                for p in params {
-                    used.extend(p.free_vars());
-                }
-                if let Some(pk) = ppk {
-                    for k in &pk.outer_keys {
-                        used.extend(k.free_vars());
-                    }
-                }
+            if let Some(field) = regroup_field(ctx, fields, &used) {
+                *from = field.to_string();
             }
         }
     }
+    used.extend(clauses.iter().flat_map(group_froms).cloned());
+    clauses.retain(|c| !matches!(c, Clause::Let { var, .. } if is_row(var) && !used.contains(var)));
+    for (r, fields) in &rows {
+        if used.contains(r) {
+            used.extend(fields.iter().map(|(f, _)| f.clone()));
+        }
+    }
     for c in clauses.iter_mut() {
-        // PP-k statements keep their key columns (indices are positional);
-        // only plain statements prune
         let Clause::SqlFor {
             select,
             binds,
@@ -2178,26 +2038,72 @@ fn prune_unused_columns(clauses: &mut [Clause], ret: &CExpr) {
         else {
             continue;
         };
-        if binds.len() <= 1 {
+        if select.distinct {
             continue;
         }
-        let keep: Vec<bool> = binds.iter().map(|(b, _)| used.contains(b)).collect();
-        if keep.iter().all(|k| *k) || keep.iter().all(|k| !*k) {
-            continue; // nothing to do, or degenerate (cardinality-only scan)
+        let read: Vec<bool> = binds.iter().map(|(b, _)| used.contains(b)).collect();
+        if read.iter().all(|r| *r) || !read.contains(&true) {
+            continue;
         }
-        let mut new_binds = Vec::new();
-        let mut new_cols = Vec::new();
-        for (i, k) in keep.iter().enumerate() {
-            if *k {
-                new_binds.push(binds[i].clone());
-                let mut col = select.columns[i].clone();
-                col.alias = format!("c{}", new_cols.len() + 1);
-                new_cols.push(col);
-            }
+        let mut keep = read.iter();
+        binds.retain(|_| *keep.next().expect("one flag per bind"));
+        let mut keep = read.iter();
+        select
+            .columns
+            .retain(|_| *keep.next().expect("one flag per column"));
+        for (n, col) in select.columns.iter_mut().enumerate() {
+            col.alias = format!("c{}", n + 1);
         }
-        *binds = new_binds;
-        select.columns = new_cols;
     }
+}
+
+/// The `(field variable, nullable)` pairs of a row reconstructed by
+/// [`reconstruct_row`]: each child is a field element whose content is
+/// the bare field variable, conditional when the column is nullable.
+/// Constructors from the query text always wrap their content in a
+/// sequence, so they never match.
+fn row_fields(e: &CExpr) -> Option<Vec<(String, bool)>> {
+    let CKind::ElementCtor { content, .. } = &e.kind else {
+        return None;
+    };
+    let CKind::Seq(parts) = &content.kind else {
+        return None;
+    };
+    parts
+        .iter()
+        .map(|p| match &p.kind {
+            CKind::ElementCtor {
+                conditional,
+                content,
+                ..
+            } => match &content.kind {
+                CKind::Var { name, .. } => Some((name.clone(), *conditional)),
+                _ => None,
+            },
+            _ => None,
+        })
+        .collect()
+}
+
+/// The field a counted partition of a row regroups: a never-NULL one,
+/// which has exactly one value per tuple, read elsewhere if one is,
+/// else the row's first; `None` when every field is nullable.
+fn regroup_field<'f>(
+    ctx: &Context<'_>,
+    fields: &'f [(String, bool)],
+    used: &std::collections::HashSet<String>,
+) -> Option<&'f str> {
+    if ctx.options.mutation == Some(crate::compile::Mutation::RegroupNullableColumn) {
+        if let Some((f, _)) = fields.iter().find(|(_, nullable)| *nullable) {
+            return Some(f);
+        }
+    }
+    let mut never_null = fields.iter().filter(|(_, nullable)| !nullable);
+    never_null
+        .clone()
+        .find(|(f, _)| used.contains(f))
+        .or_else(|| never_null.next())
+        .map(|(f, _)| f.as_str())
 }
 
 /// Fold `where` clauses that follow a `SqlFor` and reference only its

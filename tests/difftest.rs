@@ -300,12 +300,13 @@ fn planted_rewrite_bug_caught_within_100_seeds() {
     panic!("mutation smoke test: DropPushedPredicate survived 100 seeds undetected");
 }
 
-/// A second planted bug, in the middleware group's usage analysis: a
-/// partition that is only counted regroups a nullable column, so tuples
-/// whose value is NULL drop out of `fn:count`. The generator's
-/// `fn:substring` group keys must expose it within 50 seeds, the
-/// tier-1 smoke's range (seeds 0–49 render five count-only
-/// `fn:substring` groups).
+/// A second planted bug, in the demand pass after pushdown: a partition
+/// that is only counted regroups a nullable column, so tuples whose
+/// value is NULL drop out of `fn:count`. The generator's count-only
+/// middleware groups must expose it within 50 seeds, the tier-1 smoke's
+/// range: seeds 0–49 render six, five keyed by `fn:substring` and one
+/// (seed 26) by a column that the `order by` after the group keeps out
+/// of SQL.
 #[test]
 fn planted_count_only_regroup_bug_caught_within_50_seeds() {
     let model = model();
