@@ -71,7 +71,8 @@ impl Dml {
 impl Database {
     /// Execute a DML statement; returns the number of affected rows.
     /// An optimistic-concurrency conflict shows up as 0 affected rows on
-    /// an UPDATE/DELETE the caller expected to hit.
+    /// an UPDATE/DELETE the caller expected to hit. A statement that
+    /// fails changes nothing.
     pub fn execute_dml(&mut self, stmt: &Dml, params: &[SqlValue]) -> Result<usize, String> {
         self.dml_examining(stmt, params).0
     }
@@ -83,38 +84,118 @@ impl Database {
         stmt: &Dml,
         params: &[SqlValue],
     ) -> (Result<usize, String>, u64) {
+        let mut undo = Vec::new();
+        let (n, examined) = self.apply_one(stmt, params, &mut undo);
+        if n.is_err() {
+            self.undo(undo);
+        }
+        (n, examined)
+    }
+
+    /// Apply `stmts` in order, each seeing the effects of those before
+    /// it, and also report the stored rows their WHERE predicates were
+    /// evaluated on. On success the tables hold every statement's writes
+    /// and [`Applied::undo`] takes them back; on an error nothing is left
+    /// applied. Only the rows written are recorded: no table is copied.
+    pub(crate) fn apply_all<'s>(
+        &mut self,
+        stmts: &'s [(Dml, Vec<SqlValue>)],
+    ) -> (Result<Applied<'s>, String>, u64) {
+        let mut applied = Applied {
+            matched: Vec::with_capacity(stmts.len()),
+            undo: Vec::new(),
+        };
+        let mut examined = 0;
+        for (stmt, params) in stmts {
+            let (n, e) = self.apply_one(stmt, params, &mut applied.undo);
+            examined += e;
+            match n {
+                Ok(n) => applied.matched.push(n),
+                Err(e) => {
+                    self.undo(applied.undo);
+                    return (Err(e), examined);
+                }
+            }
+        }
+        (Ok(applied), examined)
+    }
+
+    /// Plan one statement and apply it, logging an undo entry for every
+    /// row it writes — also for the rows of a statement that fails
+    /// halfway.
+    fn apply_one<'s>(
+        &mut self,
+        stmt: &'s Dml,
+        params: &[SqlValue],
+        undo: &mut Vec<(&'s str, Undo)>,
+    ) -> (Result<usize, String>, u64) {
         let cx = Exec::new(self, params);
         let planned = plan_dml(&cx, stmt);
         let examined = cx.examined();
-        (
-            planned.and_then(|change| self.apply(stmt.table(), change)),
-            examined,
-        )
-    }
-
-    fn apply(&mut self, table: &str, change: Change) -> Result<usize, String> {
-        match change {
-            Change::Insert(row) => self.insert(table, row).map(|()| 1),
-            // a statement that hits nothing must not touch the table:
-            // `table_mut` copies one a snapshot still shares
-            Change::Replace(rows) if rows.is_empty() => Ok(0),
-            Change::Delete(hits) if hits.is_empty() => Ok(0),
+        let table = stmt.table();
+        let applied = planned.and_then(|change| match change {
+            Change::Insert(row) => {
+                self.insert(table, row)?;
+                undo.push((table, Undo::Inserted));
+                Ok(1)
+            }
             Change::Replace(rows) => {
                 let t = self.table_mut(table).expect("planned against it");
                 let n = rows.len();
-                for (i, new) in rows {
-                    t.replace_row(i, new)?;
+                for (at, new) in rows {
+                    let old = t.replace_row(at, new)?;
+                    undo.push((table, Undo::Replaced { at, old }));
                 }
                 Ok(n)
             }
             Change::Delete(hits) => {
-                self.table_mut(table)
-                    .expect("planned against it")
-                    .delete_rows(&hits);
+                let t = self.table_mut(table).expect("planned against it");
+                undo.push((table, Undo::Deleted(t.delete_rows(&hits))));
                 Ok(hits.len())
+            }
+        });
+        (applied, examined)
+    }
+
+    /// Take back the writes of an undo log, latest first.
+    fn undo(&mut self, log: Vec<(&str, Undo)>) {
+        for (table, entry) in log.into_iter().rev() {
+            let t = self.table_mut(table).expect("written before");
+            match entry {
+                Undo::Replaced { at, old } => {
+                    t.replace_row(at, old).expect("the row it replaced fits");
+                }
+                Undo::Inserted => t.pop_row(),
+                Undo::Deleted(rows) => t.restore_rows(rows),
             }
         }
     }
+}
+
+/// The statements [`Database::apply_all`] applied: how many rows each
+/// matched, and what it takes to put the tables back.
+pub(crate) struct Applied<'s> {
+    /// Rows each statement matched (an INSERT: 1), in statement order.
+    pub(crate) matched: Vec<usize>,
+    undo: Vec<(&'s str, Undo)>,
+}
+
+impl Applied<'_> {
+    /// Take every write back, leaving `db` as it was before
+    /// [`Database::apply_all`].
+    pub(crate) fn undo(self, db: &mut Database) {
+        db.undo(self.undo);
+    }
+}
+
+/// One write to a table, with what it takes to reverse it.
+enum Undo {
+    /// An UPDATE replaced row `at`, which held `old`.
+    Replaced { at: usize, old: Row },
+    /// An INSERT appended a row; undone, it is still the last row.
+    Inserted,
+    /// A DELETE removed these rows, ascending by their old index.
+    Deleted(Vec<(usize, Row)>),
 }
 
 /// What a statement will do to its table, worked out against the
@@ -327,6 +408,24 @@ mod tests {
         });
         d.execute_dml(&upd, &[]).unwrap();
         assert_eq!(d.table("ACCT").unwrap().rows()[0][1], SqlValue::Int(150));
+    }
+
+    #[test]
+    fn a_statement_failing_halfway_changes_nothing() {
+        let mut d = db();
+        let before = d.table("CUSTOMER").unwrap().rows().to_vec();
+        // the first row takes key 'X', the second then collides with it
+        let rekey = Dml::Update(Update {
+            table: "CUSTOMER".into(),
+            alias: "t1".into(),
+            set: vec![("CID".into(), ScalarExpr::lit(SqlValue::str("X")))],
+            where_: None,
+        });
+        assert!(d.execute_dml(&rekey, &[]).is_err());
+        let t = d.table("CUSTOMER").unwrap();
+        assert_eq!(t.rows(), before);
+        assert_eq!(t.lookup_pk(&[SqlValue::str("0815")]), Some(0));
+        assert_eq!(t.lookup_pk(&[SqlValue::str("X")]), None);
     }
 
     #[test]

@@ -308,6 +308,53 @@ pub(crate) mod tests {
         );
     }
 
+    /// Under `UpdatedValues`, a conflict on the later source (db2) is
+    /// known in phase 1: no source commits and none keeps a pending
+    /// transaction.
+    #[test]
+    fn conflict_on_a_later_source_commits_no_source() {
+        let w = world();
+        let (mut sdo, lineage) = read_profile(&w);
+        sdo.set("LAST_NAME", Some(V::str("Smith"))).unwrap();
+        sdo.set("CITY", Some(V::str("Busan"))).unwrap();
+        w.db2
+            .with_db_mut(|d| {
+                d.execute_dml(
+                    &aldsp_relational::Dml::Update(aldsp_relational::Update {
+                        table: "ADDRESS".into(),
+                        alias: "t1".into(),
+                        set: vec![(
+                            "CITY".into(),
+                            aldsp_relational::ScalarExpr::lit(SqlValue::str("Incheon")),
+                        )],
+                        where_: None,
+                    }),
+                    &[],
+                )
+            })
+            .unwrap();
+        let proc = SubmitProcessor::new(
+            &w.adaptors,
+            &w.meta,
+            &lineage,
+            &w.inverses,
+            ConcurrencyPolicy::UpdatedValues,
+        );
+        match proc.submit(&sdo).unwrap_err() {
+            SubmitError::OptimisticConflict { connection, table } => {
+                assert_eq!((connection.as_str(), table.as_str()), ("db2", "ADDRESS"))
+            }
+            other => panic!("{other}"),
+        }
+        assert_eq!(
+            w.db1
+                .with_db(|d| d.table("CUSTOMER").unwrap().rows()[0][1].clone()),
+            SqlValue::str("Jones")
+        );
+        assert_eq!(w.db1.pending_transactions(), 0);
+        assert_eq!(w.db2.pending_transactions(), 0);
+    }
+
     #[test]
     fn inverse_function_applied_on_write() {
         // §4.4/§6: SINCE surfaces as xs:dateTime; writing it stores the

@@ -14,7 +14,7 @@ use crate::sdo::{path_string, DataObject};
 use aldsp_adaptors::AdaptorRegistry;
 use aldsp_compiler::InverseRegistry;
 use aldsp_metadata::{Registry, SourceBinding};
-use aldsp_relational::{render_dml, Dml, ScalarExpr, SqlType, SqlValue, Update};
+use aldsp_relational::{render_dml, Dml, RelationalServer, ScalarExpr, SqlType, SqlValue, Update};
 use aldsp_xdm::item::Item;
 use aldsp_xdm::value::AtomicValue;
 use std::collections::HashMap;
@@ -308,13 +308,10 @@ impl<'a> SubmitProcessor<'a> {
             per_source.entry(conn).or_default().push((stmt, params));
         }
         // two-phase commit across the affected sources (§6)
-        let mut prepared: Vec<(String, u64)> = Vec::new();
-        let order: Vec<String> = {
-            let mut v: Vec<String> = per_source.keys().cloned().collect();
-            v.sort();
-            v
-        };
-        for conn in &order {
+        let mut order: Vec<&String> = per_source.keys().collect();
+        order.sort();
+        let mut sources = Vec::with_capacity(order.len());
+        for &conn in &order {
             let server = self
                 .adaptors
                 .connection(conn)
@@ -324,44 +321,53 @@ impl<'a> SubmitProcessor<'a> {
                     "source '{conn}' cannot participate in a multi-source transaction"
                 )));
             }
-            match server.prepare(per_source[conn].clone()) {
-                Ok(tx) => prepared.push((conn.clone(), tx)),
+            sources.push((conn, server));
+        }
+        let mut prepared: Vec<(&String, &RelationalServer, u64)> = Vec::new();
+        for (conn, server) in sources {
+            let stmts = &per_source[conn];
+            let tx = match server.prepare(stmts.clone()) {
+                Ok(tx) => tx,
                 Err(e) => {
-                    for (c, tx) in prepared {
-                        if let Ok(s) = self.adaptors.connection(&c) {
-                            s.rollback(tx);
-                        }
-                    }
+                    rollback(&prepared);
                     return Err(SubmitError::PrepareFailed(e.to_string()));
                 }
-            }
-        }
-        for (conn, tx) in prepared {
-            let server = self
-                .adaptors
-                .connection(&conn)
-                .map_err(|e| SubmitError::Other(e.to_string()))?;
-            let n = server
-                .commit(tx)
-                .map_err(|e| SubmitError::Other(e.to_string()))?;
-            if n == 0 {
-                // an optimistic conflict surfaced as zero matched rows
-                let table = per_source[&conn]
-                    .first()
-                    .map(|(d, _)| d.table().to_string())
-                    .unwrap_or_default();
+            };
+            prepared.push((conn, server, tx));
+            // every statement is conditioned on the object's key and read
+            // values: one that matched no row is an optimistic conflict,
+            // known here, before any source commits
+            let matched = server.prepared_rows(tx).unwrap_or_default();
+            if let Some(k) = matched.iter().position(|&n| n == 0) {
+                rollback(&prepared);
                 return Err(SubmitError::OptimisticConflict {
-                    connection: conn,
-                    table,
+                    connection: conn.clone(),
+                    table: stmts[k].0.table().to_string(),
                 });
             }
+        }
+        for (i, &(conn, server, tx)) in prepared.iter().enumerate() {
+            let n = match server.commit(tx) {
+                Ok(n) if n > 0 => n,
+                failed => {
+                    rollback(&prepared[i + 1..]);
+                    return Err(match failed {
+                        // a writer changed the rows between the phases
+                        Ok(_) => SubmitError::OptimisticConflict {
+                            connection: conn.clone(),
+                            table: per_source[conn][0].0.table().to_string(),
+                        },
+                        Err(e) => SubmitError::Other(e.to_string()),
+                    });
+                }
+            };
             report.rows_affected += n;
-            for (stmt, _) in &per_source[&conn] {
+            for (stmt, _) in &per_source[conn] {
                 report
                     .statements
                     .push((conn.clone(), render_dml(stmt, server.dialect())));
             }
-            report.sources_touched.push(conn);
+            report.sources_touched.push(conn.clone());
         }
         Ok(report)
     }
@@ -390,6 +396,13 @@ impl<'a> SubmitProcessor<'a> {
                 other.len()
             )),
         }
+    }
+}
+
+/// Abort transactions prepared at their sources.
+fn rollback(prepared: &[(&String, &RelationalServer, u64)]) {
+    for (_, server, tx) in prepared {
+        server.rollback(*tx);
     }
 }
 

@@ -321,6 +321,97 @@ fn planted_count_only_regroup_bug_caught_within_50_seeds() {
     panic!("mutation smoke test: RegroupNullableColumn survived 50 seeds undetected");
 }
 
+/// The generator follows every group with `order by` on its key, which
+/// keeps the group in the middleware, so the matrix never runs a pushed
+/// `GROUP BY` (Table 1(e)) or `SELECT DISTINCT` (Table 1(f)). These
+/// group-ending FLWORs run at `full`, `joins` and `off`, and the answers
+/// must agree. A pushed group comes back in the source's order, so the
+/// serialized top-level items are compared sorted. Each query states
+/// whether `full` pushes its group, and EXPLAIN must agree, so the test
+/// cannot silently stop covering a push. `sum`/`min` do not push yet: a
+/// non-count aggregate pushes only over a group binding that is a pushed
+/// column, and no query text binds one.
+#[test]
+fn pushed_group_answers_match_pushdown_off() {
+    let queries = [
+        // Table 1(e): a count by a column
+        (
+            true,
+            "for $c in c:CUSTOMER()
+             group $c as $p by $c/LAST_NAME as $l
+             return <CUSTOMER>{ $l, count($p) }</CUSTOMER>",
+        ),
+        // `sum` and `min` by a column
+        (
+            false,
+            "for $o in c:ORDER()
+             group $o as $p by $o/CID as $k
+             return <O>{ $k, sum($p/AMOUNT), min($p/OID) }</O>",
+        ),
+        // Table 1(f): DISTINCT
+        (
+            true,
+            "for $c in c:CUSTOMER()
+             group by $c/LAST_NAME as $l
+             return $l",
+        ),
+        // a DISTINCT over two keys, the second one unread
+        (
+            true,
+            "for $c in c:CUSTOMER()
+             group by $c/LAST_NAME as $l, $c/FIRST_NAME as $f
+             return $l",
+        ),
+        // a group over a join within one source
+        (
+            true,
+            "for $c in c:CUSTOMER(), $o in c:ORDER()
+             where $o/CID eq $c/CID
+             group $o as $p by $c/LAST_NAME as $l
+             return <G>{ $l, count($p) }</G>",
+        ),
+    ];
+    let cell = |level| {
+        world_tuned(WORLD_N, |b| {
+            b.execution(ExecutionOptions::new().pushdown(level))
+        })
+        .server
+    };
+    let (full, joins, off) = (
+        cell(PushdownLevel::Full),
+        cell(PushdownLevel::Joins),
+        cell(PushdownLevel::Off),
+    );
+    let sorted_items = |server: &AldspServer, q: &str| {
+        let resp = server
+            .execute(QueryRequest::new(q).principal(demo()))
+            .unwrap_or_else(|e| panic!("{e}\n{q}"));
+        let mut items: Vec<String> = resp
+            .items()
+            .iter()
+            .map(|item| serialize_sequence(std::slice::from_ref(item)))
+            .collect();
+        items.sort_unstable();
+        items
+    };
+    for (pushes, query) in queries {
+        let q = format!("{PROLOG}\n{query}");
+        let plan = full
+            .execute(QueryRequest::new(&q).principal(demo()).explain_only())
+            .expect("explain");
+        let plan = plan.plan_explain().expect("explain text");
+        assert_eq!(
+            plan.contains("GROUP BY") || plan.contains("SELECT DISTINCT"),
+            pushes,
+            "pushed at full:\n{plan}"
+        );
+        let want = sorted_items(&off, &q);
+        assert!(want.len() > 1, "{query}");
+        assert_eq!(sorted_items(&full, &q), want, "full\n{query}");
+        assert_eq!(sorted_items(&joins, &q), want, "joins\n{query}");
+    }
+}
+
 // ---- fault injection --------------------------------------------------------
 
 /// Seeded fault schedules (transient errors, latency spikes under

@@ -26,7 +26,7 @@
 mod common;
 
 use aldsp::relational::server::STATEMENT_LOG_CAP;
-use aldsp::relational::{RelationalServer, ScalarExpr, Select, SqlValue, TableRef};
+use aldsp::relational::{Dml, RelationalServer, ScalarExpr, Select, SqlValue, TableRef, Update};
 use aldsp::security::Principal;
 use aldsp::xdm::item::Item;
 use aldsp::xdm::xml::serialize_sequence;
@@ -421,4 +421,37 @@ fn wire_counters_match_the_golden() {
     }
     c.goodbye().expect("clean close");
     check_golden(true, &out);
+}
+
+/// A one-row write costs what it touches: `prepare` and `commit` of the
+/// benchmark probe's keyed UPDATE (it writes the value the row already
+/// holds) make the same heap allocations and examine the same rows on a
+/// 30-row and a 300-row CUSTOMER table.
+#[test]
+fn one_row_write_costs_the_same_at_every_table_size() {
+    let _turn = alone();
+    let update = Dml::Update(Update {
+        table: "CUSTOMER".into(),
+        alias: "t1".into(),
+        set: vec![("CID".into(), ScalarExpr::Param(0))],
+        where_: Some(ScalarExpr::col("t1", "CID").eq(ScalarExpr::Param(0))),
+    });
+    let cost = |customers: usize| {
+        let db1 = world(customers).db1;
+        fill_statement_log(&db1, "CUSTOMER");
+        let write = || {
+            let tx = db1
+                .prepare(vec![(update.clone(), vec![SqlValue::str("C0007")])])
+                .expect("prepares");
+            assert_eq!(db1.commit(tx).expect("commits"), 1);
+        };
+        write();
+        let examined = db1.stats().rows_examined;
+        let allocs = warm_allocs(write);
+        let examined = (db1.stats().rows_examined - examined) / REPEATS as u64;
+        (allocs, examined)
+    };
+    let small = cost(30);
+    assert_eq!(small.1, 2, "one probed row per phase");
+    assert_eq!(small, cost(300));
 }
