@@ -669,7 +669,11 @@ mod tests {
         let tx = server.prepare(stmts.clone()).unwrap();
         server.with_db(|db| {
             let t = db.table("T").unwrap();
-            assert_eq!(t.rows(), before, "the dry run wrote to the live table");
+            assert_eq!(
+                t.rows(),
+                before,
+                "prepare left its writes in the live table"
+            );
             assert_eq!(t.indexed_columns(), [1, 2, 3, 4], "indexes stripped");
             assert_all_equivalent(db, 7, "prepared");
         });

@@ -17,7 +17,7 @@ pub enum SourceError {
     /// `fn-bea:fail-over` (§5.6).
     Unavailable { source: String },
     /// The statement itself failed (unknown table, type error, constraint
-    /// violation, dry-run failure during prepare).
+    /// violation, a statement failing during prepare or commit).
     Sql(String),
     /// A two-phase-commit protocol error (unknown transaction id,
     /// injected prepare failure).
