@@ -3,7 +3,7 @@
 //! CREDIT_CARD on a DB2-dialect connection, the credit-rating web
 //! service, and the `int2date`/`date2int` library pair (§4.4).
 //!
-//! Sizes are parameters so benches can sweep; data is generated
+//! Sizes are parameters so the experiments can sweep; data is generated
 //! deterministically from a seed so runs are reproducible.
 
 use aldsp::adaptors::SimulatedWebService;
@@ -32,16 +32,6 @@ pub struct WorldSize {
     pub orders_per_customer: usize,
     /// Average credit cards per customer.
     pub cards_per_customer: usize,
-}
-
-impl Default for WorldSize {
-    fn default() -> Self {
-        WorldSize {
-            customers: 100,
-            orders_per_customer: 3,
-            cards_per_customer: 2,
-        }
-    }
 }
 
 /// The assembled world: the server plus handles used to inject latency
@@ -107,7 +97,7 @@ pub fn build_world_tuned(
 }
 
 /// Build the world with explicit PP-k knobs (block size and local join
-/// method, §4.2/§5.2) for the sweep benchmarks.
+/// method, §4.2/§5.2) for the sweep and join-method experiments.
 pub fn build_world_opts(
     size: WorldSize,
     ppk_block_size: usize,
@@ -336,8 +326,8 @@ fn multiplicity(customer: usize, avg: usize) -> usize {
     }
 }
 
-/// Execute `source` as `user` (no bindings, no tracing) — the benches'
-/// one-liner for the common materialized case.
+/// Execute `source` as `user` (no bindings, no tracing) — the
+/// experiments' one-liner for the common materialized case.
 pub fn run(server: &AldspServer, user: &Principal, source: &str) -> QueryResponse {
     server
         .execute(QueryRequest::new(source).principal(user.clone()))

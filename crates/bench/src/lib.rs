@@ -1,6 +1,6 @@
-//! Criterion benches and the experiments harness live in benches/ and src/bin/.
+//! The experiments harness lives in src/bin/experiments.rs.
 //!
-//! This library crate hosts the shared workload fixtures used by both.
+//! This library crate hosts the workload fixtures it runs.
 
 #![forbid(unsafe_code)]
 pub mod fixtures;

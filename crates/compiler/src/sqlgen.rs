@@ -1771,9 +1771,9 @@ fn hoist_cross_source(
 // ---- phase 3: trailing clause pushdowns --------------------------------------
 
 /// `[SqlFor, GroupBy]` → SQL GROUP BY / DISTINCT (Tables 1(e)/1(f)),
-/// with aggregates over group bindings pushed when that is all the
-/// bindings are used for; otherwise ORDER BY the keys and mark the
-/// group-by pre-clustered (backend sort, §4.2).
+/// with `count` over group bindings pushed as `COUNT(*)` when that is
+/// all the bindings are used for; otherwise ORDER BY the keys and mark
+/// the group-by pre-clustered (backend sort, §4.2).
 fn push_trailing_group_by(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExpr) {
     // pattern: SqlFor, zero or more row-reconstruction Lets, GroupBy last
     if clauses.len() < 2 || !matches!(clauses[0], Clause::SqlFor { .. }) {
@@ -1842,66 +1842,34 @@ fn push_trailing_group_by(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret:
         clauses.truncate(clauses.len() - 1);
         return;
     }
-    // aggregate-only bindings? check every use of each binding var in ret
-    let mut agg_rewrites: Vec<(String, Builtin, Option<usize>)> = Vec::new();
+    // count-only bindings? check every use of each binding var in ret:
+    // a binding over a pushed field or a reconstructed row whose
+    // partition is only counted pushes as COUNT(*)
     for (from, to) in bindings.iter() {
-        // a binding over a pushed field pushes any aggregate; a binding
-        // over a reconstructed row pushes COUNT (as COUNT(*)) only
-        let from_pos = binds.iter().position(|(b, _)| b == from);
-        if from_pos.is_none() && !row_let_vars.contains(from) {
+        let pushed = binds.iter().any(|(b, _)| b == from) || row_let_vars.contains(from);
+        if !pushed || !sole_count_use(ret, to) {
             push_order_for_clustering(select, &key_cols, pre_clustered);
             return;
         }
-        match sole_aggregate_use(ret, to) {
-            Some(Builtin::Count) => agg_rewrites.push((to.clone(), Builtin::Count, from_pos)),
-            Some(op) if from_pos.is_some() => agg_rewrites.push((to.clone(), op, from_pos)),
-            _ => {
-                push_order_for_clustering(select, &key_cols, pre_clustered);
-                return;
-            }
-        }
     }
-    // full push: SELECT keys, AGG(field) … GROUP BY keys
-    let mut ret_rewrites = Vec::new();
-    for (gvar, op, from_pos) in &agg_rewrites {
-        let func = match op {
-            Builtin::Count => AggFunc::Count,
-            Builtin::Sum => AggFunc::Sum,
-            Builtin::Avg => AggFunc::Avg,
-            Builtin::Min => AggFunc::Min,
-            Builtin::Max => AggFunc::Max,
-            _ => return,
-        };
-        // count($g) over a row variable is COUNT(*)
-        let arg = if *op == Builtin::Count {
-            None
-        } else {
-            Some(Box::new(
-                select.columns[from_pos.expect("non-count aggregates need a field")]
-                    .expr
-                    .clone(),
-            ))
-        };
+    // full push: SELECT keys, COUNT(*) … GROUP BY keys
+    for (_, gvar) in bindings.iter() {
         let alias = format!("c{}", new_cols.len() + 1);
         new_cols.push(aldsp_relational::OutputColumn {
             expr: ScalarExpr::Agg {
-                func,
-                arg,
+                func: AggFunc::Count,
+                arg: None,
                 distinct: false,
             },
             alias,
         });
         let fresh = ctx.fresh("aggv");
         new_binds.push((fresh.clone(), AtomicType::Integer));
-        ret_rewrites.push((gvar.clone(), *op, fresh));
+        replace_count(ret, gvar, &fresh);
     }
     select.group_by = key_cols;
     select.columns = new_cols;
     *binds = new_binds;
-    // replace aggregate calls in the return
-    for (gvar, op, fresh) in &ret_rewrites {
-        replace_aggregate_use(ret, gvar, *op, fresh);
-    }
     clauses.truncate(clauses.len() - 1);
 }
 
@@ -1923,54 +1891,49 @@ fn push_order_for_clustering(
     *pre_clustered = true;
 }
 
-/// Does `ret` use `$var` exclusively as `agg($var)`? Returns the single
-/// aggregate op if so.
-fn sole_aggregate_use(ret: &CExpr, var: &str) -> Option<Builtin> {
-    let mut ops: Vec<Builtin> = Vec::new();
-    let mut bare = false;
-    fn scan(e: &CExpr, var: &str, ops: &mut Vec<Builtin>, bare: &mut bool) {
-        if let CKind::Builtin {
-            op: op @ (Builtin::Count | Builtin::Sum | Builtin::Avg | Builtin::Min | Builtin::Max),
-            args,
-        } = &e.kind
-        {
-            if args.len() == 1 {
-                let inner = match &args[0].kind {
-                    CKind::Data(i) => i.as_ref(),
-                    _ => &args[0],
-                };
-                if matches!(&inner.kind, CKind::Var { name: v, .. } if v == var) {
-                    ops.push(*op);
-                    return;
-                }
-            }
+/// Is `e` `count($var)` (or `count(fn:data($var))`)?
+fn counts_var(e: &CExpr, var: &str) -> bool {
+    let CKind::Builtin {
+        op: Builtin::Count,
+        args,
+    } = &e.kind
+    else {
+        return false;
+    };
+    let [arg] = args.as_slice() else {
+        return false;
+    };
+    let inner = match &arg.kind {
+        CKind::Data(i) => i.as_ref(),
+        _ => arg,
+    };
+    matches!(&inner.kind, CKind::Var { name: v, .. } if v == var)
+}
+
+/// Does `ret` use `$var` at least once, and only as `count($var)`?
+fn sole_count_use(ret: &CExpr, var: &str) -> bool {
+    fn scan(e: &CExpr, var: &str, counted: &mut bool, bare: &mut bool) {
+        if counts_var(e, var) {
+            *counted = true;
+            return;
         }
         if matches!(&e.kind, CKind::Var { name: v, .. } if v == var) {
             *bare = true;
         }
-        e.for_each_child(&mut |c| scan(c, var, ops, bare));
+        e.for_each_child(&mut |c| scan(c, var, counted, bare));
     }
-    scan(ret, var, &mut ops, &mut bare);
-    if bare || ops.is_empty() || !ops.iter().all(|o| *o == ops[0]) {
-        return None;
-    }
-    Some(ops[0])
+    let (mut counted, mut bare) = (false, false);
+    scan(ret, var, &mut counted, &mut bare);
+    counted && !bare
 }
 
-fn replace_aggregate_use(e: &mut CExpr, var: &str, op: Builtin, fresh: &str) {
-    if let CKind::Builtin { op: eop, args } = &e.kind {
-        if *eop == op && args.len() == 1 {
-            let inner = match &args[0].kind {
-                CKind::Data(i) => i.as_ref(),
-                _ => &args[0],
-            };
-            if matches!(&inner.kind, CKind::Var { name: v, .. } if v == var) {
-                *e = CExpr::var(fresh, e.span);
-                return;
-            }
-        }
+/// Replace every `count($var)` in `e` with `$fresh`.
+fn replace_count(e: &mut CExpr, var: &str, fresh: &str) {
+    if counts_var(e, var) {
+        *e = CExpr::var(fresh, e.span);
+        return;
     }
-    e.for_each_child_mut(&mut |c| replace_aggregate_use(c, var, op, fresh));
+    e.for_each_child_mut(&mut |c| replace_count(c, var, fresh));
 }
 
 /// The demand pass, run once on a FLWOR's finished clause list: what

@@ -14,8 +14,9 @@
 //!   field; usable when each field fits in a single token (the relational
 //!   case, where fields are typed column values).
 //!
-//! The optimizer picks the representation per use site; `benches/
-//! tuple_repr.rs` reproduces the Figure 4 trade-offs.
+//! The optimizer picks the representation per use site; the
+//! `experiments` report's `figure_4` section reproduces the Figure 4
+//! trade-offs.
 
 use crate::item::Item;
 use crate::node::{Node, NodeKind, NodeRef};

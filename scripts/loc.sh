@@ -65,9 +65,10 @@ report() { # report <title> <crate>...
     fi
 }
 
+# crates of either tree, so a deleted crate still shows its delta
+names() { for d in "$1"/crates/*/; do basename "$d"; done; }
 engine=() other=()
-for d in crates/*/; do
-    c="$(basename "$d")"
+for c in $({ names .; if [ -n "$base_dir" ]; then names "$base_dir"; fi; } | sort -u); do
     case "$SHIMS" in
         *" $c "*) other+=("$c") ;;
         *) engine+=("$c") ;;

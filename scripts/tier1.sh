@@ -14,9 +14,6 @@ cargo test -q
 # cell, which replays the same seeds through aldsp-client against a
 # loopback aldspd (nightly runs 2,000 seeds)
 ./scripts/difftest.sh 50
-# benches must at least compile (they are exercised manually /
-# via scripts/bench_json.sh, not run in CI)
-cargo bench --no-run
 # the paired parent/change benchmark procedure takes ~20 minutes, so it
 # is only syntax-checked here (run by hand: scripts/bench_pair.sh <base-ref>)
 bash -n scripts/bench_pair.sh

@@ -313,3 +313,54 @@ fn a_lifted_literal_without_a_value_is_a_typed_plan_error() {
     let out = w.server.runtime().execute(&plan, &[]).expect("runs");
     assert_eq!(serialize_sequence(&out), "0");
 }
+
+/// §4.2: a point query through three view layers compiles to the
+/// hand-written base query — the same SQL at the source and the same
+/// answer bytes.
+#[test]
+fn three_view_layers_push_the_base_querys_sql_and_answer() {
+    let w = world(12);
+    w.server
+        .deploy(&format!(
+            "{PROLOG}
+             declare namespace v = \"urn:views\";
+             declare function v:layer1() as element(CUSTOMER)* {{
+               for $c in c:CUSTOMER() return $c
+             }};
+             declare function v:layer2() as element(CUSTOMER)* {{
+               for $c in v:layer1() return $c
+             }};
+             declare function v:byId($id as xs:string) as element(CUSTOMER)* {{
+               v:layer2()[CID eq $id]
+             }};"
+        ))
+        .expect("deploys");
+    let answer_and_sql = |body: &str| {
+        let q = format!("{PROLOG} declare variable $id as xs:string external; {body}");
+        let mark = w.db1.stats().statements.len();
+        let resp = w
+            .server
+            .execute(
+                QueryRequest::new(&q)
+                    .principal(demo())
+                    .bind("id", vec![Item::str("C0007")]),
+            )
+            .unwrap_or_else(|e| panic!("{body}: {e}"));
+        let sql = w.db1.stats().statements[mark..].to_vec();
+        (serialize_sequence(resp.items()), sql)
+    };
+    let base = answer_and_sql("for $c in c:CUSTOMER() where $c/CID eq $id return $c");
+    assert!(
+        base.0.starts_with("<CUSTOMER><CID>C0007</CID>"),
+        "{}",
+        base.0
+    );
+    assert_eq!(base.1.len(), 1, "one statement: {:?}", base.1);
+    assert!(
+        base.1[0].contains("WHERE"),
+        "predicate not pushed: {}",
+        base.1[0]
+    );
+    let layered = answer_and_sql("declare namespace v = \"urn:views\"; v:byId($id)");
+    assert_eq!(layered, base);
+}
