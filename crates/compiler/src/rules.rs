@@ -323,27 +323,6 @@ fn simplify_node(ctx: &mut Context<'_>, e: &mut CExpr) -> bool {
                     );
                     true
                 }
-                CKind::If { cond, then, els } => {
-                    // step distributes over if
-                    let mk = |b: &CExpr| {
-                        CExpr::new(
-                            CKind::ChildStep {
-                                input: Box::new(b.clone()),
-                                name: Some(name.clone()),
-                            },
-                            b.span,
-                        )
-                    };
-                    *e = CExpr::new(
-                        CKind::If {
-                            cond: cond.clone(),
-                            then: Box::new(mk(then)),
-                            els: Box::new(mk(els)),
-                        },
-                        span,
-                    );
-                    true
-                }
                 CKind::Seq(parts) if !parts.is_empty() => {
                     let mapped: Vec<CExpr> = parts
                         .iter()
@@ -462,19 +441,6 @@ fn simplify_node(ctx: &mut Context<'_>, e: &mut CExpr) -> bool {
             }
             changed
         }
-        // if with constant condition
-        CKind::If { cond, then, els } => {
-            if let CKind::Const(aldsp_xdm::value::AtomicValue::Boolean(b)) = &cond.kind {
-                let chosen = if *b {
-                    (**then).clone()
-                } else {
-                    (**els).clone()
-                };
-                *e = chosen;
-                return true;
-            }
-            false
-        }
         // inverse-function rewrite (§4.4): f($x) op $y → $x op f⁻¹($y)
         CKind::Compare {
             op,
@@ -581,53 +547,14 @@ fn simplify_flwor(
     }
     // 1b. project child steps on let-bound constructors: with
     //     `let $v := <E><CID>{…}</CID>…</E>`, an occurrence of `$v/CID`
-    //     downstream becomes the (cheap) CID constructor itself, so a
-    //     predicate on it no longer forces construction of the rest —
-    //     the §4.2 access-elimination pattern
-    for i in 0..clauses.len() {
-        let Clause::Let { var, value } = &clauses[i] else {
-            continue;
-        };
-        let CKind::ElementCtor { content, .. } = &value.kind else {
-            continue;
-        };
-        let var = var.clone();
-        let content = (**content).clone();
-        #[allow(clippy::needless_range_loop)]
-        for j in (i + 1)..clauses.len() {
-            let mut c = clauses[j].clone();
-            let mut c_changed = false;
-            match &mut c {
-                Clause::For { source, .. } => {
-                    c_changed |= project_var_steps(source, &var, &content)
-                }
-                Clause::Let { value, .. } => c_changed |= project_var_steps(value, &var, &content),
-                Clause::Where(w) => c_changed |= project_var_steps(w, &var, &content),
-                Clause::GroupBy { keys, .. } => {
-                    for (k, _) in keys.iter_mut() {
-                        c_changed |= project_var_steps(k, &var, &content);
-                    }
-                }
-                Clause::OrderBy(specs) => {
-                    for s in specs.iter_mut() {
-                        c_changed |= project_var_steps(&mut s.expr, &var, &content);
-                    }
-                }
-                Clause::SqlFor { params, .. } => {
-                    for p in params.iter_mut() {
-                        c_changed |= project_var_steps(p, &var, &content);
-                    }
-                }
+    //     in the return becomes the (cheap) CID constructor itself, so
+    //     it no longer forces construction of the rest — the §4.2
+    //     access-elimination pattern
+    for c in clauses.iter() {
+        if let Clause::Let { var, value } = c {
+            if let CKind::ElementCtor { content, .. } = &value.kind {
+                changed |= project_var_steps(ret, var, content);
             }
-            if c_changed {
-                clauses[j] = c;
-                changed = true;
-            }
-        }
-        let mut r = (**ret).clone();
-        if project_var_steps(&mut r, &var, &content) {
-            **ret = r;
-            changed = true;
         }
     }
     // 2. if the return is `if (p) then r else ()`, lift p into a where
@@ -765,27 +692,22 @@ fn simplify_flwor(
     changed
 }
 
-/// The staged predicate-placement pass: global analyses over whole
+/// The staged predicate-placement pass: a global analysis over whole
 /// clause lists that the per-node rewrite walk cannot express — run
 /// once, after normalization, before SQL pushdown.
 ///
-/// * **Redundant-predicate elimination** — a pure `where` clause that
-///   structurally repeats an earlier filter in the same scope (a common
-///   residue of view unfolding, where caller and callee guard the same
-///   condition) is dropped.
-/// * **Contradiction pruning** — two value-comparison filters
-///   `expr eq C1` … `expr eq C2` with `C1 ≠ C2` can never both hold,
-///   so the *later* one is replaced by `where false()` (replacing the
-///   later clause keeps error semantics: the first comparison still
-///   evaluates, and when it held, the second was type-safe and false).
+/// **Contradiction pruning** — two value-comparison filters
+/// `expr eq C1` … `expr eq C2` with `C1 ≠ C2` can never both hold, so
+/// the *later* one is replaced by `where false()` (replacing the later
+/// clause keeps error semantics: the first comparison still evaluates,
+/// and when it held, the second was type-safe and false).
 ///
-/// Both rewrites are idempotent by construction — the staged-pass
+/// The rewrite is idempotent by construction — the staged-pass
 /// contract `run_pass` asserts in debug builds.
 pub fn place_predicates(ctx: &mut Context<'_>, e: &mut CExpr) {
     e.for_each_child_mut(&mut |c| place_predicates(ctx, c));
     if let CKind::Flwor { clauses, .. } = &mut e.kind {
         ctx.value_dependent |= prune_contradictions(clauses);
-        drop_duplicate_wheres(clauses);
     }
 }
 
@@ -858,9 +780,9 @@ fn const_equality(c: &Clause) -> Option<(CExpr, Literal)> {
 }
 
 /// Replace the later of two contradictory equality filters by
-/// `where false()`. Returns `true` when one of a pair that would
-/// contradict *or* repeat is a lifted literal: which of the two the
-/// pair does depends on a value this compile does not have.
+/// `where false()`. Returns `true` when one of a pair that might
+/// contradict is a lifted literal: whether it does depends on a value
+/// this compile does not have.
 fn prune_contradictions(clauses: &mut [Clause]) -> bool {
     let mut value_dependent = false;
     let mut equalities: Vec<_> = clauses.iter().map(const_equality).collect();
@@ -893,32 +815,6 @@ fn prune_contradictions(clauses: &mut [Clause]) -> bool {
         }
     }
     value_dependent
-}
-
-fn drop_duplicate_wheres(clauses: &mut Vec<Clause>) {
-    let mut i = 1;
-    while i < clauses.len() {
-        let mut duplicate = false;
-        if let Clause::Where(w) = &clauses[i] {
-            if is_pure(w) {
-                for c in clauses[..i].iter().rev() {
-                    match c {
-                        Clause::GroupBy { .. } | Clause::OrderBy(_) => break,
-                        Clause::Where(prev) if prev == w => {
-                            duplicate = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        if duplicate {
-            clauses.remove(i);
-        } else {
-            i += 1;
-        }
-    }
 }
 
 /// Move `where` clauses up to just after the clause that binds the last
@@ -1282,23 +1178,11 @@ mod predicate_placement_tests {
     }
 
     #[test]
-    fn duplicate_pure_wheres_collapse_to_one() {
-        let mut clauses = wheres(vec![
-            eq_const("x", AtomicValue::Integer(7)),
-            eq_const("x", AtomicValue::Integer(7)),
-            eq_const("x", AtomicValue::Integer(7)),
-        ]);
-        drop_duplicate_wheres(&mut clauses);
-        assert_eq!(clauses.len(), 1);
-    }
-
-    #[test]
     fn place_predicates_is_idempotent_on_mixed_filters() {
         let reg = aldsp_metadata::Registry::new();
         let opts = crate::Options::default();
         let mut ctx = Context::new(&reg, &opts);
         let clauses = vec![
-            Clause::Where(eq_const("x", AtomicValue::Integer(1))),
             Clause::Where(eq_const("x", AtomicValue::Integer(1))),
             Clause::Where(eq_const("x", AtomicValue::Integer(2))),
         ];
@@ -1313,7 +1197,7 @@ mod predicate_placement_tests {
         let CKind::Flwor { clauses, .. } = &plan.kind else {
             panic!("flwor survived");
         };
-        // dup removed, contradiction replaced with `where false`
+        // contradiction replaced with `where false`
         assert_eq!(clauses.len(), 2);
         assert!(is_where_false(&clauses[1]));
         let once = plan.clone();

@@ -32,7 +32,7 @@ use aldsp_relational::{
     AggFunc, JoinKind, OrderBy, ScalarExpr, Select, SqlType, SqlValue, TableRef,
 };
 use aldsp_xdm::item::CompOp;
-use aldsp_xdm::types::{ContentType, ElementType};
+use aldsp_xdm::types::{ContentType, ElementType, Occurrence};
 use aldsp_xdm::value::AtomicType;
 use aldsp_xdm::QName;
 use std::collections::HashMap;
@@ -99,7 +99,7 @@ pub fn push_down(ctx: &mut Context<'_>, e: &mut CExpr) {
     crate::rules::optimize(ctx, e);
     if let CKind::Flwor { clauses, ret } = &mut e.kind {
         let span = e.span;
-        absorb_wheres(clauses);
+        absorb_wheres(ctx, clauses);
         push_scalar_projections(ctx, clauses, ret);
         hoist_dependent_joins(ctx, clauses, ret, span);
         if full {
@@ -316,18 +316,8 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
                     break;
                 }
                 Clause::Where(w) => {
-                    let mut translated = None;
-                    {
-                        let mut tr = Translator {
-                            ctx,
-                            region: &mut region,
-                            allow_params: true,
-                        };
-                        if let Some(sql) = tr.pushable(w) {
-                            translated = Some(sql);
-                        }
-                    }
-                    match translated {
+                    let scope = Scope::Region(&mut region);
+                    match (Translator { ctx, scope }).translate(w) {
                         Some(sql) => {
                             // mutation smoke test: consume the conjunct
                             // without attaching it, so the pushed plan
@@ -343,7 +333,7 @@ fn form_regions(ctx: &mut Context<'_>, clauses: &mut Vec<Clause>, ret: &mut CExp
                         }
                         None => {
                             // a correlation equality? col op outer-expr
-                            if let Some((outer, col)) = correlation_of(ctx, &region, w) {
+                            if let Some((outer, col)) = correlation_of(&region, w) {
                                 region.correlations.push((outer, col));
                                 consumed.push(j);
                                 j += 1;
@@ -651,7 +641,7 @@ fn attach_condition(region: &mut Region, cond: ScalarExpr) {
 }
 
 /// Detect `inner-col op outer-expr` equality correlations.
-fn correlation_of(ctx: &Context<'_>, region: &Region, w: &CExpr) -> Option<(CExpr, ScalarExpr)> {
+fn correlation_of(region: &Region, w: &CExpr) -> Option<(CExpr, ScalarExpr)> {
     let CKind::Compare {
         op: CompOp::Eq,
         lhs,
@@ -661,18 +651,11 @@ fn correlation_of(ctx: &Context<'_>, region: &Region, w: &CExpr) -> Option<(CExp
     else {
         return None;
     };
-    let col_of = |e: &CExpr| -> Option<ScalarExpr> {
-        let core = match &e.kind {
-            CKind::Data(i) => i,
-            _ => return col_expr(region, e),
-        };
-        col_expr(region, core)
-    };
+    let col_of = |e: &CExpr| region_column(region, e).map(|(c, _)| c);
     let is_outer = |e: &CExpr| -> bool {
         // no pushed vars and no free use of region tables
         e.free_vars().iter().all(|v| !region.vars.contains_key(v))
     };
-    let _ = ctx;
     if let Some(c) = col_of(lhs) {
         if is_outer(rhs) {
             return Some(((**rhs).clone(), c));
@@ -684,26 +667,6 @@ fn correlation_of(ctx: &Context<'_>, region: &Region, w: &CExpr) -> Option<(CExp
         }
     }
     None
-}
-
-fn col_expr(region: &Region, e: &CExpr) -> Option<ScalarExpr> {
-    let core = match &e.kind {
-        CKind::Data(i) => i.as_ref(),
-        _ => e,
-    };
-    let CKind::ChildStep {
-        input,
-        name: Some(n),
-    } = &core.kind
-    else {
-        return None;
-    };
-    let CKind::Var { name: v, .. } = &input.kind else {
-        return None;
-    };
-    let pv = region.vars.get(v)?;
-    let (col, _, _) = pv.column(n.local_name())?;
-    Some(ScalarExpr::col(&pv.alias, col))
 }
 
 /// Build the final `SqlFor` clause and the downstream rewrite map.
@@ -897,187 +860,292 @@ fn rewrite_refs(e: &mut CExpr, rewrites: &[Rewrite]) {
     e.for_each_child_mut(&mut |c| rewrite_refs(c, rewrites));
 }
 
-// ---- predicate translation ---------------------------------------------------
+// ---- CExpr → SQL translation --------------------------------------------------
 
-struct Translator<'a, 'r> {
-    ctx: &'a Context<'r>,
-    region: &'a mut Region,
-    allow_params: bool,
+/// The one translator from a `CExpr` to the SQL it pushes (§4.3): the
+/// operator arms are written once, and a [`Scope`] decides only the
+/// leaves — which expression is a column, which is shipped as a
+/// parameter, and where an `EXISTS` semi-join may form.
+///
+/// * A value comparison, `and`, `or`, arithmetic, `if` (as `CASE`), a
+///   constant and `upper-case`, `lower-case`, `string-length`,
+///   `substring`, `concat`, `abs` translate operand by operand.
+/// * `empty`/`exists` of a column is `IS [NOT] NULL`; of anything else
+///   the expression stays in the middleware.
+/// * `some $x in T satisfies p` over the region's source is an
+///   `EXISTS` semi-join (Table 2(h)), in a region only.
+/// * Any other expression independent of the statement — a `cast`, a
+///   `typematch`, `true()`/`false()` among them — is evaluated in the
+///   middleware and shipped as a parameter. Paths into rows the
+///   statement does not fetch never are: a region turns them into
+///   correlations.
+///
+/// **Empty sequences.** SQL reads XQuery's `()` as `NULL`, and the two
+/// agree wherever a `WHERE` or a `CASE WHEN` takes `UNKNOWN` as false.
+/// They part under `not` (`not(())` is true), `string-length` (`0`),
+/// `upper-case`, `lower-case` and `substring` (`""`): SQL gives `NULL`.
+/// Those push only over operands that cannot be `NULL` — every column
+/// under them non-nullable, every parameter typed exactly-one (a lifted
+/// literal is) — and otherwise stay in the middleware.
+struct Translator<'t, 'c> {
+    ctx: &'t Context<'c>,
+    scope: Scope<'t>,
 }
 
+/// What a [`Translator`] translates against.
+enum Scope<'t> {
+    /// A region being formed ([`form_regions`]): `$v/COL` of a pushed
+    /// row is a column.
+    Region(&'t mut Region),
+    /// One finished statement ([`absorb_wheres`],
+    /// [`push_scalar_projections`]): a bind variable is the column the
+    /// statement fetches into it.
+    Binds {
+        connection: &'t str,
+        select: &'t Select,
+        binds: &'t [(String, AtomicType)],
+        params: &'t mut Vec<CExpr>,
+    },
+}
+
+/// A translated expression, and whether it can be `NULL` where XQuery
+/// has `()`.
+type Sql = (ScalarExpr, bool);
+
 impl Translator<'_, '_> {
-    /// Translate a predicate to SQL if pushable; `None` leaves it in the
-    /// middleware.
-    fn pushable(&mut self, e: &CExpr) -> Option<ScalarExpr> {
-        let saved_params = self.region.params.len();
-        match self.try_expr(e) {
-            Some(s) => Some(s),
-            None => {
-                self.region.params.truncate(saved_params);
-                None
-            }
+    /// `e` as SQL, or `None` — with no parameter left behind — when it
+    /// stays in the middleware.
+    fn translate(mut self, e: &CExpr) -> Option<ScalarExpr> {
+        let saved = self.params().len();
+        let sql = self.expr(e);
+        if sql.is_none() {
+            self.params().truncate(saved);
+        }
+        sql.map(|(s, _)| s)
+    }
+
+    fn params(&mut self) -> &mut Vec<CExpr> {
+        match &mut self.scope {
+            Scope::Region(region) => &mut region.params,
+            Scope::Binds { params, .. } => params,
         }
     }
 
-    fn try_expr(&mut self, e: &CExpr) -> Option<ScalarExpr> {
-        match &e.kind {
-            CKind::Data(inner) => self.try_expr(inner),
-            CKind::Const(v) => Some(ScalarExpr::Literal(
-                SqlValue::from_xml(Some(v), sql_type_of(v.type_of())?).ok()?,
-            )),
-            CKind::ChildStep { .. } => col_expr(self.region, e),
-            CKind::And(a, b) => Some(self.try_expr(a)?.and(self.try_expr(b)?)),
-            CKind::Or(a, b) => Some(self.try_expr(a)?.or(self.try_expr(b)?)),
+    fn expr(&mut self, e: &CExpr) -> Option<Sql> {
+        Some(match &e.kind {
+            CKind::Data(inner) => return self.expr(inner),
+            CKind::Const(v) => {
+                let ty = SqlType::from_xml_type(v.type_of())?;
+                (
+                    ScalarExpr::Literal(SqlValue::from_xml(Some(v), ty).ok()?),
+                    false,
+                )
+            }
+            CKind::ChildStep { .. } => return self.column(e),
+            CKind::And(a, b) => {
+                let (a, b, n) = self.pair(a, b)?;
+                (a.and(*b), n)
+            }
+            CKind::Or(a, b) => {
+                let (a, b, n) = self.pair(a, b)?;
+                (a.or(*b), n)
+            }
             CKind::Compare { op, lhs, rhs, .. } => {
-                let l = self.try_expr(lhs)?;
-                let r = self.try_expr(rhs)?;
-                Some(ScalarExpr::Compare {
-                    op: *op,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                })
+                let (lhs, rhs, n) = self.pair(lhs, rhs)?;
+                (ScalarExpr::Compare { op: *op, lhs, rhs }, n)
             }
             CKind::Arith { op, lhs, rhs } => {
-                let l = self.try_expr(lhs)?;
-                let r = self.try_expr(rhs)?;
-                Some(ScalarExpr::Arith {
-                    op: *op,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                })
+                let (lhs, rhs, n) = self.pair(lhs, rhs)?;
+                (ScalarExpr::Arith { op: *op, lhs, rhs }, n)
             }
             CKind::If { cond, then, els } => {
-                let c = self.try_expr(cond)?;
-                let t = self.try_expr(then)?;
-                let x = self.try_expr(els)?;
-                Some(ScalarExpr::Case {
-                    when: vec![(c, t)],
-                    els: Some(Box::new(x)),
-                })
+                let (c, _) = self.expr(cond)?;
+                let (t, x, n) = self.pair(then, els)?;
+                (
+                    ScalarExpr::Case {
+                        when: vec![(c, *t)],
+                        els: Some(x),
+                    },
+                    n,
+                )
             }
-            CKind::Builtin { op, args } => match op {
-                Builtin::Not => Some(ScalarExpr::Not(Box::new(self.try_expr(&args[0])?))),
-                Builtin::Empty => {
-                    // empty($v/COL) → COL IS NULL
-                    let c = col_expr(self.region, &args[0])?;
-                    Some(ScalarExpr::IsNull(Box::new(c)))
+            CKind::Builtin {
+                op: op @ (Builtin::Empty | Builtin::Exists),
+                args,
+            } => {
+                let is_null = ScalarExpr::IsNull(Box::new(self.column(&args[0])?.0));
+                match op {
+                    Builtin::Empty => (is_null, false),
+                    _ => (ScalarExpr::Not(Box::new(is_null)), false),
                 }
-                Builtin::Exists => {
-                    let c = col_expr(self.region, &args[0])?;
-                    Some(ScalarExpr::Not(Box::new(ScalarExpr::IsNull(Box::new(c)))))
-                }
-                Builtin::UpperCase => Some(ScalarExpr::Func {
-                    name: "UPPER".into(),
-                    args: vec![self.try_expr(&args[0])?],
-                }),
-                Builtin::LowerCase => Some(ScalarExpr::Func {
-                    name: "LOWER".into(),
-                    args: vec![self.try_expr(&args[0])?],
-                }),
-                Builtin::StringLength => Some(ScalarExpr::Func {
-                    name: "LENGTH".into(),
-                    args: vec![self.try_expr(&args[0])?],
-                }),
-                Builtin::Substring => {
-                    let mut sargs = Vec::with_capacity(args.len());
-                    for a in args {
-                        sargs.push(self.try_expr(a)?);
-                    }
-                    Some(ScalarExpr::Func {
-                        name: "SUBSTR".into(),
-                        args: sargs,
-                    })
-                }
-                Builtin::Concat => {
-                    let mut sargs = Vec::with_capacity(args.len());
-                    for a in args {
-                        sargs.push(self.try_expr(a)?);
-                    }
-                    Some(ScalarExpr::Func {
-                        name: "CONCAT".into(),
-                        args: sargs,
-                    })
-                }
-                Builtin::Abs => Some(ScalarExpr::Func {
-                    name: "ABS".into(),
-                    args: vec![self.try_expr(&args[0])?],
-                }),
-                Builtin::True => Some(ScalarExpr::Literal(SqlValue::Bool(true))),
-                Builtin::False => Some(ScalarExpr::Literal(SqlValue::Bool(false))),
-                _ => self.as_param(e),
+            }
+            CKind::Builtin {
+                op: Builtin::Not,
+                args,
+            } => match self.expr(&args[0])? {
+                (x, false) => (ScalarExpr::Not(Box::new(x)), false),
+                (_, true) => return None,
             },
-            // a quantified expression over the same source → EXISTS
-            // semi-join (Table 2(h))
+            CKind::Builtin { op, args } if sql_function(*op).is_some() => {
+                let (name, strict) = sql_function(*op).expect("guarded");
+                let mut sargs = Vec::with_capacity(args.len());
+                let mut nullable = false;
+                for a in args {
+                    let (s, n) = self.expr(a)?;
+                    if strict && n {
+                        return None;
+                    }
+                    sargs.push(s);
+                    nullable |= n;
+                }
+                let name = name.into();
+                (ScalarExpr::Func { name, args: sargs }, nullable)
+            }
             CKind::Quantified {
                 every: false,
                 var,
                 source,
                 satisfies,
-            } => self.try_exists(var, source, satisfies),
-            CKind::Cast { input, target, .. } => {
-                // pushable as a typed parameter when independent; else
-                // translate through (types line up via SQL affinity)
-                match self.try_expr(input) {
-                    Some(s) => {
-                        let _ = target;
-                        Some(s)
-                    }
-                    None => self.as_param(e),
-                }
+            } => (self.exists(var, source, satisfies)?, false),
+            _ => return self.column(e).or_else(|| self.param(e)),
+        })
+    }
+
+    /// Two operands, left first (parameters are numbered in order), and
+    /// whether either can be `NULL`.
+    fn pair(&mut self, a: &CExpr, b: &CExpr) -> Option<(Box<ScalarExpr>, Box<ScalarExpr>, bool)> {
+        let (a, an) = self.expr(a)?;
+        let (b, bn) = self.expr(b)?;
+        Some((Box::new(a), Box::new(b), an || bn))
+    }
+
+    /// A column of the scope.
+    fn column(&self, e: &CExpr) -> Option<Sql> {
+        let e = strip_data(e);
+        match &self.scope {
+            Scope::Region(region) => region_column(region, e),
+            Scope::Binds {
+                connection,
+                select,
+                binds,
+                ..
+            } => {
+                let CKind::Var { name, .. } = &e.kind else {
+                    return None;
+                };
+                let pos = binds.iter().position(|(b, _)| b == name)?;
+                let col = select.columns[pos].expr.clone();
+                let nullable = may_be_null(self.ctx, connection, &select.from, &col);
+                Some((col, nullable))
             }
-            _ => self.as_param(e),
         }
     }
 
     /// "Other expressions can first be evaluated in the XQuery runtime
-    /// engine and then pushed as SQL parameters" (§4.3).
-    fn as_param(&mut self, e: &CExpr) -> Option<ScalarExpr> {
-        if !self.allow_params {
-            return None;
-        }
-        // only expressions independent of the pushed region qualify
+    /// engine and then pushed as SQL parameters" (§4.3): only those
+    /// independent of the statement qualify.
+    fn param(&mut self, e: &CExpr) -> Option<Sql> {
         let free = e.free_vars();
-        if free.iter().any(|v| self.region.vars.contains_key(v)) {
+        let dependent = match &self.scope {
+            Scope::Region(region) => free.iter().any(|v| region.vars.contains_key(v)),
+            Scope::Binds { binds, .. } => binds.iter().any(|(b, _)| free.contains(b)),
+        };
+        if dependent {
             return None;
         }
-        // node constructors etc. are non-pushable even as params; require
-        // an atomizable expression — conservatively accept everything
-        // whose type is atomic or unknown-but-data-wrapped
-        let idx = self.region.params.len();
-        self.region
-            .params
-            .push(CExpr::new(CKind::Data(Box::new(e.clone())), e.span));
-        Some(ScalarExpr::Param(idx))
+        let params = self.params();
+        params.push(CExpr::new(CKind::Data(Box::new(e.clone())), e.span));
+        let nullable = e.ty.occurrence() != Occurrence::One;
+        Some((ScalarExpr::Param(params.len() - 1), nullable))
     }
 
-    fn try_exists(&mut self, var: &str, source: &CExpr, satisfies: &CExpr) -> Option<ScalarExpr> {
+    /// A quantified expression over the region's own source becomes an
+    /// `EXISTS` semi-join (Table 2(h)).
+    fn exists(&mut self, var: &str, source: &CExpr, satisfies: &CExpr) -> Option<ScalarExpr> {
+        let Scope::Region(region) = &mut self.scope else {
+            return None;
+        };
         let (conn, table, element, columns, nav) = table_of_call(self.ctx, source)?;
-        if conn != self.region.connection || nav.is_some() {
+        if conn != region.connection || nav.is_some() {
             return None;
         }
-        let alias = self.region.next_alias();
-        // temporarily extend the region's var map so the inner predicate
-        // resolves both inner and outer columns
-        self.region.vars.insert(
-            var.to_string(),
-            PushedVar {
-                alias: alias.clone(),
-                element,
-                columns,
-            },
-        );
-        let inner_pred = self.try_expr(satisfies);
-        self.region.vars.remove(var);
-        let inner_pred = inner_pred?;
+        let alias = region.next_alias();
+        // extend the region's var map while the inner predicate is
+        // translated, so it resolves both inner and outer columns
+        let pv = PushedVar {
+            alias: alias.clone(),
+            element,
+            columns,
+        };
+        region.vars.insert(var.to_string(), pv);
+        let inner_pred = self.expr(satisfies);
+        if let Scope::Region(region) = &mut self.scope {
+            region.vars.remove(var);
+        }
         let mut sub = Select::new(TableRef::table(&table, &alias))
             .column(ScalarExpr::lit(SqlValue::Int(1)), "c1");
-        sub.where_ = Some(inner_pred);
+        sub.where_ = Some(inner_pred?.0);
         Some(ScalarExpr::Exists(Box::new(sub)))
     }
 }
 
-fn sql_type_of(t: AtomicType) -> Option<SqlType> {
-    SqlType::from_xml_type(t)
+/// The SQL function a builtin pushes as, and whether it is *strict*:
+/// XQuery maps an empty argument to a value where SQL gives `NULL`.
+fn sql_function(op: Builtin) -> Option<(&'static str, bool)> {
+    Some(match op {
+        Builtin::UpperCase => ("UPPER", true),
+        Builtin::LowerCase => ("LOWER", true),
+        Builtin::StringLength => ("LENGTH", true),
+        Builtin::Substring => ("SUBSTR", true),
+        Builtin::Concat => ("CONCAT", false),
+        Builtin::Abs => ("ABS", false),
+        _ => return None,
+    })
+}
+
+/// `$v/COL` of a row the region pushes: the column and whether it is
+/// nullable.
+fn region_column(region: &Region, e: &CExpr) -> Option<Sql> {
+    let CKind::ChildStep {
+        input,
+        name: Some(n),
+    } = &strip_data(e).kind
+    else {
+        return None;
+    };
+    let CKind::Var { name: v, .. } = &input.kind else {
+        return None;
+    };
+    let pv = region.vars.get(v)?;
+    let (col, _, nullable) = pv.column(n.local_name())?;
+    Some((ScalarExpr::col(&pv.alias, col), nullable))
+}
+
+/// Can a statement's output `col` be `NULL`? Not when it is a column
+/// its table's shape declares non-nullable, of a table no outer join
+/// may `NULL`-extend.
+fn may_be_null(ctx: &Context<'_>, connection: &str, from: &TableRef, col: &ScalarExpr) -> bool {
+    fn table_of<'f>(from: &'f TableRef, alias: &str) -> Option<&'f str> {
+        match from {
+            TableRef::Table { name, alias: a } => (a == alias).then_some(name.as_str()),
+            TableRef::Join {
+                left, right, kind, ..
+            } => table_of(left, alias)
+                .or_else(|| (*kind == JoinKind::Inner).then(|| table_of(right, alias))?),
+            TableRef::Derived { .. } => None,
+        }
+    }
+    let ScalarExpr::Column { table, column } = col else {
+        return true;
+    };
+    let Some(name) = table_of(from, table) else {
+        return true;
+    };
+    !ctx.registry.functions().any(|f| {
+        matches!(&f.source, SourceBinding::RelationalTable { connection: c, table: t, shape, .. }
+            if c == connection && t == name
+                && shape_columns(shape).iter().any(|(n, _, nullable)| n == column && !nullable))
+    })
 }
 
 // ---- phase 2: dependent-join hoisting ---------------------------------------
@@ -1182,6 +1250,8 @@ fn hoist_dependent_joins(
                 std::mem::replace(value, CExpr::empty(span))
             }
         };
+        // clauses a re-nesting merge inserts right after the outer SqlFor
+        let mut renest = Vec::new();
         let hoisted = match (&outer_info, &inner_clause) {
             (
                 Some((outer_idx, oconn, otable, oalias)),
@@ -1199,23 +1269,26 @@ fn hoist_dependent_joins(
                 // outer SqlFor and the slot is the return
                 if agg.is_none() && !(outer_is_last && matches!(slot, Slot::Ret)) {
                     false
+                } else if let Some(extra) = merge_same_connection(
+                    ctx,
+                    clauses,
+                    *outer_idx,
+                    otable,
+                    oalias,
+                    select,
+                    params,
+                    binds,
+                    ppk,
+                    inner_ret.clone(),
+                    agg,
+                    &mut slot_expr,
+                    &path_marker,
+                    span,
+                ) {
+                    renest = extra;
+                    true
                 } else {
-                    merge_same_connection(
-                        ctx,
-                        clauses,
-                        *outer_idx,
-                        otable,
-                        oalias,
-                        select,
-                        params,
-                        binds,
-                        ppk,
-                        inner_ret.clone(),
-                        agg,
-                        &mut slot_expr,
-                        &path_marker,
-                        span,
-                    )
+                    false
                 }
             }
             (_, Clause::SqlFor { ppk: Some(_), .. }) if matches!(slot, Slot::Ret) && !has_order => {
@@ -1242,7 +1315,9 @@ fn hoist_dependent_joins(
                 *value = slot_expr;
             }
         }
-        drain_pending_insertions(clauses);
+        if let Some((outer_idx, ..)) = outer_info {
+            clauses.splice(outer_idx + 1..outer_idx + 1, renest);
+        }
         if !hoisted {
             break;
         }
@@ -1339,7 +1414,9 @@ fn replace_marked(e: &mut CExpr, marker: &crate::ir::Span, replacement: &CExpr) 
 /// Same-connection merge: extend the outer select with a LEFT OUTER JOIN
 /// of the inner table, then either push the aggregate entirely (GROUP BY
 /// in SQL — Table 2(g)) or re-nest in the middleware with a clustered
-/// group-by (Table 1(c) + §4.2's streaming grouping).
+/// group-by (Table 1(c) + §4.2's streaming grouping). Returns the
+/// clauses to insert right after the outer `SqlFor` (none for the
+/// aggregate), or `None` when the merge does not apply.
 #[allow(clippy::too_many_arguments)]
 fn merge_same_connection(
     ctx: &mut Context<'_>,
@@ -1356,14 +1433,14 @@ fn merge_same_connection(
     ret: &mut CExpr,
     marker: &crate::ir::Span,
     span: crate::ir::Span,
-) -> bool {
+) -> Option<Vec<Clause>> {
     // the inner select must be a single table with no pagination
     let TableRef::Table {
         name: itable,
         alias: _,
     } = &inner_select.from
     else {
-        return false;
+        return None;
     };
     // outer PK columns (needed for grouping identity)
     let pk_cols: Vec<String> = {
@@ -1375,7 +1452,7 @@ fn merge_same_connection(
         });
         match f {
             Some(pk) if !pk.is_empty() => pk,
-            _ => return false,
+            _ => return None,
         }
     };
     // correlation: outer_keys must be field vars bound by the outer SqlFor
@@ -1386,7 +1463,7 @@ fn merge_same_connection(
         ..
     } = &mut clauses[outer_idx]
     else {
-        return false;
+        return None;
     };
     let mut on: Option<ScalarExpr> = None;
     let ialias = "t_inner".to_string();
@@ -1396,16 +1473,14 @@ fn merge_same_connection(
             CKind::Var { name: v, .. } => v.clone(),
             CKind::Data(inner) => match &inner.kind {
                 CKind::Var { name: v, .. } => v.clone(),
-                _ => return false,
+                _ => return None,
             },
-            _ => return false,
+            _ => return None,
         };
-        let Some(pos) = outer_binds.iter().position(|(b, _)| *b == kv) else {
-            return false;
-        };
+        let pos = outer_binds.iter().position(|(b, _)| *b == kv)?;
         let outer_col = outer_select.columns[pos].expr.clone();
         let ScalarExpr::Column { column, .. } = key_col else {
-            return false;
+            return None;
         };
         let term = outer_col.eq(ScalarExpr::col(&ialias, column));
         on = Some(match on {
@@ -1413,7 +1488,7 @@ fn merge_same_connection(
             None => term,
         });
     }
-    let Some(on) = on else { return false };
+    let on = on?;
     // both statements' parameters are query-constant (the caller
     // checked): the merged statement takes the outer's, then the
     // inner's renumbered behind them
@@ -1465,7 +1540,7 @@ fn merge_same_connection(
             });
             let agg_var = ctx.fresh("agg");
             outer_binds.push((agg_var.clone(), AtomicType::Integer));
-            replace_marked(ret, marker, &CExpr::var(&agg_var, span))
+            replace_marked(ret, marker, &CExpr::var(&agg_var, span)).then(Vec::new)
         }
         None => {
             // middleware re-nesting: fetch inner fields, ORDER BY outer
@@ -1551,41 +1626,28 @@ fn merge_same_connection(
                 keys.push((CExpr::var(b, span), alias.clone()));
                 key_renames.push((b.clone(), alias));
             }
-            let extra = vec![
+            // replace the nested expression and rename outer binds to
+            // their group-key aliases in the return
+            if !replace_marked(ret, marker, &CExpr::var(&grouped_var, span)) {
+                return None;
+            }
+            for (old, new) in &key_renames {
+                ret.substitute(old, &CExpr::var(new, span));
+            }
+            Some(vec![
                 Clause::Let {
                     var: val_var.clone(),
                     value: guarded,
                 },
                 Clause::GroupBy {
-                    bindings: vec![(val_var, grouped_var.clone())],
+                    bindings: vec![(val_var, grouped_var)],
                     keys,
                     carry: Vec::new(),
                     pre_clustered: true,
                 },
-            ];
-            // replace the nested expression and rename outer binds to
-            // their group-key aliases in the return
-            if !replace_marked(ret, marker, &CExpr::var(&grouped_var, span)) {
-                return false;
-            }
-            for (old, new) in &key_renames {
-                ret.substitute(old, &CExpr::var(new, span));
-            }
-            // append the new clauses right after the outer SqlFor —
-            // ownership dance: we only have &mut [Clause]; signal via a
-            // sentinel and let the caller… simpler: we re-enter with Vec
-            // access below.
-            PENDING.with(|p| p.borrow_mut().push((outer_idx + 1, extra)));
-            true
+            ])
         }
     }
-}
-
-thread_local! {
-    /// Clause insertions requested during a merge (the merge only holds a
-    /// slice borrow); drained by [`hoist_dependent_joins`]'s caller wrapper.
-    static PENDING: std::cell::RefCell<Vec<(usize, Vec<Clause>)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Rewrite inner-select column aliases to the joined alias.
@@ -1703,13 +1765,6 @@ fn hoist_cross_source(
     let grouped_var = ctx.fresh("nested");
     // keys: the tuple id plus every variable the return still needs
     let replacement = match agg {
-        Some(Builtin::Count) => CExpr::new(
-            CKind::Builtin {
-                op: Builtin::Count,
-                args: vec![CExpr::var(&grouped_var, span)],
-            },
-            span,
-        ),
         Some(op) => CExpr::new(
             CKind::Builtin {
                 op,
@@ -2072,7 +2127,7 @@ fn regroup_field<'f>(
 /// Fold `where` clauses that follow a `SqlFor` and reference only its
 /// bind variables (they surface when view unfolding flattens a nested
 /// FLWOR *after* region formation) back into the statement's WHERE.
-fn absorb_wheres(clauses: &mut Vec<Clause>) {
+fn absorb_wheres(ctx: &Context<'_>, clauses: &mut Vec<Clause>) {
     let mut i = 1;
     while i < clauses.len() {
         let absorbable = matches!(clauses[i], Clause::Where(_))
@@ -2083,6 +2138,7 @@ fn absorb_wheres(clauses: &mut Vec<Clause>) {
             };
             let (head, _) = clauses.split_at_mut(i);
             let Clause::SqlFor {
+                connection,
                 select,
                 binds,
                 params,
@@ -2091,8 +2147,13 @@ fn absorb_wheres(clauses: &mut Vec<Clause>) {
             else {
                 unreachable!()
             };
-            let saved_params = params.len();
-            if let Some(sql) = translate_bound(&w, select, binds, params) {
+            let scope = Scope::Binds {
+                connection,
+                select,
+                binds,
+                params,
+            };
+            if let Some(sql) = (Translator { ctx, scope }).translate(&w) {
                 select.where_ = Some(match select.where_.take() {
                     Some(prev) => prev.and(sql),
                     None => sql,
@@ -2100,125 +2161,8 @@ fn absorb_wheres(clauses: &mut Vec<Clause>) {
                 clauses.remove(i);
                 continue;
             }
-            params.truncate(saved_params);
         }
         i += 1;
-    }
-}
-
-/// Translate a predicate over a `SqlFor`'s bind variables into SQL;
-/// bind-independent sub-expressions ship as parameters (§4.3).
-fn translate_bound(
-    e: &CExpr,
-    select: &Select,
-    binds: &[(String, AtomicType)],
-    params: &mut Vec<CExpr>,
-) -> Option<ScalarExpr> {
-    let bind_col = |v: &str| -> Option<ScalarExpr> {
-        binds
-            .iter()
-            .position(|(b, _)| b == v)
-            .map(|pos| select.columns[pos].expr.clone())
-    };
-    match &e.kind {
-        CKind::Data(inner) | CKind::TypeMatch { input: inner, .. } => {
-            translate_bound(inner, select, binds, params)
-        }
-        CKind::Var { name: v, .. } => bind_col(v).or_else(|| as_bound_param(e, binds, params)),
-        CKind::Const(v) => Some(ScalarExpr::Literal(
-            SqlValue::from_xml(Some(v), sql_type_of(v.type_of())?).ok()?,
-        )),
-        CKind::Compare { op, lhs, rhs, .. } => {
-            let l = translate_bound(lhs, select, binds, params)?;
-            let r = translate_bound(rhs, select, binds, params)?;
-            Some(ScalarExpr::Compare {
-                op: *op,
-                lhs: Box::new(l),
-                rhs: Box::new(r),
-            })
-        }
-        CKind::And(a, b) => Some(
-            translate_bound(a, select, binds, params)?
-                .and(translate_bound(b, select, binds, params)?),
-        ),
-        CKind::Or(a, b) => Some(
-            translate_bound(a, select, binds, params)?
-                .or(translate_bound(b, select, binds, params)?),
-        ),
-        CKind::Arith { op, lhs, rhs } => {
-            let l = translate_bound(lhs, select, binds, params)?;
-            let r = translate_bound(rhs, select, binds, params)?;
-            Some(ScalarExpr::Arith {
-                op: *op,
-                lhs: Box::new(l),
-                rhs: Box::new(r),
-            })
-        }
-        CKind::If { cond, then, els } => {
-            let c = translate_bound(cond, select, binds, params)?;
-            let t = translate_bound(then, select, binds, params)?;
-            let x = translate_bound(els, select, binds, params)?;
-            Some(ScalarExpr::Case {
-                when: vec![(c, t)],
-                els: Some(Box::new(x)),
-            })
-        }
-        CKind::Builtin {
-            op: Builtin::Not,
-            args,
-        } => Some(ScalarExpr::Not(Box::new(translate_bound(
-            &args[0], select, binds, params,
-        )?))),
-        CKind::Builtin {
-            op:
-                op @ (Builtin::UpperCase
-                | Builtin::LowerCase
-                | Builtin::StringLength
-                | Builtin::Substring
-                | Builtin::Concat
-                | Builtin::Abs),
-            args,
-        } => {
-            let name = match op {
-                Builtin::UpperCase => "UPPER",
-                Builtin::LowerCase => "LOWER",
-                Builtin::StringLength => "LENGTH",
-                Builtin::Substring => "SUBSTR",
-                Builtin::Concat => "CONCAT",
-                Builtin::Abs => "ABS",
-                _ => unreachable!("matched above"),
-            };
-            let mut sargs = Vec::with_capacity(args.len());
-            for a in args {
-                sargs.push(translate_bound(a, select, binds, params)?);
-            }
-            Some(ScalarExpr::Func {
-                name: name.into(),
-                args: sargs,
-            })
-        }
-        CKind::Builtin {
-            op: Builtin::Empty,
-            args,
-        } => {
-            let inner = strip_data(&args[0]);
-            if let CKind::Var { name: v, .. } = &inner.kind {
-                return bind_col(v).map(|c| ScalarExpr::IsNull(Box::new(c)));
-            }
-            as_bound_param(e, binds, params)
-        }
-        CKind::Builtin {
-            op: Builtin::Exists,
-            args,
-        } => {
-            let inner = strip_data(&args[0]);
-            if let CKind::Var { name: v, .. } = &inner.kind {
-                return bind_col(v)
-                    .map(|c| ScalarExpr::Not(Box::new(ScalarExpr::IsNull(Box::new(c)))));
-            }
-            as_bound_param(e, binds, params)
-        }
-        _ => as_bound_param(e, binds, params),
     }
 }
 
@@ -2232,21 +2176,6 @@ fn strip_data(e: &CExpr) -> &CExpr {
         CKind::Data(inner) => strip_data(inner),
         _ => e,
     }
-}
-
-/// Ship a bind-independent expression as a parameter.
-fn as_bound_param(
-    e: &CExpr,
-    binds: &[(String, AtomicType)],
-    params: &mut Vec<CExpr>,
-) -> Option<ScalarExpr> {
-    let free = e.free_vars();
-    if free.iter().any(|v| binds.iter().any(|(b, _)| b == v)) {
-        return None;
-    }
-    let idx = params.len();
-    params.push(CExpr::new(CKind::Data(Box::new(e.clone())), e.span));
-    Some(ScalarExpr::Param(idx))
 }
 
 /// Push *computed scalar projections* into the statement: a pushable
@@ -2269,6 +2198,7 @@ fn push_scalar_projections(ctx: &mut Context<'_>, clauses: &mut [Clause], ret: &
     }
     let Some(i) = target else { return };
     let Clause::SqlFor {
+        connection,
         select,
         binds,
         params,
@@ -2277,7 +2207,7 @@ fn push_scalar_projections(ctx: &mut Context<'_>, clauses: &mut [Clause], ret: &
     else {
         unreachable!()
     };
-    push_scalars_in(ctx, ret, select, binds, params);
+    push_scalars_in(ctx, ret, connection, select, binds, params);
 }
 
 /// Recursively replace pushable computed subexpressions with fresh field
@@ -2285,60 +2215,52 @@ fn push_scalar_projections(ctx: &mut Context<'_>, clauses: &mut [Clause], ret: &
 fn push_scalars_in(
     ctx: &mut Context<'_>,
     e: &mut CExpr,
+    connection: &str,
     select: &mut Select,
     binds: &mut Vec<(String, AtomicType)>,
     params: &mut Vec<CExpr>,
 ) {
-    let pushable_shape = matches!(
-        &e.kind,
-        CKind::If { .. }
-            | CKind::Arith { .. }
-            | CKind::Builtin {
-                op: Builtin::UpperCase
-                    | Builtin::LowerCase
-                    | Builtin::StringLength
-                    | Builtin::Substring
-                    | Builtin::Concat
-                    | Builtin::Abs,
-                ..
-            }
-    );
-    if pushable_shape {
-        // must read at least one of this statement's fields, and all its
-        // branches/operands must translate
-        let uses_bind = e
-            .free_vars()
+    let pushable_shape = match &e.kind {
+        CKind::If { .. } | CKind::Arith { .. } => true,
+        CKind::Builtin { op, .. } => sql_function(*op).is_some(),
+        _ => false,
+    };
+    let ty = match e.ty.item_type() {
+        Some(aldsp_xdm::types::ItemType::Atomic(t)) => *t,
+        _ => AtomicType::AnyAtomic,
+    };
+    // must read at least one of this statement's fields, and all its
+    // branches/operands must translate
+    if pushable_shape
+        && SqlType::from_xml_type(ty).is_some()
+        && e.free_vars()
             .iter()
-            .any(|v| binds.iter().any(|(b, _)| b == v));
-        if uses_bind {
-            let saved = params.len();
-            if let Some(sql) = translate_bound(e, select, binds, params) {
-                let ty = match e.ty.item_type() {
-                    Some(aldsp_xdm::types::ItemType::Atomic(t)) => *t,
-                    _ => AtomicType::AnyAtomic,
-                };
-                if let Some(sqlty) = SqlType::from_xml_type(ty) {
-                    let _ = sqlty;
-                    let alias = format!("c{}", select.columns.len() + 1);
-                    select
-                        .columns
-                        .push(aldsp_relational::OutputColumn { expr: sql, alias });
-                    let fvar = ctx.fresh("proj");
-                    binds.push((fvar.clone(), ty));
-                    let mut var = CExpr::var(&fvar, e.span);
-                    var.ty = e.ty.clone();
-                    *e = var;
-                    return;
-                }
-            }
-            params.truncate(saved);
+            .any(|v| binds.iter().any(|(b, _)| b == v))
+    {
+        let scope = Scope::Binds {
+            connection,
+            select,
+            binds,
+            params,
+        };
+        if let Some(sql) = (Translator { ctx, scope }).translate(e) {
+            let alias = format!("c{}", select.columns.len() + 1);
+            select
+                .columns
+                .push(aldsp_relational::OutputColumn { expr: sql, alias });
+            let fvar = ctx.fresh("proj");
+            binds.push((fvar.clone(), ty));
+            let mut var = CExpr::var(&fvar, e.span);
+            var.ty = e.ty.clone();
+            *e = var;
+            return;
         }
     }
     // don't descend into nested FLWORs that own their own statements
     if matches!(&e.kind, CKind::Flwor { .. }) {
         return;
     }
-    e.for_each_child_mut(&mut |c| push_scalars_in(ctx, c, select, binds, params));
+    e.for_each_child_mut(&mut |c| push_scalars_in(ctx, c, connection, select, binds, params));
 }
 
 /// `[SqlFor, (Let|Where)*, OrderBy(fields)]` → `ORDER BY` in the SQL.
@@ -2483,20 +2405,4 @@ fn push_subsequence(ctx: &mut Context<'_>, e: &mut CExpr) {
     // the builtin is now redundant
     let inner = args.remove(0);
     *e = inner;
-}
-
-/// Drain the pending clause insertions requested by same-connection
-/// merges (see `merge_same_connection`).
-pub fn drain_pending_insertions(clauses: &mut Vec<Clause>) {
-    PENDING.with(|p| {
-        let mut pending = p.borrow_mut();
-        // apply in reverse order so indices stay valid
-        pending.sort_by_key(|p| std::cmp::Reverse(p.0));
-        for (idx, extra) in pending.drain(..) {
-            let at = idx.min(clauses.len());
-            for (off, c) in extra.into_iter().enumerate() {
-                clauses.insert(at + off, c);
-            }
-        }
-    });
 }

@@ -6,8 +6,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release -q -p aldsp-server -p aldsp-client
+bin="${CARGO_TARGET_DIR:-target}/release"
 
-coproc ALDSPD { ./target/release/aldspd --port 0 --customers 10; }
+coproc ALDSPD { "$bin/aldspd" --port 0 --customers 10; }
 
 # the daemon prints its bound (ephemeral) address as the first line
 if ! read -t 30 -r banner <&"${ALDSPD[0]}"; then
@@ -19,7 +20,7 @@ case "$banner" in
     *) echo "server smoke: unexpected banner: $banner" >&2; exit 1 ;;
 esac
 
-out="$(./target/release/aldsp-client --addr "$addr" \
+out="$("$bin/aldsp-client" --addr "$addr" \
     --query 'declare namespace c = "urn:custDS"; count(c:CUSTOMER())' \
     2>/dev/null)"
 if [ "$out" != "10" ]; then

@@ -412,6 +412,106 @@ fn pushed_group_answers_match_pushdown_off() {
     }
 }
 
+/// A view whose rows carry a never-NULL and a nullable column; a filter
+/// on a call of it reaches the statement after region formation (the
+/// running example's `getProfileByID` shape), where the where clause is
+/// absorbed into the statement's `WHERE`.
+const NAMES_MODULE: &str = r#"
+    declare namespace t = "urn:names";
+    declare namespace c = "urn:custDS";
+    declare function t:names() as element(N)* {
+      for $c in c:CUSTOMER()
+      return <N>
+        <CID>{fn:data($c/CID)}</CID>
+        <LAST_NAME>{fn:data($c/LAST_NAME)}</LAST_NAME>
+        <FIRST_NAME>{fn:data($c/FIRST_NAME)}</FIRST_NAME>
+      </N>
+    };
+    declare function t:byId($id as xs:string) as element(N)* {
+      t:names()[CID eq $id]
+    };
+"#;
+
+/// Where SQL and XQuery part over an empty sequence: `not(())` is true,
+/// `string-length(())` is 0 and `upper-case(())` or `substring(())` is
+/// `""`, but SQL gives `NULL` for a NULL column. `FIRST_NAME` is NULL
+/// for every 7th customer, so each of these runs at `full`, `joins` and
+/// `off` and the answers must agree. Each query names the SQL its
+/// non-nullable operands push as (`LAST_NAME`, `CID`), or `None` where a
+/// nullable operand keeps the expression in the middleware, and the
+/// pushed statements must agree at `full` and `joins`.
+#[test]
+fn pushed_scalar_answers_match_pushdown_off() {
+    let queries = [
+        (None, "for $c in c:CUSTOMER() where fn:not($c/FIRST_NAME eq \"F1\") return $c/CID"),
+        (Some("NOT ("), "for $c in c:CUSTOMER() where fn:not($c/LAST_NAME eq \"Smith\") return $c/CID"),
+        (None, "for $c in c:CUSTOMER() where string-length($c/FIRST_NAME) eq 0 return $c/CID"),
+        (Some("LENGTH("), "for $c in c:CUSTOMER() where string-length($c/LAST_NAME) eq 5 return $c/CID"),
+        (None, "for $c in c:CUSTOMER() where upper-case($c/FIRST_NAME) ne \"F1\" return $c/CID"),
+        (Some("UPPER("), "for $c in c:CUSTOMER() where upper-case($c/LAST_NAME) ne \"SMITH\" return $c/CID"),
+        (None, "for $c in c:CUSTOMER() where fn:substring($c/FIRST_NAME, 1, 1) ne \"F\" return $c/CID"),
+        (Some("SUBSTR("), "for $c in c:CUSTOMER() where fn:substring($c/LAST_NAME, 1, 1) ne \"S\" return $c/CID"),
+        (None, "for $c in c:CUSTOMER() return <L>{string-length($c/FIRST_NAME)}</L>"),
+        (Some("LENGTH("), "for $c in c:CUSTOMER() return <L>{string-length($c/LAST_NAME)}</L>"),
+        (None, "for $c in c:CUSTOMER() return <L>{if (fn:not($c/FIRST_NAME eq \"F1\")) then 1 else 2}</L>"),
+        (Some("NOT ("), "for $c in c:CUSTOMER() return <L>{if (fn:not($c/CID eq \"C0001\")) then 1 else 2}</L>"),
+        // absorbed after region formation
+        (Some("\"CID\" = ?"), "declare namespace t = \"urn:names\"; t:byId(\"C0007\")"),
+        (None, "declare namespace t = \"urn:names\"; t:names()[fn:not(FIRST_NAME eq \"F1\")]"),
+        (Some("NOT ("), "declare namespace t = \"urn:names\"; t:names()[fn:not(LAST_NAME eq \"Smith\")]"),
+    ];
+    let cell = |level| {
+        let server = world_tuned(WORLD_N, |b| {
+            b.execution(ExecutionOptions::new().pushdown(level))
+        })
+        .server;
+        server.deploy(NAMES_MODULE).expect("deploys");
+        server
+    };
+    let (full, joins, off) = (
+        cell(PushdownLevel::Full),
+        cell(PushdownLevel::Joins),
+        cell(PushdownLevel::Off),
+    );
+    let answer = |server: &AldspServer, q: &str| {
+        let resp = server
+            .execute(QueryRequest::new(q).principal(demo()))
+            .unwrap_or_else(|e| panic!("{e}\n{q}"));
+        serialize_sequence(resp.items())
+    };
+    let pushed_sql = |server: &AldspServer, q: &str| {
+        let plan = server
+            .execute(QueryRequest::new(q).principal(demo()).explain_only())
+            .expect("explain");
+        let plan = plan.plan_explain().expect("explain text");
+        plan.lines()
+            .filter(|l| l.trim_start().starts_with("sql> "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    for (pushed, query) in queries {
+        let q = format!("{PROLOG}\n{query}");
+        for server in [&full, &joins] {
+            let sql = pushed_sql(server, &q);
+            match pushed {
+                Some(needle) => {
+                    assert!(sql.contains(needle), "{needle} not pushed:\n{sql}\n{query}")
+                }
+                None => assert!(
+                    !["NOT (", "LENGTH(", "UPPER(", "SUBSTR("]
+                        .iter()
+                        .any(|f| sql.contains(f)),
+                    "pushed over a nullable column:\n{sql}\n{query}"
+                ),
+            }
+        }
+        let want = answer(&off, &q);
+        assert!(!want.is_empty(), "{query}");
+        assert_eq!(answer(&full, &q), want, "full\n{query}");
+        assert_eq!(answer(&joins, &q), want, "joins\n{query}");
+    }
+}
+
 // ---- fault injection --------------------------------------------------------
 
 /// Seeded fault schedules (transient errors, latency spikes under
